@@ -6,7 +6,7 @@ Subcommands:
 * ``segment``   run aggregation, proposal voting, merging, and id stitching
 * ``evaluate``  score predictions against ground truth (or re-emit the
   combined score from a fixture of (s_assoc, s_cls) pairs)
-* ``ablate``    sweep prior kind x label-noise grid and tabulate the scores
+* ``ablate``    sweep a label-noise grid and tabulate the scores
 * ``inspect``   dump header/stats of any supported file
 
 Configuration comes from one plain-text key-value file plus flag overrides;
@@ -35,7 +35,6 @@ from .proposal_engine import (
     DEFAULT_DBSCAN_EPS_M,
     DEFAULT_DBSCAN_MIN_PTS,
     DEFAULT_GROUP_RADIUS_M,
-    DEFAULT_HUBER_DELTA_M,
     dbscan,
     default_proposal_count,
     farthest_point_sample,
@@ -45,7 +44,7 @@ from .proposal_engine import (
     shift_to_centers,
 )
 from .scan_aggregator import aggregate, lidar_pose_from_camera_pose
-from .semantic_prior import CONFIDENCE, ONE_HOT, ClassMap, FileProvider, remap
+from .semantic_prior import ClassMap, FileProvider, argmax_labels, remap
 from .synthlab import OracleProvider, SceneConfig, generate, write_dataset
 from .window_tracker import TrackState, WindowSegmentation, stitch
 
@@ -69,9 +68,10 @@ class PipelineConfig:
     sequences: tuple[str, ...] = ("00",)
     window_n: int = 2
     stride: int = 0  # 0 = auto (window_n - 1, minimum 1)
-    prior_kind: str = ONE_HOT
     source: str = "oracle"  # "oracle" | "files"
     scene_config: Path | None = None
+    # source=files reads exactly one semantic input kind: .label files from
+    # semantic_dir or .conf confidence rows from confidence_dir.
     semantic_dir: str | None = None  # may contain {seq}
     confidence_dir: str | None = None
     offset_dir: str | None = None
@@ -83,10 +83,8 @@ class PipelineConfig:
     group_radius_m: float = DEFAULT_GROUP_RADIUS_M
     dbscan_eps_m: float = DEFAULT_DBSCAN_EPS_M
     dbscan_min_pts: int = DEFAULT_DBSCAN_MIN_PTS
-    huber_delta_m: float = DEFAULT_HUBER_DELTA_M
     group_space: str = "shifted"  # "shifted" | "raw"
     threads: int = 1
-    seed: int = 42
 
     @property
     def effective_stride(self) -> int:
@@ -97,8 +95,6 @@ class PipelineConfig:
             raise ConfigError("window_n must be >= 1")
         if self.stride and not 1 <= self.stride <= self.window_n:
             raise ConfigError(f"stride must lie in [1, window_n], got {self.stride}")
-        if self.prior_kind not in (ONE_HOT, CONFIDENCE):
-            raise ConfigError(f"prior_kind must be one_hot or confidence, got {self.prior_kind!r}")
         if self.source not in ("oracle", "files"):
             raise ConfigError(f"source must be oracle or files, got {self.source!r}")
         if self.source == "oracle" and self.scene_config is None:
@@ -106,10 +102,8 @@ class PipelineConfig:
         if self.source == "files":
             if self.offset_dir is None:
                 raise ConfigError("source=files requires offset_dir")
-            if self.prior_kind == ONE_HOT and self.semantic_dir is None:
-                raise ConfigError("source=files with one_hot priors requires semantic_dir")
-            if self.prior_kind == CONFIDENCE and self.confidence_dir is None:
-                raise ConfigError("source=files with confidence priors requires confidence_dir")
+            if (self.semantic_dir is None) == (self.confidence_dir is None):
+                raise ConfigError("source=files requires exactly one of semantic_dir, confidence_dir")
         if self.offset_frame not in ("window", "sensor"):
             raise ConfigError(f"offset_frame must be window or sensor, got {self.offset_frame!r}")
         if self.group_space not in ("shifted", "raw"):
@@ -120,8 +114,8 @@ class PipelineConfig:
             raise ConfigError("offset_sigma must be >= 0")
         if self.k_proposals < 0 or self.threads < 1 or self.dbscan_min_pts < 1:
             raise ConfigError("k_proposals >= 0, threads >= 1, dbscan_min_pts >= 1 required")
-        if min(self.group_radius_m, self.dbscan_eps_m, self.huber_delta_m) <= 0:
-            raise ConfigError("group_radius_m, dbscan_eps_m, huber_delta_m must be positive")
+        if min(self.group_radius_m, self.dbscan_eps_m) <= 0:
+            raise ConfigError("group_radius_m, dbscan_eps_m must be positive")
 
     @classmethod
     def from_file(cls, path, **overrides) -> "PipelineConfig":
@@ -140,14 +134,11 @@ class PipelineConfig:
         return cls(**values)
 
 
-_INT_KEYS = {"window_n", "stride", "noise_seed", "k_proposals", "dbscan_min_pts", "threads", "seed"}
-_FLOAT_KEYS = {
-    "flip_prob", "offset_sigma", "group_radius_m", "dbscan_eps_m", "huber_delta_m",
-}
+_INT_KEYS = {"window_n", "stride", "noise_seed", "k_proposals", "dbscan_min_pts", "threads"}
+_FLOAT_KEYS = {"flip_prob", "offset_sigma", "group_radius_m", "dbscan_eps_m"}
 _PATH_KEYS = {"dataset_root", "out_dir", "scene_config"}
 _STR_KEYS = {
-    "prior_kind", "source", "offset_frame", "group_space",
-    "semantic_dir", "confidence_dir", "offset_dir",
+    "source", "offset_frame", "group_space", "semantic_dir", "confidence_dir", "offset_dir",
 }
 
 
@@ -225,13 +216,14 @@ def build_provider(config: PipelineConfig, sequence: str, scans, lidar_poses, cl
             lidar_poses=lidar_poses,
             gt=gt,
             class_map=class_map,
-            prior_kind=config.prior_kind,
             flip_prob=config.flip_prob,
             offset_sigma=config.offset_sigma,
             noise_seed=config.noise_seed,
         )
 
-    def scan_paths(template: str, extension: str) -> list[Path]:
+    def scan_paths(template: str | None, extension: str) -> list[Path] | None:
+        if template is None:
+            return None
         directory = Path(template.format(seq=sequence))
         return [directory / f"{k:06d}{extension}" for k in range(len(scans))]
 
@@ -239,8 +231,8 @@ def build_provider(config: PipelineConfig, sequence: str, scans, lidar_poses, cl
     return FileProvider(
         class_map=class_map,
         scan_sizes=sizes,
-        semantic_paths=scan_paths(config.semantic_dir, ".label") if config.prior_kind == ONE_HOT else None,
-        confidence_paths=scan_paths(config.confidence_dir, ".conf") if config.prior_kind == CONFIDENCE else None,
+        semantic_paths=scan_paths(config.semantic_dir, ".label"),
+        confidence_paths=scan_paths(config.confidence_dir, ".conf"),
         offset_paths=scan_paths(config.offset_dir, ".offset"),
         lidar_poses=lidar_poses,
         offset_frame=config.offset_frame,
@@ -258,7 +250,7 @@ class SegmentStats:
     uncovered_thing_points: int
 
 
-def _segment_window(config, window, scans, lidar_poses, priors, provider, thing_mask):
+def _segment_window(config, window, scans, lidar_poses, labels, provider, thing_mask):
     timing: dict[str, float] = {}
 
     def clock(name, fn):
@@ -267,7 +259,7 @@ def _segment_window(config, window, scans, lidar_poses, priors, provider, thing_
         timing[name] = time.perf_counter() - start
         return result
 
-    cloud = clock("aggregate", lambda: aggregate(scans, lidar_poses, priors, window))
+    cloud = clock("aggregate", lambda: aggregate(scans, lidar_poses, labels, window))
     offsets = clock("offsets", lambda: provider.window_offsets(window))
     centers = clock("shift", lambda: shift_to_centers(cloud.positions, offsets))
     k = config.k_proposals or default_proposal_count(len(cloud))
@@ -313,12 +305,14 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
     class_map = ClassMap.semantic_kitti()
     scans, lidar_poses, _ = load_sequence(config.dataset_root, sequence)
     provider = build_provider(config, sequence, scans, lidar_poses, class_map)
-    priors = [provider.semantic_prior(k).matrix for k in range(len(scans))]
+    # Only the argmax of each prior row is used downstream; reduce each scan's
+    # matrix to train ids at once so no (n, C) matrix outlives its scan.
+    labels = [argmax_labels(provider.semantic_prior(k).matrix) for k in range(len(scans))]
     windows = plan_windows(len(scans), config.window_n, config.effective_stride)
     scan_sizes = [len(scan) for scan in scans]
 
     def job(window):
-        return _segment_window(config, window, scans, lidar_poses, priors, provider, class_map.thing_mask)
+        return _segment_window(config, window, scans, lidar_poses, labels, provider, class_map.thing_mask)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -476,37 +470,26 @@ def reemit_fixture_scores(fixture_path, out_path=None) -> list[tuple[str, float,
     return rows
 
 
-def run_ablation(
-    config: PipelineConfig,
-    flip_grid: list[float],
-    prior_kinds: list[str],
-) -> str:
-    """Segment + evaluate over the prior x flip-probability grid."""
+def run_ablation(config: PipelineConfig, flip_grid: list[float]) -> str:
+    """Segment + evaluate over the label flip-probability grid."""
     class_map = ClassMap.semantic_kitti()
     header = (
-        f"{'prior':<12s} {'flip':>5s} {'LSTQ':>7s} {'S_assoc':>8s} {'S_cls':>7s} "
+        f"{'flip':>5s} {'LSTQ':>7s} {'S_assoc':>8s} {'S_cls':>7s} "
         f"{'IoU_Th':>7s} {'IoU_St':>7s}"
     )
     lines = [header, "-" * len(header)]
-    for prior_kind in prior_kinds:
-        for flip_prob in flip_grid:
-            tag = f"ablate_{prior_kind}_{flip_prob:g}"
-            sub = replace(
-                config,
-                prior_kind=prior_kind,
-                flip_prob=flip_prob,
-                out_dir=Path(config.out_dir) / tag,
-            )
-            for sequence in config.sequences:
-                segment_sequence(sub, sequence)
-            _, overall = evaluate_directories(
-                sub.out_dir, config.dataset_root, config.sequences, class_map, sub.out_dir
-            )
-            lines.append(
-                f"{prior_kind:<12s} {flip_prob:5.2f} {100 * overall.lstq:7.2f} "
-                f"{100 * overall.s_assoc:8.2f} {100 * overall.s_cls:7.2f} "
-                f"{100 * overall.iou_th:7.2f} {100 * overall.iou_st:7.2f}"
-            )
+    for flip_prob in flip_grid:
+        sub = replace(config, flip_prob=flip_prob, out_dir=Path(config.out_dir) / f"ablate_{flip_prob:g}")
+        for sequence in config.sequences:
+            segment_sequence(sub, sequence)
+        _, overall = evaluate_directories(
+            sub.out_dir, config.dataset_root, config.sequences, class_map, sub.out_dir
+        )
+        lines.append(
+            f"{flip_prob:5.2f} {100 * overall.lstq:7.2f} "
+            f"{100 * overall.s_assoc:8.2f} {100 * overall.s_cls:7.2f} "
+            f"{100 * overall.iou_th:7.2f} {100 * overall.iou_st:7.2f}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -592,7 +575,6 @@ def _config_from_args(args) -> PipelineConfig:
         "sequences": tuple(args.sequences.replace(",", " ").split()) if args.sequences else None,
         "window_n": args.window_n,
         "stride": args.stride,
-        "prior_kind": args.prior,
         "source": args.source,
         "scene_config": args.scene_config,
         "semantic_dir": args.semantic_dir,
@@ -608,7 +590,6 @@ def _config_from_args(args) -> PipelineConfig:
         "dbscan_min_pts": args.dbscan_min_pts,
         "group_space": args.group_space,
         "threads": args.threads,
-        "seed": args.seed,
     }
     if args.config:
         config = PipelineConfig.from_file(args.config, **overrides)
@@ -658,12 +639,7 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     config = _config_from_args(args)
     flip_grid = [float(tok) for tok in args.flip_grid.replace(",", " ").split()] if args.flip_grid else []
-    prior_kinds = (
-        [tok for tok in args.prior_kinds.replace(",", " ").split()]
-        if args.prior_kinds
-        else [ONE_HOT, CONFIDENCE]
-    )
-    table = run_ablation(config, flip_grid, prior_kinds)
+    table = run_ablation(config, flip_grid)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "ablation.txt").write_text(table)
@@ -684,7 +660,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sequences", default=None, help="comma or space separated")
     parser.add_argument("--window-n", type=int, default=None, dest="window_n")
     parser.add_argument("--stride", type=int, default=None)
-    parser.add_argument("--prior", choices=[ONE_HOT, CONFIDENCE], default=None)
     parser.add_argument("--source", choices=["oracle", "files"], default=None)
     parser.add_argument("--scene-config", type=Path, default=None, dest="scene_config")
     parser.add_argument("--semantic-dir", default=None, dest="semantic_dir")
@@ -700,7 +675,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dbscan-min-pts", type=int, default=None, dest="dbscan_min_pts")
     parser.add_argument("--group-space", choices=["shifted", "raw"], default=None, dest="group_space")
     parser.add_argument("--threads", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -733,11 +707,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="re-emit combined scores from (s_assoc, s_cls) pairs")
     evaluate.set_defaults(handler=cmd_evaluate)
 
-    ablate = sub.add_parser("ablate", help="sweep priors x label noise")
+    ablate = sub.add_parser("ablate", help="sweep label noise")
     _add_pipeline_flags(ablate)
     ablate.add_argument("--flip-grid", default=None, dest="flip_grid",
                         help="comma separated label flip probabilities")
-    ablate.add_argument("--prior-kinds", default=None, dest="prior_kinds")
     ablate.set_defaults(handler=cmd_ablate)
 
     inspect = sub.add_parser("inspect", help="summarize a supported file")

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyInput, LengthMismatch, NonFiniteValue
-from .semantic_prior import argmax_labels, majority_label
+from .semantic_prior import majority_label
 
 NOISE = -1
 
@@ -237,7 +237,7 @@ def merge_and_assign(
     predicted_centers,
     proposals: Sequence[Proposal],
     cluster_ids,
-    prior_matrix,
+    point_labels,
     thing_mask,
 ) -> InstanceSegmentation:
     """Union clustered proposals into instances and emit per-point masks.
@@ -247,22 +247,20 @@ def merge_and_assign(
     (mean of its proposals' refined centers) is nearest to the point's
     predicted center, ties to the lowest instance id. Instances whose
     majority label is a stuff class are demoted to background: their points
-    keep instance id 0 and their own argmax semantics, matching the dataset
+    keep instance id 0 and their own prior labels, matching the dataset
     convention that stuff points never carry instance ids. Surviving
     instances are renumbered 1..M in discovery order and all their points
     take the instance's majority label.
     """
     centers = np.asarray(predicted_centers, dtype=np.float64).reshape(-1, 3)
-    prior = np.asarray(prior_matrix, dtype=np.float64)
+    point_semantic = np.asarray(point_labels, dtype=np.int64).reshape(-1)
     thing_mask = np.asarray(thing_mask, dtype=bool)
     n = len(centers)
-    if len(prior) != n:
-        raise LengthMismatch(f"{len(prior)} prior rows for {n} points")
+    if len(point_semantic) != n:
+        raise LengthMismatch(f"{len(point_semantic)} prior labels for {n} points")
     cluster_ids = np.asarray(cluster_ids, dtype=np.int64).reshape(-1)
     if len(cluster_ids) != len(proposals):
         raise LengthMismatch(f"{len(cluster_ids)} cluster ids for {len(proposals)} proposals")
-
-    point_semantic = argmax_labels(prior) if n else np.zeros(0, dtype=np.int64)
 
     # Cluster -> proposals, real clusters first (ascending id = discovery
     # order), then NOISE singletons in ascending proposal order.

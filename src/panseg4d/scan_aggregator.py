@@ -65,14 +65,15 @@ class RigidTransform:
 class Aggregated4DCloud:
     """N scans fused in the reference frame with per-point scan offsets.
 
-    ``prior`` carries the per-point semantic evidence rows (length C each,
-    nonnegative, summing to 1). ``origin`` holds (scan_index, point_index)
-    back-references into the input scans and is a bijection onto them.
+    ``prior`` carries the per-point semantic prior as train ids (the argmax
+    of each point's semantic evidence row). ``origin`` holds (scan_index,
+    point_index) back-references into the input scans and is a bijection
+    onto them.
     """
 
     positions: np.ndarray  # (m, 3) float64, reference frame
     feature: np.ndarray  # (m,)
-    prior: np.ndarray  # (m, C)
+    prior: np.ndarray  # (m,) int64 train ids
     time_index: np.ndarray  # (m,) int64, scan offset in [0, n_scans)
     origin: np.ndarray  # (m, 2) int64, (scan_index, point_index)
     n_scans: int
@@ -116,46 +117,39 @@ def window_relative_transform(
 def aggregate(
     scans: Sequence[PointCloudScan],
     lidar_poses: Sequence[RigidTransform],
-    priors: Sequence[np.ndarray],
+    labels: Sequence[np.ndarray],
     window: tuple[int, int],
 ) -> Aggregated4DCloud:
     """Fuse scans [start, start + n) into the frame of scan ``start``.
 
-    ``scans``, ``lidar_poses`` and ``priors`` are aligned by scan index over
-    the full sequence; ``window = (start, n)`` selects the slice to fuse.
-    Prior rows are copied through unchanged; time_index is the scan offset
-    within the window.
+    ``scans``, ``lidar_poses`` and ``labels`` (per-point train ids) are
+    aligned by scan index over the full sequence; ``window = (start, n)``
+    selects the slice to fuse. Labels are copied through unchanged;
+    time_index is the scan offset within the window.
     """
     start, n = window
     if n < 1 or start < 0 or start + n > len(scans):
         raise WindowOutOfRange(
             f"window [{start}, {start + n}) out of range for {len(scans)} scans"
         )
-    if not (len(scans) == len(lidar_poses) == len(priors)):
+    if not (len(scans) == len(lidar_poses) == len(labels)):
         raise LengthMismatch(
-            f"{len(scans)} scans vs {len(lidar_poses)} poses vs {len(priors)} prior matrices"
+            f"{len(scans)} scans vs {len(lidar_poses)} poses vs {len(labels)} label arrays"
         )
 
-    positions, features, prior_rows, time_rows, origin_rows = [], [], [], [], []
-    n_classes = None
+    positions, features, label_rows, time_rows, origin_rows = [], [], [], [], []
     for offset in range(n):
         scan_index = start + offset
         scan = scans[scan_index]
-        prior = np.asarray(priors[scan_index], dtype=np.float64)
-        if len(prior) != len(scan):
+        scan_labels = np.asarray(labels[scan_index], dtype=np.int64).reshape(-1)
+        if len(scan_labels) != len(scan):
             raise LengthMismatch(
-                f"scan {scan_index}: {len(prior)} prior rows for {len(scan)} points"
-            )
-        if n_classes is None:
-            n_classes = prior.shape[1] if prior.ndim == 2 else 0
-        elif prior.shape[1] != n_classes:
-            raise LengthMismatch(
-                f"scan {scan_index}: prior width {prior.shape[1]} != {n_classes}"
+                f"scan {scan_index}: {len(scan_labels)} labels for {len(scan)} points"
             )
         to_reference = window_relative_transform(lidar_poses, start, scan_index)
         positions.append(to_reference.apply(scan.points))
         features.append(scan.feature)
-        prior_rows.append(prior)
+        label_rows.append(scan_labels)
         time_rows.append(np.full(len(scan), offset, dtype=np.int64))
         origin = np.empty((len(scan), 2), dtype=np.int64)
         origin[:, 0] = scan_index
@@ -165,7 +159,7 @@ def aggregate(
     return Aggregated4DCloud(
         positions=np.concatenate(positions) if positions else np.zeros((0, 3)),
         feature=np.concatenate(features),
-        prior=np.concatenate(prior_rows),
+        prior=np.concatenate(label_rows),
         time_index=np.concatenate(time_rows),
         origin=np.concatenate(origin_rows),
         n_scans=n,

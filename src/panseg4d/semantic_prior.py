@@ -1,9 +1,10 @@
 """Class-id remapping, semantic-prior encoding, and prediction sources.
 
-Semantic evidence is attached to points as a length-C row per point, either
-one-hot (hard prediction) or a normalized confidence vector. Rows whose
-label is IGNORE encode as the uniform vector 1/C so every row sums to one
-and downstream consumers stay branch-free.
+A provider hands out semantic evidence as a length-C row per point, either
+one-hot (hard prediction) or a normalized confidence vector; rows whose
+label is IGNORE encode as the uniform vector 1/C so every row sums to one.
+The pipeline reduces each scan's rows once to per-point train ids with
+:func:`argmax_labels` and carries only those labels downstream.
 
 The external predictor is abstracted as a :class:`PredictionSource` with two
 capabilities: a semantic prior per scan, and per-point offset vectors per
@@ -35,9 +36,6 @@ from .sk_formats import LabelArray
 from .scan_aggregator import RigidTransform, window_relative_transform
 
 IGNORE = -1
-
-ONE_HOT = "one_hot"
-CONFIDENCE = "confidence"
 
 _RAW_ID_SPACE = 1 << 16
 
@@ -137,12 +135,9 @@ class ClassMap:
 class SemanticPrior:
     """Per-point semantic evidence rows; each row is nonnegative and sums to 1."""
 
-    kind: str  # ONE_HOT | CONFIDENCE
     matrix: np.ndarray  # (n, C) float64
 
     def __post_init__(self):
-        if self.kind not in (ONE_HOT, CONFIDENCE):
-            raise ConfigError(f"unknown prior kind {self.kind!r}")
         matrix = np.asarray(self.matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise LengthMismatch(f"prior matrix must be 2-D, got shape {matrix.shape}")
@@ -189,7 +184,7 @@ def encode_one_hot(train_ids, n_classes: int) -> SemanticPrior:
     matrix = np.zeros((len(ids), n_classes), dtype=np.float64)
     matrix[valid, ids[valid]] = 1.0
     matrix[~valid] = 1.0 / n_classes
-    return SemanticPrior(kind=ONE_HOT, matrix=matrix)
+    return SemanticPrior(matrix=matrix)
 
 
 def normalize_confidences(raw_scores) -> SemanticPrior:
@@ -203,7 +198,7 @@ def normalize_confidences(raw_scores) -> SemanticPrior:
     zero = sums <= 0
     if zero.any():
         raise AllZeroRow(f"confidence row {int(np.argmax(zero))} has no positive entry")
-    return SemanticPrior(kind=CONFIDENCE, matrix=scores / sums[:, None])
+    return SemanticPrior(matrix=scores / sums[:, None])
 
 
 def majority_label(member_train_ids) -> int:

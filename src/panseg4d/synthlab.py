@@ -26,14 +26,7 @@ from .errors import ConfigError, InfeasibleLayout
 from . import sk_formats
 from .sk_formats import CalibRecord, PointCloudScan, PoseRecord
 from .scan_aggregator import RigidTransform, window_relative_transform
-from .semantic_prior import (
-    CONFIDENCE,
-    ONE_HOT,
-    ClassMap,
-    PredictionSource,
-    SemanticPrior,
-    encode_one_hot,
-)
+from .semantic_prior import ClassMap, PredictionSource, SemanticPrior, encode_one_hot
 
 # Stream purposes for the keyed RNG.
 _STREAM_LAYOUT = 0
@@ -420,27 +413,12 @@ def flip_labels(train_ids: np.ndarray, flip_prob: float, rng: np.random.Generato
     return ids
 
 
-def noisy_semantics(
-    gt: GroundTruth, flip_prob: float, seed: int, n_classes: int
-) -> list[SemanticPrior]:
-    """Per-scan one-hot priors with labels corrupted at the given rate."""
-    if not 0.0 <= flip_prob <= 1.0:
-        raise ConfigError(f"flip_prob must lie in [0, 1], got {flip_prob}")
-    priors = []
-    for scan_index in range(gt.n_scans):
-        rng = keyed_rng(seed, _STREAM_SEMANTIC_NOISE, scan_index)
-        ids = flip_labels(gt.semantic[scan_index], flip_prob, rng, n_classes)
-        priors.append(encode_one_hot(ids, n_classes))
-    return priors
-
-
 class OracleProvider(PredictionSource):
     """Prediction source backed by generator ground truth, with dial-in noise.
 
-    ``prior_kind`` selects one-hot or softened confidence rows (the true
-    class receives ``confidence_peak``, the rest split the remainder, so the
-    argmax is unchanged). ``flip_prob`` corrupts labels before encoding;
-    ``offset_sigma`` perturbs the oracle offsets.
+    Priors are one-hot rows of the ground-truth labels; ``flip_prob``
+    corrupts labels before encoding and ``offset_sigma`` perturbs the oracle
+    offsets, each from its own ``noise_seed`` stream.
     """
 
     def __init__(
@@ -449,29 +427,21 @@ class OracleProvider(PredictionSource):
         lidar_poses: list[RigidTransform],
         gt: GroundTruth,
         class_map: ClassMap,
-        prior_kind: str = ONE_HOT,
         flip_prob: float = 0.0,
         offset_sigma: float = 0.0,
         noise_seed: int = 0,
-        confidence_peak: float = 0.7,
     ):
-        if prior_kind not in (ONE_HOT, CONFIDENCE):
-            raise ConfigError(f"unknown prior kind {prior_kind!r}")
         if not 0.0 <= flip_prob <= 1.0:
             raise ConfigError(f"flip_prob must lie in [0, 1], got {flip_prob}")
         if offset_sigma < 0:
             raise ConfigError(f"offset_sigma must be >= 0, got {offset_sigma}")
-        if not 0.0 < confidence_peak <= 1.0:
-            raise ConfigError(f"confidence_peak must lie in (0, 1], got {confidence_peak}")
         self.scans = scans
         self.lidar_poses = lidar_poses
         self.gt = gt
         self.class_map = class_map
-        self.prior_kind = prior_kind
         self.flip_prob = flip_prob
         self.offset_sigma = offset_sigma
         self.noise_seed = noise_seed
-        self.confidence_peak = confidence_peak
 
     def semantic_prior(self, scan_index: int) -> SemanticPrior:
         n_classes = self.class_map.n_classes
@@ -479,12 +449,7 @@ class OracleProvider(PredictionSource):
         if self.flip_prob > 0:
             rng = keyed_rng(self.noise_seed, _STREAM_SEMANTIC_NOISE, scan_index)
             ids = flip_labels(ids, self.flip_prob, rng, n_classes)
-        if self.prior_kind == ONE_HOT:
-            return encode_one_hot(ids, n_classes)
-        rest = (1.0 - self.confidence_peak) / (n_classes - 1)
-        matrix = np.full((len(ids), n_classes), rest, dtype=np.float64)
-        matrix[np.arange(len(ids)), ids] = self.confidence_peak
-        return SemanticPrior(kind=CONFIDENCE, matrix=matrix)
+        return encode_one_hot(ids, n_classes)
 
     def window_offsets(self, window: tuple[int, int]) -> np.ndarray:
         return _window_offsets(

@@ -10,7 +10,7 @@ points and competitors on a handful.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +54,6 @@ class TrackState:
     """Fold state for id stitching; global ids are never reused."""
 
     next_global_id: int = 1
-    # global id -> (window start last seen in, point count there)
-    active: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     def fresh_id(self) -> int:
         gid = self.next_global_id
@@ -116,7 +114,6 @@ def stitch(
         if gid is None:
             gid = state.fresh_id()
         relabeled[local == local_id] = gid
-        state.active[gid] = (new_window.window[0], int((local == local_id).sum()))
 
     return state, WindowSegmentation(
         segmentation=new_window.segmentation.with_instance(relabeled, scope="sequence"),

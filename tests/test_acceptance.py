@@ -182,8 +182,8 @@ def test_criterion_4_geometry():
             PointCloudScan(points=pose.inverse().apply(world), feature=np.zeros(50), scan_index=k)
             for k, pose in enumerate(poses)
         ]
-        priors = [np.full((50, 19), 1.0 / 19) for _ in range(4)]
-        cloud = aggregate(scans, poses, priors, (0, 4))
+        labels = [np.zeros(50, dtype=np.int64) for _ in range(4)]
+        cloud = aggregate(scans, poses, labels, (0, 4))
         stacked = cloud.positions.reshape(4, 50, 3)
         assert np.linalg.norm(stacked - stacked[0], axis=-1).max() < 1e-6
 
@@ -232,8 +232,7 @@ def test_criterion_6_loss_masking_property(reference_dataset):
     with criterion("6 center-loss masking: appending stuff points changes nothing"):
         scans, poses, gt = reference_dataset.scans, reference_dataset.poses, reference_dataset.gt
         window = (0, 2)
-        priors = [np.full((len(scans[k]), 19), 1.0 / 19) for k in range(len(scans))]
-        cloud = aggregate(scans, poses, priors, window)
+        cloud = aggregate(scans, poses, gt.semantic, window)
         offsets = oracle_offsets(scans, poses, gt, window)
         predicted = cloud.positions + offsets
         true_centers = predicted.copy()
@@ -270,7 +269,6 @@ def test_criterion_7_priors_help_under_offset_noise(reference_dataset, class_map
                     window_n=2,
                     source="oracle",
                     scene_config=reference_dataset.scene_path,
-                    prior_kind="one_hot",
                     flip_prob=flip,
                     offset_sigma=0.2,
                     noise_seed=1000 + seed,

@@ -54,17 +54,25 @@ class TestConfigValidation:
     def test_files_source_requires_dirs(self):
         with pytest.raises(ConfigError, match="offset_dir"):
             PipelineConfig(source="files", offset_dir=None).validate()
+        # Exactly one semantic input kind, checked before any file is read.
+        for semantic_dir, confidence_dir in ((None, None), ("/missing/sem", "/missing/conf")):
+            config = PipelineConfig(
+                dataset_root="/definitely/not/a/path", source="files", offset_dir="/missing/off",
+                semantic_dir=semantic_dir, confidence_dir=confidence_dir,
+            )
+            with pytest.raises(ConfigError, match="exactly one of semantic_dir, confidence_dir"):
+                config.validate()
 
     def test_from_file_with_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
-            "window_n: 4\nstride: 2\nprior_kind: confidence\nthreads: 2\n"
+            "window_n: 4\nstride: 2\nconfidence_dir: conf/{seq}\nthreads: 2\n"
             "sequences: 00 01\ngroup_radius_m: 0.5\n"
         )
         config = PipelineConfig.from_file(path, window_n=3, scene_config=tmp_path / "s.cfg")
         assert config.window_n == 3  # flag wins
         assert config.stride == 2
-        assert config.prior_kind == "confidence"
+        assert config.confidence_dir == "conf/{seq}"
         assert config.sequences == ("00", "01")
         assert config.group_radius_m == 0.5
 
@@ -199,6 +207,36 @@ class TestSegment:
         )
         assert reports["00"].lstq > 0.999
 
+    def test_confidence_files_match_label_files(self, small_dataset, class_map, tmp_path):
+        # .conf rows peaked at the ground-truth class must segment exactly
+        # like the dataset's own labels/ directory.
+        conf_dir = tmp_path / "conf"
+        off_dir = tmp_path / "off"
+        conf_dir.mkdir()
+        off_dir.mkdir()
+        n_classes = class_map.n_classes
+        for k, scan in enumerate(small_dataset.scans):
+            semantic = small_dataset.gt.semantic[k]
+            scores = np.full((len(scan), n_classes), 0.3 / (n_classes - 1), dtype=np.float32)
+            scores[np.arange(len(scan)), semantic] = 0.7
+            sk_formats.write_confidences(conf_dir / f"{k:06d}.conf", scores)
+            delta = small_dataset.gt.centers[k] - scan.points
+            sk_formats.write_offsets(off_dir / f"{k:06d}.offset", delta)
+        common = dict(
+            dataset_root=small_dataset.root, sequences=("00",), window_n=2,
+            source="files", offset_dir=str(off_dir), offset_frame="sensor",
+        )
+        labels_dir = str(small_dataset.root / "{seq}" / "labels")
+        by_labels = PipelineConfig(out_dir=tmp_path / "sem", semantic_dir=labels_dir, **common)
+        by_conf = PipelineConfig(out_dir=tmp_path / "conf_run", confidence_dir=str(conf_dir), **common)
+        segment_sequence(by_labels, "00")
+        segment_sequence(by_conf, "00")
+        for k in range(len(small_dataset.scans)):
+            name = f"{k:06d}.label"
+            from_labels = (tmp_path / "sem" / "00" / "predictions" / name).read_bytes()
+            from_conf = (tmp_path / "conf_run" / "00" / "predictions" / name).read_bytes()
+            assert from_conf == from_labels
+
     def test_missing_offset_file_names_scan(self, small_dataset, tmp_path):
         sem_dir = tmp_path / "sem"
         off_dir = tmp_path / "off"
@@ -248,21 +286,15 @@ class TestEvaluate:
 class TestAblate:
     def test_label_noise_strictly_degrades_classification(self, small_dataset, tmp_path):
         config = _oracle_config(small_dataset, tmp_path / "ablate")
-        table = run_ablation(config, [0.0, 0.1, 0.3], ["one_hot"])
-        rows = [line for line in table.splitlines() if line.startswith("one_hot")]
-        s_cls_column = [float(line.split()[4]) for line in rows]
-        assert s_cls_column[0] > s_cls_column[1] > s_cls_column[2]
-
-    def test_one_hot_and_confidence_agree_without_noise(self, small_dataset, tmp_path):
-        config = _oracle_config(small_dataset, tmp_path / "ablate2")
-        table = run_ablation(config, [0.0], ["one_hot", "confidence"])
+        table = run_ablation(config, [0.0, 0.1, 0.3])
         rows = [line.split() for line in table.splitlines()[2:] if line.strip()]
-        assert len(rows) == 2
-        assert rows[0][2:] == rows[1][2:]  # identical scores, kind column differs
+        assert [float(row[0]) for row in rows] == [0.0, 0.1, 0.3]
+        s_cls_column = [float(row[3]) for row in rows]
+        assert s_cls_column[0] > s_cls_column[1] > s_cls_column[2]
 
     def test_empty_grid_emits_header_only(self, small_dataset, tmp_path):
         config = _oracle_config(small_dataset, tmp_path / "ablate3")
-        table = run_ablation(config, [], ["one_hot", "confidence"])
+        table = run_ablation(config, [])
         lines = [line for line in table.splitlines() if line.strip()]
         assert len(lines) == 2  # header + rule
         assert "LSTQ" in lines[0]

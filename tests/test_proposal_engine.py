@@ -16,7 +16,6 @@ from panseg4d.proposal_engine import (
     refine_proposal,
     shift_to_centers,
 )
-from panseg4d.semantic_prior import encode_one_hot
 
 
 def fps_oracle(points: np.ndarray, count: int) -> np.ndarray:
@@ -331,14 +330,13 @@ class TestMergeAndAssign:
             [np.tile(a.mean(axis=0), (40, 1)), np.tile(b.mean(axis=0), (40, 1)), stuff]
         )
         shifted = shift_to_centers(positions, centers_true - positions)
-        prior = encode_one_hot(semantic, 19).matrix
         seeds = farthest_point_sample(shifted, 30)
         groups = radius_group(shifted[seeds], shifted, 0.6)
         proposals = _proposals_from_groups(positions, shifted, groups, seeds)
         cluster_ids = dbscan(np.stack([p.embedding for p in proposals]), 1.0, 1)
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
-        seg = merge_and_assign(shifted, proposals, cluster_ids, prior, thing_mask)
+        seg = merge_and_assign(shifted, proposals, cluster_ids, semantic, thing_mask)
         return seg, gt_instance, semantic
 
     def test_oracle_scene_recovers_instances_exactly(self):
@@ -353,16 +351,16 @@ class TestMergeAndAssign:
         assert seg.uncovered_thing_points == 0
 
     def test_zero_proposals_means_no_instances(self):
-        prior = encode_one_hot(np.full(5, 8), 19).matrix
+        labels = np.full(5, 8)
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
-        seg = merge_and_assign(np.zeros((5, 3)), [], np.zeros(0, dtype=int), prior, thing_mask)
+        seg = merge_and_assign(np.zeros((5, 3)), [], np.zeros(0, dtype=int), labels, thing_mask)
         assert seg.instance.tolist() == [0] * 5
 
     def test_equidistant_claim_goes_to_lower_instance_id(self):
         positions = np.array([[0.0, 0, 0], [2.0, 0, 0], [1.0, 0, 0]])
         shifted = positions.copy()
-        prior = encode_one_hot(np.zeros(3, dtype=int), 19).matrix  # all "car"
+        labels = np.zeros(3, dtype=int)  # all "car"
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
         proposals = [
@@ -370,7 +368,7 @@ class TestMergeAndAssign:
             refine_proposal(positions, shifted, [1, 2], 1),
         ]
         cluster_ids = np.array([0, 1])  # two separate instances
-        seg = merge_and_assign(shifted, proposals, cluster_ids, prior, thing_mask)
+        seg = merge_and_assign(shifted, proposals, cluster_ids, labels, thing_mask)
         assert seg.instance[2] == seg.instance[0] == 1
         assert seg.instance[1] == 2
 
@@ -378,49 +376,49 @@ class TestMergeAndAssign:
         rng = np.random.default_rng(15)
         positions = rng.uniform(-5, 5, (120, 3))
         shifted = positions + rng.normal(0, 0.2, (120, 3))
-        prior = encode_one_hot(rng.integers(0, 19, 120), 19).matrix
+        labels = rng.integers(0, 19, 120)
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
         seeds = farthest_point_sample(shifted, 10)
         groups = radius_group(shifted[seeds], shifted, 2.0)
         proposals = _proposals_from_groups(positions, shifted, groups, seeds)
         cluster_ids = dbscan(np.stack([p.embedding for p in proposals]), 1.5, 1)
-        seg = merge_and_assign(shifted, proposals, cluster_ids, prior, thing_mask)
+        seg = merge_and_assign(shifted, proposals, cluster_ids, labels, thing_mask)
         used = np.unique(seg.instance[seg.instance > 0])
         assert np.array_equal(used, np.arange(1, len(used) + 1))
         assert len(seg.instance) == 120
 
     def test_stuff_majority_cluster_demoted(self):
         positions = np.array([[0.0, 0, 0], [0.1, 0, 0], [0.2, 0, 0]])
-        prior = encode_one_hot(np.array([8, 8, 0]), 19).matrix  # road, road, car
+        labels = np.array([8, 8, 0])  # road, road, car
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
         proposals = [refine_proposal(positions, positions, [0, 1, 2], 0)]
-        seg = merge_and_assign(positions, proposals, np.array([0]), prior, thing_mask)
+        seg = merge_and_assign(positions, proposals, np.array([0]), labels, thing_mask)
         assert seg.instance.tolist() == [0, 0, 0]
         assert seg.semantic.tolist() == [8, 8, 0]  # points keep their own argmax
         assert seg.uncovered_thing_points == 1
 
     def test_noise_proposals_become_singleton_clusters(self):
         positions = np.array([[0.0, 0, 0], [5.0, 0, 0]])
-        prior = encode_one_hot(np.zeros(2, dtype=int), 19).matrix
+        labels = np.zeros(2, dtype=int)
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
         proposals = [
             refine_proposal(positions, positions, [0], 0),
             refine_proposal(positions, positions, [1], 1),
         ]
-        seg = merge_and_assign(positions, proposals, np.array([NOISE, NOISE]), prior, thing_mask)
+        seg = merge_and_assign(positions, proposals, np.array([NOISE, NOISE]), labels, thing_mask)
         assert seg.instance.tolist() == [1, 2]
 
     def test_shared_instance_semantics(self):
         # Points absorbed into a thing instance take the majority label.
         positions = np.array([[0.0, 0, 0], [0.1, 0, 0], [0.2, 0, 0]])
-        prior = encode_one_hot(np.array([0, 0, 8]), 19).matrix  # car, car, road
+        labels = np.array([0, 0, 8])  # car, car, road
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
         proposals = [refine_proposal(positions, positions, [0, 1, 2], 0)]
-        seg = merge_and_assign(positions, proposals, np.array([0]), prior, thing_mask)
+        seg = merge_and_assign(positions, proposals, np.array([0]), labels, thing_mask)
         assert seg.semantic.tolist() == [0, 0, 0]
         assert len(set(seg.instance.tolist())) == 1
 

@@ -16,10 +16,8 @@ from panseg4d.scan_aggregator import (
 from panseg4d.sk_formats import CalibRecord, PointCloudScan, PoseRecord
 
 
-def _one_hot_rows(n, n_classes=19, fill=0):
-    matrix = np.zeros((n, n_classes))
-    matrix[:, fill] = 1.0
-    return matrix
+def _labels(n, fill=0):
+    return np.full(n, fill, dtype=np.int64)
 
 
 class TestRigidTransform:
@@ -115,7 +113,7 @@ class TestAggregate:
         rng = np.random.default_rng(5)
         pts = rng.uniform(-5, 5, (30, 3))
         scan = _make_scan(pts, 0)
-        cloud = aggregate([scan], [RigidTransform.identity()], [_one_hot_rows(30)], (0, 1))
+        cloud = aggregate([scan], [RigidTransform.identity()], [_labels(30)], (0, 1))
         assert np.array_equal(cloud.positions, pts)
         assert np.array_equal(cloud.time_index, np.zeros(30, dtype=np.int64))
         assert cloud.n_scans == 1
@@ -129,7 +127,7 @@ class TestAggregate:
         scan0 = _make_scan(pose0.inverse().apply(world_point[None, :]), 0)
         scan1 = _make_scan(pose1.inverse().apply(world_point[None, :]), 1)
         cloud = aggregate(
-            [scan0, scan1], [pose0, pose1], [_one_hot_rows(1), _one_hot_rows(1)], (0, 2)
+            [scan0, scan1], [pose0, pose1], [_labels(1), _labels(1)], (0, 2)
         )
         assert np.linalg.norm(cloud.positions[0] - cloud.positions[1]) < 1e-6
 
@@ -138,7 +136,7 @@ class TestAggregate:
         world = rng.uniform(-30, 30, (25, 3))
         poses = [random_rigid(rng) for _ in range(4)]
         scans = [_make_scan(pose.inverse().apply(world), k) for k, pose in enumerate(poses)]
-        priors = [_one_hot_rows(25) for _ in range(4)]
+        priors = [_labels(25) for _ in range(4)]
         cloud = aggregate(scans, poses, priors, (0, 4))
         stacked = cloud.positions.reshape(4, 25, 3)
         spread = np.linalg.norm(stacked - stacked[0], axis=-1)
@@ -149,12 +147,12 @@ class TestAggregate:
         with pytest.raises(LengthMismatch):
             aggregate(
                 [scan, scan], [RigidTransform.identity()] * 2,
-                [_one_hot_rows(3), _one_hot_rows(2)], (0, 2),
+                [_labels(3), _labels(2)], (0, 2),
             )
 
     def test_window_out_of_range(self):
         scan = _make_scan(np.zeros((2, 3)), 0)
-        priors = [_one_hot_rows(2)]
+        priors = [_labels(2)]
         with pytest.raises(WindowOutOfRange):
             aggregate([scan], [RigidTransform.identity()], priors, (0, 2))
         with pytest.raises(WindowOutOfRange):
@@ -165,7 +163,7 @@ class TestAggregate:
         sizes = [4, 7, 3]
         poses = [random_rigid(rng) for _ in sizes]
         scans = [_make_scan(rng.normal(size=(n, 3)), k) for k, n in enumerate(sizes)]
-        priors = [_one_hot_rows(n) for n in sizes]
+        priors = [_labels(n) for n in sizes]
         cloud = aggregate(scans, poses, priors, (0, 3))
         seen = {tuple(row) for row in cloud.origin}
         expected = {(k, i) for k, n in enumerate(sizes) for i in range(n)}
@@ -179,7 +177,7 @@ class TestAggregate:
         sizes = [20, 20, 20]
         poses = [random_rigid(rng, translation_scale=5.0) for _ in sizes]
         scans = [_make_scan(rng.uniform(-10, 10, (n, 3)), k) for k, n in enumerate(sizes)]
-        priors = [_one_hot_rows(n) for n in sizes]
+        priors = [_labels(n) for n in sizes]
         cloud = aggregate(scans, poses, priors, (0, 3))
 
         other_frame = []
@@ -197,18 +195,18 @@ class TestAggregate:
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(6, 3))
         feature = rng.random(6)
-        prior = rng.random((6, 19))
-        prior /= prior.sum(axis=1, keepdims=True)
+        labels = rng.integers(0, 19, 6)
         scan = PointCloudScan(points=pts, feature=feature, scan_index=0)
-        cloud = aggregate([scan], [RigidTransform.identity()], [prior], (0, 1))
-        assert np.array_equal(cloud.prior, prior)
+        cloud = aggregate([scan], [RigidTransform.identity()], [labels], (0, 1))
+        assert cloud.prior.dtype == np.int64
+        assert np.array_equal(cloud.prior, labels)
         assert np.array_equal(cloud.feature, feature)
 
     def test_time_index_below_window_size(self):
         rng = np.random.default_rng(10)
         scans = [_make_scan(rng.normal(size=(3, 3)), k) for k in range(4)]
         poses = [RigidTransform.identity()] * 4
-        priors = [_one_hot_rows(3)] * 4
+        priors = [_labels(3)] * 4
         cloud = aggregate(scans, poses, priors, (1, 3))
         assert cloud.time_index.max() == 2
         assert set(cloud.origin[:, 0].tolist()) == {1, 2, 3}
@@ -228,7 +226,7 @@ class TestCloudValidation:
             Aggregated4DCloud(
                 positions=np.zeros((3, 3)),
                 feature=np.zeros(2),
-                prior=np.zeros((3, 19)),
+                prior=np.zeros(3, dtype=np.int64),
                 time_index=np.zeros(3, dtype=np.int64),
                 origin=np.zeros((3, 2), dtype=np.int64),
                 n_scans=1,

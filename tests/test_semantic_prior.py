@@ -17,9 +17,7 @@ from panseg4d.errors import (
 )
 from panseg4d.scan_aggregator import RigidTransform
 from panseg4d.semantic_prior import (
-    CONFIDENCE,
     IGNORE,
-    ONE_HOT,
     ClassMap,
     FileProvider,
     SemanticPrior,
@@ -92,7 +90,6 @@ class TestRemap:
 class TestEncodeOneHot:
     def test_unit_vector(self):
         prior = encode_one_hot([3], 19)
-        assert prior.kind == ONE_HOT
         assert prior.matrix[0, 3] == 1.0
         assert prior.matrix[0].sum() == 1.0
         assert np.count_nonzero(prior.matrix[0]) == 1
@@ -114,7 +111,6 @@ class TestNormalizeConfidences:
         row[0, 0] = 2.0
         row[0, 1] = 2.0
         prior = normalize_confidences(row)
-        assert prior.kind == CONFIDENCE
         assert prior.matrix[0, 0] == 0.5
         assert prior.matrix[0, 1] == 0.5
 
@@ -203,11 +199,7 @@ class TestArgmaxLabel:
 class TestSemanticPriorValidation:
     def test_rows_must_sum_to_one(self):
         with pytest.raises(Exception):
-            SemanticPrior(kind=ONE_HOT, matrix=np.ones((2, 19)))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            SemanticPrior(kind="soft", matrix=np.full((1, 19), 1.0 / 19))
+            SemanticPrior(matrix=np.ones((2, 19)))
 
 
 class TestFileProvider:
@@ -224,8 +216,7 @@ class TestFileProvider:
             offset_paths=[tmp_path / "000000.offset"],
         )
         prior = provider.semantic_prior(0)
-        assert prior.kind == ONE_HOT
-        assert np.array_equal(argmax_labels(prior.matrix), [0, 5, 8])
+        assert np.array_equal(prior.matrix, encode_one_hot([0, 5, 8], 19).matrix)
 
     def test_confidence_files_normalized(self, tmp_path, class_map):
         scores = np.random.default_rng(6).random((4, 19)).astype(np.float32) + 0.01
@@ -237,8 +228,8 @@ class TestFileProvider:
             offset_paths=[tmp_path / "000000.offset"],
         )
         prior = provider.semantic_prior(0)
-        assert prior.kind == CONFIDENCE
         assert np.abs(prior.matrix.sum(axis=1) - 1.0).max() < 1e-9
+        assert np.array_equal(argmax_labels(prior.matrix), scores.argmax(axis=1))
 
     def test_window_offsets_concatenate(self, tmp_path, class_map):
         rng = np.random.default_rng(7)

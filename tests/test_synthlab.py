@@ -7,7 +7,7 @@ from panseg4d import sk_formats
 from panseg4d.errors import ConfigError, InfeasibleLayout
 from panseg4d.proposal_engine import huber_center_loss
 from panseg4d.scan_aggregator import aggregate
-from panseg4d.semantic_prior import argmax_labels, encode_one_hot
+from panseg4d.semantic_prior import ClassMap, argmax_labels
 from panseg4d.synthlab import (
     DEFAULT_CALIB,
     GroundTruth,
@@ -16,7 +16,6 @@ from panseg4d.synthlab import (
     generate,
     keyed_rng,
     noisy_offsets,
-    noisy_semantics,
     oracle_offsets,
     write_dataset,
 )
@@ -157,8 +156,7 @@ class TestOracleOffsets:
             speed_min=0.0, speed_max=0.0, seed=6,
         )
         scans, poses, gt = generate(config)
-        priors = [encode_one_hot(gt.semantic[k], 19).matrix for k in range(3)]
-        cloud = aggregate(scans, poses, priors, (0, 3))
+        cloud = aggregate(scans, poses, gt.semantic, (0, 3))
         centers = cloud.positions + oracle_offsets(scans, poses, gt, (0, 3))
         inst = np.concatenate(gt.instance)
         for object_id in (1, 2):
@@ -186,21 +184,30 @@ class TestOracleOffsets:
             assert np.abs(np.asarray(recovered) - world).max() < 1e-4
 
 
+def _noisy_priors(scans, poses, gt, flip_prob, seed):
+    """Every scan's prior from an oracle provider corrupting labels at ``flip_prob``."""
+    provider = OracleProvider(
+        scans=scans, lidar_poses=poses, gt=gt, class_map=ClassMap.semantic_kitti(),
+        flip_prob=flip_prob, noise_seed=seed,
+    )
+    return [provider.semantic_prior(k) for k in range(len(scans))]
+
+
 class TestNoisySemantics:
     def test_zero_rate_equals_ground_truth(self, small_scene):
-        priors = noisy_semantics(small_scene.gt, 0.0, seed=9, n_classes=19)
+        priors = _noisy_priors(small_scene.scans, small_scene.poses, small_scene.gt, 0.0, seed=9)
         for k, prior in enumerate(priors):
             assert np.array_equal(argmax_labels(prior.matrix), small_scene.gt.semantic[k])
 
     def test_rate_one_flips_everything(self, small_scene):
-        priors = noisy_semantics(small_scene.gt, 1.0, seed=9, n_classes=19)
+        priors = _noisy_priors(small_scene.scans, small_scene.poses, small_scene.gt, 1.0, seed=9)
         for k, prior in enumerate(priors):
             assert (argmax_labels(prior.matrix) != small_scene.gt.semantic[k]).all()
 
     def test_empirical_flip_rate(self):
         config = SceneConfig(n_scans=5, points_per_scan=20000, n_objects=0, seed=10)
-        _, _, gt = generate(config)
-        priors = noisy_semantics(gt, 0.3, seed=11, n_classes=19)
+        scans, poses, gt = generate(config)
+        priors = _noisy_priors(scans, poses, gt, 0.3, seed=11)
         flips = sum(
             int((argmax_labels(p.matrix) != gt.semantic[k]).sum()) for k, p in enumerate(priors)
         )
@@ -208,9 +215,10 @@ class TestNoisySemantics:
         assert abs(rate - 0.3) < 0.01
 
     def test_deterministic_per_seed(self, small_scene):
-        a = noisy_semantics(small_scene.gt, 0.5, seed=12, n_classes=19)
-        b = noisy_semantics(small_scene.gt, 0.5, seed=12, n_classes=19)
-        c = noisy_semantics(small_scene.gt, 0.5, seed=13, n_classes=19)
+        scene = (small_scene.scans, small_scene.poses, small_scene.gt)
+        a = _noisy_priors(*scene, 0.5, seed=12)
+        b = _noisy_priors(*scene, 0.5, seed=12)
+        c = _noisy_priors(*scene, 0.5, seed=13)
         assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(a, b))
         assert any(not np.array_equal(x.matrix, y.matrix) for x, y in zip(a, c))
 
@@ -234,11 +242,7 @@ class TestNoisyOffsets:
 
     def test_noisy_field_raises_center_loss(self, small_scene):
         window = (0, 3)
-        priors = [
-            encode_one_hot(small_scene.gt.semantic[k], 19).matrix
-            for k in range(len(small_scene.scans))
-        ]
-        cloud = aggregate(small_scene.scans, small_scene.poses, priors, window)
+        cloud = aggregate(small_scene.scans, small_scene.poses, small_scene.gt.semantic, window)
         thing = np.concatenate(small_scene.gt.instance[:3]) > 0
         true_centers = cloud.positions + oracle_offsets(
             small_scene.scans, small_scene.poses, small_scene.gt, window
@@ -283,8 +287,6 @@ class TestDatasetRoundTrip:
 
 class TestOracleProvider:
     def _provider(self, scene, **kwargs):
-        from panseg4d.semantic_prior import ClassMap
-
         return OracleProvider(
             scans=scene.scans,
             lidar_poses=scene.poses,
@@ -298,13 +300,6 @@ class TestOracleProvider:
         prior = provider.semantic_prior(0)
         assert np.array_equal(argmax_labels(prior.matrix), small_scene.gt.semantic[0])
 
-    def test_confidence_prior_preserves_argmax(self, small_scene):
-        provider = self._provider(small_scene, prior_kind="confidence")
-        prior = provider.semantic_prior(0)
-        assert prior.kind == "confidence"
-        assert np.array_equal(argmax_labels(prior.matrix), small_scene.gt.semantic[0])
-        assert np.abs(prior.matrix.sum(axis=1) - 1.0).max() < 1e-9
-
     def test_window_offsets_match_module_functions(self, small_scene):
         provider = self._provider(small_scene, offset_sigma=0.25, noise_seed=21)
         got = provider.window_offsets((1, 2))
@@ -314,8 +309,6 @@ class TestOracleProvider:
         assert np.array_equal(got, want)
 
     def test_validation(self, small_scene):
-        with pytest.raises(ConfigError):
-            self._provider(small_scene, prior_kind="soft")
         with pytest.raises(ConfigError):
             self._provider(small_scene, flip_prob=1.5)
         with pytest.raises(ConfigError):

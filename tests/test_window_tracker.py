@@ -149,12 +149,6 @@ class TestStitch:
         with pytest.raises(IdOverflow):
             stitch(state, None, w, np.zeros((0, 2), dtype=np.int64))
 
-    def test_state_tracks_last_seen(self):
-        state = TrackState()
-        w = make_window(3, [2], [[1, 1]])
-        state, _ = stitch(state, None, w, np.zeros((0, 2), dtype=np.int64))
-        assert state.active[1] == (3, 2)
-
 
 class TestStitchingDrivesAssociation:
     def test_persistent_object_keeps_one_global_id_and_scores_one(self):
