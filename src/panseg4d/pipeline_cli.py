@@ -249,6 +249,11 @@ class SegmentStats:
     wall_time_s: float
     uncovered_thing_points: int
 
+    @property
+    def points_per_sec(self) -> float:
+        """End-to-end throughput: every scan's points over the run's wall time."""
+        return self.total_points / self.wall_time_s if self.wall_time_s > 0 else float("inf")
+
 
 def _segment_window(config, window, scans, lidar_poses, labels, provider, thing_mask):
     timing: dict[str, float] = {}
@@ -376,12 +381,13 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
         uncovered_thing_points=uncovered_total,
     )
     log_lines = window_rows + [
+        f"end-to-end throughput: {stats.points_per_sec:,.0f} points/sec",
         f"core shift+fps+group throughput: {rate:,.0f} points/sec",
         f"uncovered thing points: {uncovered_total}",
         f"wall time: {stats.wall_time_s:.2f} s",
     ]
     (out_seq / "run_log.txt").write_text("\n".join(log_lines) + "\n")
-    logger.info("%s: %s", sequence, log_lines[-3])
+    logger.info("%s: %s; %s", sequence, log_lines[-4], log_lines[-3])
     return stats
 
 
@@ -605,6 +611,7 @@ def cmd_segment(args) -> int:
         stats = segment_sequence(config, sequence)
         print(
             f"{sequence}: {stats.n_scans} scans, {stats.total_points} points, "
+            f"{stats.points_per_sec:,.0f} points/sec end to end, "
             f"{stats.core_points_per_sec:,.0f} points/sec core, "
             f"{stats.wall_time_s:.2f} s wall"
         )

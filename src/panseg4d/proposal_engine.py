@@ -8,13 +8,13 @@ the proposal embeddings merges proposals that vote for the same object, and
 the merged clusters become per-point instance masks with a majority
 semantic label.
 
-Distance comparisons use squared Euclidean distances. Small inputs
-(n <= 1024) use one fixed summation order, ((dx^2 + dy^2) + dz^2), so greedy
-selections are reproducible bit-for-bit against reference implementations
-using ``((a - b) ** 2).sum(axis=-1)``. Larger inputs switch to the
-norm-expansion form |p|^2 - 2 p.q + |q|^2 evaluated through BLAS, which is
-2-3x faster at scan scale; both paths implement the same selection rules and
-the result remains a pure function of the input.
+Distance comparisons use squared Euclidean distances from one exact kernel
+at every input size, ((dx*dx + dy*dy) + dz*dz) on contiguous coordinate
+columns, so greedy selections and memberships are reproducible bit-for-bit
+against reference implementations using ``((a - b) ** 2).sum(axis=-1)``.
+Radius grouping and farthest point sampling on large windows find their
+candidates through a sorted voxel grid, which narrows the points each query
+evaluates and changes no result.
 """
 
 from __future__ import annotations
@@ -41,21 +41,109 @@ def default_proposal_count(n_points: int) -> int:
     return max(100, n_points // 500)
 
 
-# Above this size the norm-expansion distance path kicks in.
-_EXACT_PATH_MAX = 1024
+# Windows at or above this size run farthest point sampling on the voxel
+# grid; below it, scanning every point per pick is faster (measured
+# crossover in BENCH_grid_index.json).
+_FPS_GRID_MIN_POINTS = 40_000
+# Target mean occupancy of an FPS grid cell.
+_FPS_POINTS_PER_CELL = 64
+# Grouping cells are this much wider than the radius, so that rounding in
+# the cell coordinates cannot push a point at distance exactly r two cells
+# away from its seed.
+_GROUP_CELL_HAIR = 1.0 + 2.0**-20
+# Grouping gathers seeds' candidates in chunks of at most this share of the
+# candidate count (a single seed may exceed it), bounding peak memory.
+_GROUP_CHUNK_SHARE = 4
+# Neighbour (x, y) columns of a cell; z neighbours are consecutive keys.
+_COLUMN_DX = np.repeat(np.arange(-1, 2), 3)
+_COLUMN_DY = np.tile(np.arange(-1, 2), 3)
+
+
+def _sq_dist(
+    x: np.ndarray, y: np.ndarray, z: np.ndarray, tx, ty, tz, rows=slice(None)
+) -> np.ndarray:
+    """Squared distances ((dx*dx + dy*dy) + dz*dz) from the points at ``rows``
+    of the coordinate columns x, y, z to targets (scalars or per-row columns)."""
+    d = np.subtract(x[rows], tx)
+    d *= d
+    t = np.subtract(y[rows], ty)
+    t *= t
+    d += t
+    np.subtract(z[rows], tz, out=t)
+    t *= t
+    d += t
+    return d
 
 
 def _sq_dist_to(points: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Squared distances from every row of (n, 3) ``points`` to ``target``."""
-    dx = points[:, 0] - target[0]
-    dy = points[:, 1] - target[1]
-    dz = points[:, 2] - target[2]
-    return (dx * dx + dy * dy) + dz * dz
+    return _sq_dist(points[:, 0], points[:, 1], points[:, 2], target[0], target[1], target[2])
 
 
-def _sq_dist_fast(points: np.ndarray, point_norms: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Norm-expansion squared distances; may round to tiny negatives."""
-    return point_norms - 2.0 * (points @ target) + float(target @ target)
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + c) over paired starts and counts."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+class _VoxelGrid:
+    """Points bucketed into cubic cells: integer cell keys, one sort and
+    ``searchsorted`` ranges.
+
+    ``order`` lists point indices by (cell key, index), so each occupied
+    cell is one contiguous run of positions in which point indices ascend;
+    ``keys`` holds the cell key at each position and ``x``, ``y``, ``z`` the
+    coordinate columns in that order.
+    """
+
+    def __init__(self, points: np.ndarray, edge: float):
+        n = len(points)
+        columns = list(_columns(points))
+        self.origin = np.array([c.min() for c in columns])
+        extent = np.array([c.max() for c in columns]) - self.origin
+        # Cap the cells per axis so that key * n + index stays inside int64.
+        per_axis = int(np.cbrt(2.0**62 / n)) - 2
+        self.edge = max(edge, float(extent.max()) / per_axis)
+        self.dims = np.floor(extent / self.edge).astype(np.int64) + 1
+        keys = np.zeros(n, dtype=np.int64)
+        for c, o, d in zip(columns, self.origin, self.dims):
+            cell = c - o
+            cell /= self.edge
+            keys *= d
+            keys += np.floor(cell, out=cell).astype(np.int64)
+        keys *= n
+        keys += np.arange(n)
+        keys.sort()
+        self.order = keys % n
+        keys //= n
+        self.keys = keys
+        for a in range(3):
+            columns[a] = columns[a][self.order]
+        self.x, self.y, self.z = columns
+
+    def cells_of(self, points: np.ndarray) -> np.ndarray:
+        """Integer cell coordinates of arbitrary (m, 3) points; those beyond
+        the grid are clipped to two cells outside it, where no neighbour of
+        theirs is occupied."""
+        cells = np.floor((points - self.origin) / self.edge)
+        np.clip(cells, -2, self.dims + 1, out=cells)
+        return cells.astype(np.int64)
+
+    def bounds(self) -> np.ndarray:
+        """Start positions of the occupied cells, then the point count."""
+        change = np.flatnonzero(self.keys[1:] != self.keys[:-1]) + 1
+        return np.concatenate(([0], change, [len(self.keys)]))
+
+
+def _require_finite(points: np.ndarray, what: str) -> None:
+    """Grid cell keys are undefined for NaN or infinite coordinates."""
+    if not np.isfinite(points).all():
+        bad = int(np.argmax(~np.isfinite(points).all(axis=1)))
+        raise NonFiniteValue(f"{what} row {bad} is not finite")
+
+
+def _columns(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return tuple(np.ascontiguousarray(points[:, a]) for a in range(3))
 
 
 @dataclass(frozen=True)
@@ -126,40 +214,141 @@ def farthest_point_sample(points, count: int) -> np.ndarray:
         raise EmptyInput("farthest_point_sample needs at least one point")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    _require_finite(pts, "point")
     m = min(count, n)
-    if n > _EXACT_PATH_MAX:
-        norms = (pts * pts).sum(axis=1)
-        dist_to = lambda target: _sq_dist_fast(pts, norms, target)
-    else:
-        dist_to = lambda target: _sq_dist_to(pts, target)
+    first = int(np.argmax(_sq_dist_to(pts, pts.mean(axis=0))))
+    if n < _FPS_GRID_MIN_POINTS:
+        return _fps_all_points(pts, first, m)
+    return _fps_grid(pts, first, m)
+
+
+def _fps_all_points(pts: np.ndarray, first: int, m: int) -> np.ndarray:
+    """Max-min picks after ``first``, updating every point's distance."""
+    x, y, z = _columns(pts)
     selected = np.empty(m, dtype=np.int64)
-    first = int(np.argmax(dist_to(pts.mean(axis=0))))
     selected[0] = first
-    min_d2 = dist_to(pts[first])
+    min_d2 = _sq_dist(x, y, z, *pts[first])
     min_d2[first] = -np.inf  # selected points never win the argmax again
     for i in range(1, m):
         nxt = int(np.argmax(min_d2))
         selected[i] = nxt
-        np.minimum(min_d2, dist_to(pts[nxt]), out=min_d2)
+        np.minimum(min_d2, _sq_dist(x, y, z, *pts[nxt]), out=min_d2)
         min_d2[nxt] = -np.inf
+    return selected
+
+
+def _fps_cell_edge(extent: np.ndarray, n: int) -> float:
+    """Edge of cells that would hold ``_FPS_POINTS_PER_CELL`` points each if
+    the points filled their bounding box, counting an axis thinner than a
+    cell as one cell thick."""
+    ext = np.sort(extent)[::-1]
+    for dim in (3, 2, 1):
+        edge = float(np.prod(ext[:dim]) * _FPS_POINTS_PER_CELL / n) ** (1.0 / dim)
+        if edge <= ext[dim - 1]:
+            break
+    return edge or 1.0
+
+
+def _fps_grid(pts: np.ndarray, first: int, m: int) -> np.ndarray:
+    """The picks of ``_fps_all_points``, updating only cells a pick can reach.
+
+    Each cell keeps the max of its points' distance to the selected set and
+    the bounding box of its points' real coordinates. A pick rescans a cell
+    only if the box's squared distance to it is strictly below that max.
+    The box bound goes through the same kernel, and no point's coordinate
+    difference to the pick is smaller than the box's, so every skipped
+    point's distance to the pick is at least its current one.
+    """
+    extent = np.array([pts[:, a].max() - pts[:, a].min() for a in range(3)])
+    grid = _VoxelGrid(pts, _fps_cell_edge(extent, len(pts)))
+    x, y, z = grid.x, grid.y, grid.z
+    bounds = grid.bounds()
+    starts = bounds[:-1]
+    box = [(np.minimum.reduceat(c, starts), np.maximum.reduceat(c, starts)) for c in (x, y, z)]
+
+    selected = np.empty(m, dtype=np.int64)
+    selected[0] = first
+    min_d2 = _sq_dist(x, y, z, *pts[first])
+    pos = int(np.flatnonzero(grid.order == first)[0])
+    min_d2[pos] = -np.inf
+    cell_max = np.maximum.reduceat(min_d2, starts)
+    for i in range(1, m):
+        # Lowest index among the points at the global max.
+        best = cell_max.max()
+        tied = np.flatnonzero(cell_max == best)
+        rows = _ranges(starts[tied], bounds[tied + 1] - starts[tied])
+        rows = rows[min_d2[rows] == best]
+        pos = int(rows[np.argmin(grid.order[rows])])
+        selected[i] = grid.order[pos]
+        min_d2[pos] = -np.inf
+        q = (x[pos], y[pos], z[pos])
+        gaps = []
+        for (lo, hi), qa in zip(box, q):
+            gap = np.maximum(lo - qa, qa - hi)
+            gaps.append(np.maximum(gap, 0.0, out=gap))
+        lower = _sq_dist(*gaps, 0.0, 0.0, 0.0)
+        # Rescan the pick's own cell even at a zero max, so its max drops the pick.
+        lower[np.searchsorted(bounds, pos, side="right") - 1] = -np.inf
+        hit = np.flatnonzero(lower < cell_max)
+        counts = bounds[hit + 1] - starts[hit]
+        rows = _ranges(starts[hit], counts)
+        d2 = _sq_dist(x, y, z, *q, rows)
+        np.minimum(d2, min_d2[rows], out=d2)
+        min_d2[rows] = d2
+        cell_max[hit] = np.maximum.reduceat(d2, np.cumsum(counts) - counts)
     return selected
 
 
 def radius_group(seed_points, candidate_points, radius: float) -> list[np.ndarray]:
     """Membership by distance: candidate i joins seed k iff |c_i - s_k| <= radius.
 
-    A candidate may join several groups at this stage; the merge step
-    resolves multiple claims.
+    Returns one ascending int64 index array per seed. A candidate may join
+    several groups at this stage; the merge step resolves multiple claims.
     """
     if radius <= 0:
         raise ValueError(f"grouping radius must be positive, got {radius}")
     seeds = np.asarray(seed_points, dtype=np.float64).reshape(-1, 3)
     cands = np.ascontiguousarray(np.asarray(candidate_points, dtype=np.float64).reshape(-1, 3))
+    _require_finite(seeds, "seed")
+    _require_finite(cands, "candidate")
+    n = len(cands)
+    if n == 0:
+        return [np.empty(0, dtype=np.int64) for _ in seeds]
+    grid = _VoxelGrid(cands, radius * _GROUP_CELL_HAIR)
+    # Every candidate within the radius lies in the 3x3x3 cells around its
+    # seed's cell: nine (x, y) columns, each a run of consecutive z keys.
+    cell = grid.cells_of(seeds)
+    col_x = cell[:, :1] + _COLUMN_DX
+    col_y = cell[:, 1:2] + _COLUMN_DY
+    z_lo = np.maximum(cell[:, 2:] - 1, 0)
+    z_hi = np.minimum(cell[:, 2:] + 1, grid.dims[2] - 1)
+    valid = (col_x >= 0) & (col_x < grid.dims[0]) & (col_y >= 0) & (col_y < grid.dims[1]) & (z_lo <= z_hi)
+    column = (col_x * grid.dims[1] + col_y) * grid.dims[2]
+    run_lo = np.searchsorted(grid.keys, column + z_lo, side="left")
+    run_len = np.where(valid, np.searchsorted(grid.keys, column + z_hi, side="right") - run_lo, 0)
+    per_seed = run_len.sum(axis=1)
+    reach = np.cumsum(per_seed)
+
+    sx, sy, sz = _columns(seeds)
+    budget = max(n // _GROUP_CHUNK_SHARE, 1)
     r2 = radius * radius
-    if len(cands) > _EXACT_PATH_MAX:
-        norms = (cands * cands).sum(axis=1)
-        return [np.flatnonzero(_sq_dist_fast(cands, norms, seed) <= r2) for seed in seeds]
-    return [np.flatnonzero(_sq_dist_to(cands, seed) <= r2) for seed in seeds]
+    groups: list[np.ndarray] = []
+    start = 0
+    while start < len(seeds):
+        done = reach[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(reach, done + budget, side="right")))
+        rows = _ranges(run_lo[start:stop].ravel(), run_len[start:stop].ravel())
+        owner = np.repeat(np.arange(start, stop), per_seed[start:stop])
+        d2 = _sq_dist(grid.x, grid.y, grid.z, sx[owner], sy[owner], sz[owner], rows)
+        keep = d2 <= r2
+        owner = owner[keep] - start
+        # Seed-major, then ascending candidate index within each seed.
+        members = np.sort(owner * n + grid.order[rows[keep]])
+        members -= owner * n
+        sizes = np.bincount(owner, minlength=stop - start)
+        groups.extend(np.split(members, np.cumsum(sizes)[:-1]))
+        start = stop
+    return groups
 
 
 def refine_proposal(positions, predicted_centers, member_indices, seed_index: int) -> Proposal:

@@ -158,6 +158,15 @@ class TestSegment:
         assert "window start=0" in log
         assert "points/sec" in log
 
+    def test_run_log_reports_end_to_end_then_core_rate(self, small_dataset, tmp_path):
+        config = _oracle_config(small_dataset, tmp_path / "out")
+        stats = segment_sequence(config, "00")
+        assert stats.points_per_sec == stats.total_points / stats.wall_time_s
+        log = (tmp_path / "out" / "00" / "run_log.txt").read_text().splitlines()
+        end_to_end = log.index(f"end-to-end throughput: {stats.points_per_sec:,.0f} points/sec")
+        core = log.index(f"core shift+fps+group throughput: {stats.core_points_per_sec:,.0f} points/sec")
+        assert end_to_end < core
+
     def test_raw_group_space_runs(self, small_dataset, tmp_path):
         # Grouping members by raw positions instead of shifted coordinates is
         # the documented switch; it must run end to end.
@@ -367,6 +376,8 @@ class TestMainEntry:
             ]
         )
         assert code == 0
+        line = capsys.readouterr().out
+        assert line.index("points/sec end to end") < line.index("points/sec core")
         assert main(
             [
                 "evaluate",

@@ -5,6 +5,8 @@ import pytest
 
 from panseg4d.errors import EmptyInput, LengthMismatch, NonFiniteValue
 from panseg4d.proposal_engine import (
+    _FPS_GRID_MIN_POINTS,
+    _GROUP_CELL_HAIR,
     NOISE,
     Proposal,
     aggregation_diagnostics,
@@ -15,6 +17,8 @@ from panseg4d.proposal_engine import (
     radius_group,
     refine_proposal,
     shift_to_centers,
+    _fps_all_points,
+    _fps_grid,
 )
 
 
@@ -30,6 +34,19 @@ def fps_oracle(points: np.ndarray, count: int) -> np.ndarray:
         min_d2 = matrix[:, selected].min(axis=1)
         min_d2[selected] = -np.inf
         selected.append(int(np.argmax(min_d2)))
+    return np.array(selected, dtype=np.int64)
+
+
+def fps_oracle_light(points: np.ndarray, count: int) -> np.ndarray:
+    """Greedy max-min selection holding one distance row per pick."""
+    pts = np.asarray(points, dtype=np.float64)
+    selected = [int(np.argmax(((pts - pts.mean(axis=0)) ** 2).sum(axis=-1)))]
+    min_d2 = ((pts - pts[selected[0]]) ** 2).sum(axis=-1)
+    min_d2[selected[0]] = -np.inf
+    for _ in range(1, min(count, len(pts))):
+        selected.append(int(np.argmax(min_d2)))
+        np.minimum(min_d2, ((pts - pts[selected[-1]]) ** 2).sum(axis=-1), out=min_d2)
+        min_d2[selected] = -np.inf
     return np.array(selected, dtype=np.int64)
 
 
@@ -153,13 +170,40 @@ class TestFarthestPointSample:
                 others = np.setdiff1d(np.arange(n), chosen)
                 assert min_d2[picks[k]] >= min_d2[others].max() - 1e-15
 
-    def test_fast_path_agrees_on_separated_cloud(self):
-        # Above the exact-path size cutoff the norm-expansion path is used;
-        # with well-separated points both paths pick identical indices.
+    def test_large_clouds_match_pick_by_pick_oracle(self):
+        # Exact picks on both sides of the grid cut, on clouds built to tie:
+        # lattice coordinates with a non-representable spacing, duplicates,
+        # and a dense clump that ties at distance zero once it is reached.
         rng = np.random.default_rng(7)
-        big = rng.uniform(-100, 100, (2000, 3))
-        picks = farthest_point_sample(big, 12)
-        assert np.array_equal(picks, fps_oracle(big, 12))
+        cut = _FPS_GRID_MIN_POINTS
+        for n, count in ((2000, 40), (cut - 1, 60), (cut, 60), (cut + 4000, 90)):
+            lattice = rng.integers(-40, 41, (n, 3)) * 0.1
+            lattice[rng.choice(n, n // 10, replace=False)] = lattice[: n // 10]
+            lattice[-50:] = lattice[-1]
+            assert np.array_equal(farthest_point_sample(lattice, count), fps_oracle_light(lattice, count))
+            cloud = rng.uniform(-100, 100, (n, 3))
+            assert np.array_equal(farthest_point_sample(cloud, count), fps_oracle_light(cloud, count))
+
+    def test_grid_path_matches_all_points_path(self):
+        # Both selection paths run on small, tie-heavy inputs, including
+        # flat, collinear and all-identical clouds and picks past the point
+        # count where only zero-distance duplicates remain.
+        rng = np.random.default_rng(11)
+        for case in range(400):
+            n = int(rng.integers(1, 60))
+            pts = rng.integers(-3, 4, (n, 3)) * [0.3, 0.7, 0.1][case % 3]
+            if case % 5 == 1:
+                pts[:, 2] = 0.0
+            if case % 5 == 2:
+                pts[:, 1:] = 1.5
+            if case % 5 == 3:
+                pts[:] = pts[0]
+            pts = pts.astype(np.float64)
+            m = int(rng.integers(1, n + 1))
+            first = int(np.argmax(((pts - pts.mean(axis=0)) ** 2).sum(axis=-1)))
+            want = fps_oracle(pts, m)
+            assert np.array_equal(_fps_grid(pts, first, m), want)
+            assert np.array_equal(_fps_all_points(pts, first, m), want)
 
     def test_duplicate_points_handled(self):
         pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0]])
@@ -201,19 +245,68 @@ class TestRadiusGroup:
             expected = np.flatnonzero(((blobs - seed) ** 2).sum(axis=-1) <= radius * radius)
             assert np.array_equal(group, expected)
 
-    def test_fast_path_matches_bruteforce_with_margin(self):
-        # n > 1024 exercises the norm-expansion path; radius sits at least
-        # 1e-6 away from every realized distance, so rounding cannot flip
-        # membership.
+    def test_large_inputs_match_bruteforce_without_margin(self):
+        # n > 1024 with no margin around the radius: points exactly r from a
+        # seed along each axis, points on cell faces, negative coordinates
+        # and seeds outside the candidates' bounding box.
         rng = np.random.default_rng(10)
-        pts = rng.uniform(-10, 10, (3000, 3))
-        seeds = pts[:5]
-        radius = 4.0
-        d2 = ((pts[None, :, :] - seeds[:, None, :]) ** 2).sum(axis=-1)
-        assert np.abs(np.sqrt(d2) - radius).min() > 1e-6
-        groups = radius_group(seeds, pts, radius)
-        for k, group in enumerate(groups):
-            assert np.array_equal(group, np.flatnonzero(d2[k] <= radius * radius))
+        radius = 0.6
+        inside = rng.uniform(-12.0, -2.0, (40, 3))
+        axes = np.concatenate([np.eye(3), -np.eye(3)]) * radius
+        on_radius = (inside[:, None, :] + axes[None, :, :]).reshape(-1, 3)
+        cloud = rng.uniform(-12.0, -2.0, (3000, 3))
+        lo = np.concatenate([cloud, on_radius]).min(axis=0)
+        faces = lo + rng.integers(0, 16, (400, 3)) * (radius * _GROUP_CELL_HAIR)
+        cands = np.concatenate([cloud, on_radius, faces, inside[:10]])
+        cands = cands[rng.permutation(len(cands))]
+        # Far outside the box, and just beyond its lowest x face.
+        lowest = cands[np.argmin(cands[:, 0])]
+        seeds = np.concatenate([inside, [[-40.0, -7.0, 9.0], lowest - [0.5 * radius, 0.0, 0.0]]])
+        groups = radius_group(seeds, cands, radius)
+        assert len(groups) == len(seeds)
+        for seed, group in zip(seeds, groups):
+            want = np.flatnonzero(((cands - seed) ** 2).sum(axis=-1) <= radius * radius)
+            assert group.dtype == np.int64
+            assert np.array_equal(group, want)
+        assert groups[-2].size == 0
+        assert groups[-1].size > 0
+
+    def test_rounding_in_cell_coordinates_drops_no_member(self):
+        # |c - s| computes to at most the radius, yet with cells exactly one
+        # radius wide, rounding in (coordinate - origin) / edge puts c two
+        # cells past s.
+        radius, origin = 0.9051011416438499, -45.16262406867135
+        s, c = 22.719961554617388, 23.625062696261235
+        assert (c - s) ** 2 <= radius * radius
+        assert np.floor((c - origin) / radius) - np.floor((s - origin) / radius) == 2
+        cands = np.array([[origin, 0.0, 0.0], [c, 0.0, 0.0]])
+        assert radius_group([[s, 0.0, 0.0]], cands, radius)[0].tolist() == [1]
+
+    def test_members_ascend_across_cells(self):
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(-3.0, 3.0, (5000, 3))
+        for group in radius_group(pts[:50], pts, 1.3):
+            assert group.size > 1
+            assert np.all(np.diff(group) > 0)
+
+    def test_no_candidates_gives_one_empty_group_per_seed(self):
+        groups = radius_group(np.zeros((3, 3)), np.zeros((0, 3)), 1.0)
+        assert len(groups) == 3
+        for group in groups:
+            assert group.dtype == np.int64 and group.size == 0
+
+    def test_no_seeds_gives_no_groups(self):
+        assert radius_group(np.zeros((0, 3)), np.ones((4, 3)), 1.0) == []
+
+    def test_nonfinite_points_rejected(self):
+        pts = np.zeros((4, 3))
+        pts[2, 1] = np.nan
+        with pytest.raises(NonFiniteValue, match="candidate row 2"):
+            radius_group(np.zeros((1, 3)), pts, 1.0)
+        with pytest.raises(NonFiniteValue, match="seed row 2"):
+            radius_group(pts, np.zeros((1, 3)), 1.0)
+        with pytest.raises(NonFiniteValue, match="point row 2"):
+            farthest_point_sample(pts, 2)
 
     def test_membership_is_inclusive(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0]])
@@ -221,8 +314,9 @@ class TestRadiusGroup:
         assert groups[0].tolist() == [0, 1]
 
     def test_bad_radius(self):
-        with pytest.raises(ValueError):
-            radius_group(np.zeros((1, 3)), np.zeros((1, 3)), 0.0)
+        for radius in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                radius_group(np.zeros((1, 3)), np.zeros((1, 3)), radius)
 
 
 class TestRefineProposal:
