@@ -344,15 +344,17 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
         )
         state, stitched = stitch(state, previous, window_seg, overlap)
         previous = stitched
-        ids = stitched.segmentation.instance
-        n_instances = len(np.unique(ids[ids > 0]))
-        uncovered_total += stitched.segmentation.uncovered_thing_points
+        seg = stitched.segmentation
+        n_instances = len(np.unique(seg.instance[seg.instance > 0]))
+        uncovered_total += seg.uncovered_thing_points
         core = timing["shift"] + timing["fps"] + timing["group"]
         core_time += core
         core_points += n_points
         row = (
             f"window start={window[0]} n={window[1]} points={n_points} "
             f"proposals={n_proposals} instances={n_instances} "
+            f"uncovered={seg.uncovered_thing_points} demoted={seg.instances_demoted} "
+            f"contested={seg.contested_points} "
             + " ".join(f"{name}={seconds * 1e3:.1f}ms" for name, seconds in timing.items())
         )
         window_rows.append(row)

@@ -14,7 +14,10 @@ columns, so greedy selections and memberships are reproducible bit-for-bit
 against reference implementations using ``((a - b) ** 2).sum(axis=-1)``.
 Radius grouping and farthest point sampling on large windows find their
 candidates through a sorted voxel grid, which narrows the points each query
-evaluates and changes no result.
+evaluates and changes no result. Merging handles the window's claims as one
+flat list: a fixed number of sort, reduceat and bincount passes resolve
+multiple claims, vote the majority labels and demote stuff-majority
+instances, with no pass over the window per instance.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, NonFiniteValue
-from .semantic_prior import majority_label
+from .errors import EmptyAfterFilter, EmptyInput, LengthMismatch, NonFiniteValue
+from .semantic_prior import IGNORE
+from .semantic_prior import majority_label  # noqa: F401  unused here; perfbench/tracer.py patches it
 
 NOISE = -1
 
@@ -166,6 +170,8 @@ class InstanceSegmentation:
     instance: np.ndarray  # (n,) int64
     scope: str = "window"  # "window" | "sequence"
     uncovered_thing_points: int = 0
+    instances_demoted: int = 0  # instances voted a stuff majority
+    contested_points: int = 0  # points claimed by more than one instance
 
     def __len__(self) -> int:
         return len(self.semantic)
@@ -422,6 +428,27 @@ def dbscan(embeddings, eps: float, min_pts: int) -> np.ndarray:
     return labels
 
 
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values."""
+    heads = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    return heads
+
+
+def _claims(
+    proposals: Sequence[Proposal], instance_of: np.ndarray, n_instances: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (point, instance) claims of the proposals' members, grouped by
+    point with claimants in ascending instance order: keys point * I +
+    instance, sorted in place, repeats dropped."""
+    sizes = np.array([len(p.member_indices) for p in proposals], dtype=np.int64)
+    keys = np.repeat(instance_of, sizes)
+    if keys.size:
+        keys += np.concatenate([p.member_indices for p in proposals]).astype(np.int64, copy=False) * n_instances
+    keys.sort()
+    return np.divmod(keys[_run_heads(keys)], max(n_instances, 1))
+
+
 def merge_and_assign(
     predicted_centers,
     proposals: Sequence[Proposal],
@@ -451,41 +478,60 @@ def merge_and_assign(
     if len(cluster_ids) != len(proposals):
         raise LengthMismatch(f"{len(cluster_ids)} cluster ids for {len(proposals)} proposals")
 
-    # Cluster -> proposals, real clusters first (ascending id = discovery
-    # order), then NOISE singletons in ascending proposal order.
-    groups: dict[int, list[int]] = {}
-    for idx, cid in enumerate(cluster_ids):
-        if cid != NOISE:
-            groups.setdefault(int(cid), []).append(idx)
-    instances: list[list[int]] = [groups[cid] for cid in sorted(groups)]
-    instances.extend([idx] for idx, cid in enumerate(cluster_ids) if cid == NOISE)
+    # Instance of each proposal: real clusters first in ascending id
+    # (discovery order), then NOISE singletons in proposal order.
+    noise = cluster_ids == NOISE
+    real_ids, real_instance = np.unique(cluster_ids[~noise], return_inverse=True)
+    instance_of = np.empty(len(proposals), dtype=np.int64)
+    instance_of[~noise] = real_instance
+    instance_of[noise] = len(real_ids) + np.arange(int(noise.sum()))
+    n_instances = len(real_ids) + int(noise.sum())
 
-    assigned = np.zeros(n, dtype=np.int64)
-    best_d2 = np.full(n, np.inf)
-    for instance_id, proposal_idxs in enumerate(instances, start=1):
-        member_lists = [proposals[p].member_indices for p in proposal_idxs]
-        rows = np.unique(np.concatenate(member_lists))
-        center = np.mean([proposals[p].refined_center for p in proposal_idxs], axis=0)
-        d2 = _sq_dist_to(centers[rows], center)
-        better = d2 < best_d2[rows]
-        take = rows[better]
-        assigned[take] = instance_id
-        best_d2[take] = d2[better]
+    # Instance centers: proposals' refined centers summed in proposal order
+    # from zero, then divided, exactly as np.mean sums them.
+    center_sum = np.zeros((n_instances, 3))
+    if proposals:
+        np.add.at(center_sum, instance_of, np.stack([p.refined_center for p in proposals]))
+    instance_center = center_sum / np.bincount(instance_of, minlength=n_instances)[:, None]
 
-    # Majority label per resolved instance; stuff-majority clusters demote.
+    point, instance = _claims(proposals, instance_of, n_instances)
+
+    # A point goes to its nearest claimant, ties to the lowest instance; a
+    # claim at an infinite or NaN distance never wins.
+    d2 = _sq_dist(*centers.T, *instance_center[instance].T, rows=point)
+    heads = _run_heads(point)
+    contested = int(np.count_nonzero(heads[:-1] & ~heads[1:]))
+    nearest = np.fmin.reduceat(d2, np.flatnonzero(heads))
+    win = np.flatnonzero(d2 == nearest[np.cumsum(heads) - 1])
+    win = win[_run_heads(point[win])]
+    win = win[d2[win] < np.inf]
+    point, instance = point[win], instance[win]
+
+    # Majority label per instance that kept points: one (instance, label)
+    # histogram, IGNORE excluded, ties to the lowest label.
+    voted = np.bincount(instance, minlength=n_instances) > 0
+    counted = point_semantic[point] != IGNORE
+    labels = point_semantic[point[counted]]
+    low = int(labels.min()) if labels.size else 0
+    span = int(labels.max()) - low + 1 if labels.size else 1
+    votes = np.bincount(instance[counted] * span + (labels - low), minlength=n_instances * span)
+    votes = votes.reshape(n_instances, span)
+    if (voted & (votes.max(axis=1) == 0)).any():
+        raise EmptyAfterFilter("no members left after dropping IGNORE labels")
+    majority = votes.argmax(axis=1) + low
+    kept = voted.copy()
+    kept[voted] = thing_mask[majority[voted]]
+
+    # Stuff-majority instances demote to background; kept ones renumber
+    # 1..M in instance order.
+    new_id = np.zeros(n_instances, dtype=np.int64)
+    new_id[kept] = np.arange(1, int(kept.sum()) + 1)
+    keep = kept[instance]
+    point, instance = point[keep], instance[keep]
     semantic = point_semantic.copy()
+    semantic[point] = majority[instance]
     final_instance = np.zeros(n, dtype=np.int64)
-    next_id = 1
-    for instance_id in range(1, len(instances) + 1):
-        members = np.flatnonzero(assigned == instance_id)
-        if members.size == 0:
-            continue
-        label = majority_label(point_semantic[members])
-        if not thing_mask[label]:
-            continue
-        final_instance[members] = next_id
-        semantic[members] = label
-        next_id += 1
+    final_instance[point] = new_id[instance]
 
     uncovered = int((thing_mask[semantic] & (final_instance == 0)).sum()) if n else 0
     return InstanceSegmentation(
@@ -493,6 +539,8 @@ def merge_and_assign(
         instance=final_instance,
         scope="window",
         uncovered_thing_points=uncovered,
+        instances_demoted=int((voted & ~kept).sum()),
+        contested_points=contested,
     )
 
 

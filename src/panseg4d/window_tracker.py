@@ -55,12 +55,14 @@ class TrackState:
 
     next_global_id: int = 1
 
-    def fresh_id(self) -> int:
-        gid = self.next_global_id
-        if gid > MAX_GLOBAL_ID:
+    def fresh_ids(self, count: int) -> np.ndarray:
+        """The next ``count`` global ids, ascending."""
+        ids = np.arange(self.next_global_id, self.next_global_id + count, dtype=np.int64)
+        if count and ids[-1] > MAX_GLOBAL_ID:
+            gid = max(self.next_global_id, MAX_GLOBAL_ID + 1)
             raise IdOverflow(f"global instance id {gid} exceeds 16 bits")
-        self.next_global_id += 1
-        return gid
+        self.next_global_id += count
+        return ids
 
 
 def _overlap_pairs(prev_ids: np.ndarray, new_ids: np.ndarray) -> list[tuple[int, int, int]]:
@@ -108,12 +110,12 @@ def stitch(
             used_prev.add(prev_id)
 
     local = new_window.segmentation.instance
-    relabeled = np.zeros_like(local)
-    for local_id in np.unique(local[local > 0]):
-        gid = matches.get(int(local_id))
-        if gid is None:
-            gid = state.fresh_id()
-        relabeled[local == local_id] = gid
+    table = np.zeros(int(local.max(initial=0)) + 1, dtype=local.dtype)
+    table[list(matches)] = list(matches.values())
+    local_ids = np.flatnonzero(np.bincount(local, minlength=len(table))[1:]) + 1
+    fresh = local_ids[table[local_ids] == 0]
+    table[fresh] = state.fresh_ids(len(fresh))
+    relabeled = table[local]
 
     return state, WindowSegmentation(
         segmentation=new_window.segmentation.with_instance(relabeled, scope="sequence"),

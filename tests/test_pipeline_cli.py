@@ -158,6 +158,21 @@ class TestSegment:
         assert "window start=0" in log
         assert "points/sec" in log
 
+    def test_run_log_window_rows_carry_merge_counters_before_timings(self, small_dataset, tmp_path):
+        config = _oracle_config(small_dataset, tmp_path / "out")
+        stats = segment_sequence(config, "00")
+        uncovered = 0
+        for row in stats.window_rows:
+            fields = row.split()
+            names = [field.split("=")[0] for field in fields]
+            at = names.index("uncovered")
+            assert names[at : at + 4] == ["uncovered", "demoted", "contested", "aggregate"]
+            uncovered += int(fields[at].split("=")[1])
+            assert int(fields[at + 1].split("=")[1]) >= 0 and int(fields[at + 2].split("=")[1]) >= 0
+        assert uncovered == stats.uncovered_thing_points
+        log = (tmp_path / "out" / "00" / "run_log.txt").read_text().splitlines()
+        assert log[: len(stats.window_rows)] == stats.window_rows
+
     def test_run_log_reports_end_to_end_then_core_rate(self, small_dataset, tmp_path):
         config = _oracle_config(small_dataset, tmp_path / "out")
         stats = segment_sequence(config, "00")

@@ -1,9 +1,11 @@
 """Proposal stage oracles: FPS, grouping, DBSCAN, merging, losses."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from panseg4d.errors import EmptyInput, LengthMismatch, NonFiniteValue
+from panseg4d.errors import EmptyAfterFilter, EmptyInput, LengthMismatch, NonFiniteValue
 from panseg4d.proposal_engine import (
     _FPS_GRID_MIN_POINTS,
     _GROUP_CELL_HAIR,
@@ -20,6 +22,7 @@ from panseg4d.proposal_engine import (
     _fps_all_points,
     _fps_grid,
 )
+from panseg4d.semantic_prior import IGNORE, majority_label
 
 
 def fps_oracle(points: np.ndarray, count: int) -> np.ndarray:
@@ -78,6 +81,54 @@ def dbscan_oracle(items: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         if owning:
             labels[i] = min(owning)  # earliest-discovered cluster has lowest id
     return labels
+
+
+def merge_oracle(predicted_centers, proposals, cluster_ids, point_labels, thing_mask):
+    """One pass over the window per instance: claims resolved instance by
+    instance, then one majority vote per instance that kept points.
+
+    Returns (semantic, instance, uncovered thing points, instances demoted,
+    contested points).
+    """
+    centers = np.asarray(predicted_centers, dtype=np.float64).reshape(-1, 3)
+    point_semantic = np.asarray(point_labels, dtype=np.int64).reshape(-1)
+    n = len(centers)
+    groups: dict[int, list[int]] = {}
+    for idx, cid in enumerate(cluster_ids):
+        if cid != NOISE:
+            groups.setdefault(int(cid), []).append(idx)
+    instances = [groups[cid] for cid in sorted(groups)]
+    instances.extend([idx] for idx, cid in enumerate(cluster_ids) if cid == NOISE)
+
+    assigned = np.zeros(n, dtype=np.int64)
+    best_d2 = np.full(n, np.inf)
+    claims = np.zeros(n, dtype=np.int64)
+    for instance_id, proposal_idxs in enumerate(instances, start=1):
+        rows = np.unique(np.concatenate([proposals[p].member_indices for p in proposal_idxs]))
+        claims[rows] += 1
+        center = np.mean([proposals[p].refined_center for p in proposal_idxs], axis=0)
+        d2 = ((centers[rows] - center) ** 2).sum(axis=-1)
+        better = d2 < best_d2[rows]
+        assigned[rows[better]] = instance_id
+        best_d2[rows[better]] = d2[better]
+
+    semantic = point_semantic.copy()
+    final_instance = np.zeros(n, dtype=np.int64)
+    next_id = 1
+    demoted = 0
+    for instance_id in range(1, len(instances) + 1):
+        members = np.flatnonzero(assigned == instance_id)
+        if members.size == 0:
+            continue
+        label = majority_label(point_semantic[members])
+        if not thing_mask[label]:
+            demoted += 1
+            continue
+        final_instance[members] = next_id
+        semantic[members] = label
+        next_id += 1
+    uncovered = int((thing_mask[semantic] & (final_instance == 0)).sum()) if n else 0
+    return semantic, final_instance, uncovered, demoted, int((claims > 1).sum())
 
 
 def partitions_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -410,6 +461,51 @@ def _proposals_from_groups(positions, shifted, groups, seeds):
     ]
 
 
+def _merge_case(rng, case):
+    """A random merge input: lattice coordinates in even cases (exact
+    distance ties), windows over 1 024 points in every eighth case,
+    non-contiguous and negative cluster ids mixed with NOISE, overlapping
+    and repeated members, small label pools with IGNORE (majority ties),
+    in every fifth case a far instance claiming a subset of another's
+    points, which it loses, and in some cases infinite or NaN distances."""
+    n = int(rng.integers(1025, 2500)) if case % 8 == 0 else int(rng.integers(1, 60))
+    lattice = case % 2 == 0
+
+    def coords(size):
+        return rng.integers(-3, 4, (size, 3)).astype(float) if lattice else rng.normal(0, 2, (size, 3))
+
+    centers = coords(n)
+    proposals = []
+    for _ in range(int(rng.integers(0, 25))):
+        members = rng.integers(0, n, int(rng.integers(1, max(2, n // 3) + 1)))
+        if rng.random() < 0.7:
+            members = np.unique(members)  # else repeats stay, as raw claims
+        center = coords(1)[0]
+        proposals.append(Proposal(int(members[0]), members, center, 0.0, np.zeros(3), center.copy()))
+    pool = np.array([NOISE, -7, -3, 0, 2, 5, 40])
+    cluster_ids = rng.choice(pool[: int(rng.integers(1, len(pool) + 1))], len(proposals))
+    if case % 5 == 0 and proposals:
+        near = proposals[0]
+        far = near.refined_center + 100.0
+        proposals.append(Proposal(near.seed_index, near.member_indices[::2], far, 0.0, np.zeros(3), far))
+        cluster_ids = np.append(cluster_ids, 77)
+    if case % 7 == 3:
+        # Squared distances overflow to inf; such claims never win.
+        centers *= 1e160
+        centers[rng.random(n) < 0.2] = np.inf
+        proposals = [replace(p, refined_center=p.refined_center * 1e160) for p in proposals]
+    if case % 7 == 5 and proposals:
+        # An instance whose center averages +inf and -inf is NaN: its claims
+        # never win, even against finite ones.
+        for sign in (1.0, -1.0):
+            proposals.append(replace(proposals[0], refined_center=np.array([sign * np.inf, 0.0, 0.0])))
+            cluster_ids = np.append(cluster_ids, 88)
+    labels = rng.choice(rng.choice(np.arange(IGNORE, 19), int(rng.integers(1, 5)), replace=False), n)
+    thing_mask = np.zeros(19, dtype=bool)
+    thing_mask[:8] = True
+    return centers, proposals, cluster_ids, labels, thing_mask
+
+
 class TestMergeAndAssign:
     def _run_two_object_scene(self):
         rng = np.random.default_rng(14)
@@ -465,6 +561,46 @@ class TestMergeAndAssign:
         seg = merge_and_assign(shifted, proposals, cluster_ids, labels, thing_mask)
         assert seg.instance[2] == seg.instance[0] == 1
         assert seg.instance[1] == 2
+        assert seg.contested_points == 1
+
+    def test_matches_loop_oracle_on_seeded_suite(self):
+        rng = np.random.default_rng(2209)
+        raised = contested = demoted = large = 0
+        for case in range(400):
+            args = _merge_case(rng, case)
+            large += len(args[0]) > 1024
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    want = merge_oracle(*args)
+                except EmptyAfterFilter:
+                    raised += 1
+                    with pytest.raises(EmptyAfterFilter):
+                        merge_and_assign(*args)
+                    continue
+                seg = merge_and_assign(*args)
+            assert np.array_equal(seg.semantic, want[0]), case
+            assert np.array_equal(seg.instance, want[1]), case
+            assert seg.uncovered_thing_points == want[2], case
+            assert (seg.instances_demoted, seg.contested_points) == want[3:], case
+            contested += want[4] > 0
+            demoted += want[3] > 0
+        assert large == 50
+        assert raised < 40 and contested > 200 and demoted > 100
+
+    def test_all_ignore_instance_raises_in_both(self):
+        positions = np.array([[0.0, 0, 0], [0.1, 0, 0], [5.0, 0, 0]])
+        labels = np.array([0, 0, IGNORE])
+        thing_mask = np.zeros(19, dtype=bool)
+        thing_mask[:8] = True
+        proposals = [
+            refine_proposal(positions, positions, [0, 1], 0),
+            refine_proposal(positions, positions, [2], 2),
+        ]
+        args = (positions, proposals, np.array([0, 1]), labels, thing_mask)
+        with pytest.raises(EmptyAfterFilter):
+            merge_oracle(*args)
+        with pytest.raises(EmptyAfterFilter):
+            merge_and_assign(*args)
 
     def test_partition_and_contiguous_ids(self):
         rng = np.random.default_rng(15)
@@ -492,6 +628,7 @@ class TestMergeAndAssign:
         assert seg.instance.tolist() == [0, 0, 0]
         assert seg.semantic.tolist() == [8, 8, 0]  # points keep their own argmax
         assert seg.uncovered_thing_points == 1
+        assert seg.instances_demoted == 1
 
     def test_noise_proposals_become_singleton_clusters(self):
         positions = np.array([[0.0, 0, 0], [5.0, 0, 0]])

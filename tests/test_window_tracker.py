@@ -7,7 +7,7 @@ import pytest
 
 from panseg4d.errors import IdOverflow, NoOverlapWarning
 from panseg4d.proposal_engine import InstanceSegmentation
-from panseg4d.window_tracker import TrackState, WindowSegmentation, stitch
+from panseg4d.window_tracker import TrackState, WindowSegmentation, _overlap_pairs, stitch
 
 
 def make_window(start, scan_sizes, instance_rows, semantic_value=0):
@@ -37,7 +37,48 @@ def overlap_for(scan_index, size):
     return origin
 
 
+def relabel_oracle(next_global_id, prev_window, new_window, overlap_origins):
+    """Greedy matching, then one pass over the window per local id; returns
+    the relabeled ids and the next global id."""
+    matches: dict[int, int] = {}
+    if prev_window is not None and len(overlap_origins):
+        prev_ids = prev_window.segmentation.instance[prev_window.rows_for_origins(overlap_origins)]
+        new_ids = new_window.segmentation.instance[new_window.rows_for_origins(overlap_origins)]
+        used_prev = set()
+        for count, prev_id, new_id in sorted(_overlap_pairs(prev_ids, new_ids), key=lambda t: (-t[0], t[1], t[2])):
+            if prev_id not in used_prev and new_id not in matches:
+                matches[new_id] = prev_id
+                used_prev.add(prev_id)
+    local = new_window.segmentation.instance
+    relabeled = np.zeros_like(local)
+    for local_id in np.unique(local[local > 0]):
+        gid = matches.get(int(local_id))
+        if gid is None:
+            gid = next_global_id
+            next_global_id += 1
+        relabeled[local == local_id] = gid
+    return relabeled, next_global_id
+
+
 class TestStitch:
+    @pytest.mark.filterwarnings("ignore::panseg4d.errors.NoOverlapWarning")
+    def test_relabel_matches_per_id_loop_over_window_chains(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            state, prev, want_next = TrackState(), None, 1
+            shared = int(rng.integers(0, 40))
+            for start in range(int(rng.integers(1, 6))):
+                sizes = [shared, int(rng.integers(0, 40))]
+                shared = sizes[1]
+                pool = rng.choice(np.arange(1, 60), int(rng.integers(1, 8)), replace=False)
+                rows = [rng.choice(np.append(pool, 0), size) for size in sizes]
+                window = make_window(start, sizes, rows)
+                overlap = overlap_for(start, sizes[0]) if prev is not None else np.zeros((0, 2), np.int64)
+                want, want_next = relabel_oracle(want_next, prev, window, overlap)
+                state, prev = stitch(state, prev, window, overlap)
+                assert np.array_equal(prev.segmentation.instance, want)
+                assert state.next_global_id == want_next
+
     def test_first_window_gets_fresh_sequential_ids(self):
         state = TrackState()
         window = make_window(0, [4], [[0, 1, 2, 1]])
