@@ -35,6 +35,7 @@ from .proposal_engine import (
     DEFAULT_DBSCAN_EPS_M,
     DEFAULT_DBSCAN_MIN_PTS,
     DEFAULT_GROUP_RADIUS_M,
+    NOISE,
     dbscan,
     default_proposal_count,
     farthest_point_sample,
@@ -280,13 +281,7 @@ def _segment_window(config, window, scans, lidar_poses, labels, provider, thing_
             members if seed in members else np.union1d(members, [seed])
             for seed, members in zip(seed_indices, groups)
         ]
-    proposals = clock(
-        "refine",
-        lambda: [
-            refine_proposal(cloud.positions, centers, members, seed)
-            for seed, members in zip(seed_indices, groups)
-        ],
-    )
+    proposals = clock("refine", lambda: refine_proposal(cloud.positions, centers, groups, seed_indices))
     cluster_ids = clock(
         "dbscan",
         lambda: dbscan(
@@ -300,7 +295,13 @@ def _segment_window(config, window, scans, lidar_poses, labels, provider, thing_
         lambda: merge_and_assign(centers, proposals, cluster_ids, cloud.prior, thing_mask),
     )
     result = WindowSegmentation(segmentation=segmentation, origins=cloud.origin, window=window)
-    return result, timing, len(cloud), len(proposals)
+    counters = {
+        "points": len(cloud),
+        "proposals": len(proposals),
+        "clusters": int(cluster_ids.max()) + 1 if len(cluster_ids) else 0,
+        "noise": int((cluster_ids == NOISE).sum()),
+    }
+    return result, timing, counters
 
 
 def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
@@ -336,7 +337,7 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
     core_time = 0.0
     core_points = 0
     uncovered_total = 0
-    for (window_seg, timing, n_points, n_proposals), window in zip(results, windows):
+    for (window_seg, timing, counters), window in zip(results, windows):
         overlap = (
             overlap_origins_between(previous.window, window, scan_sizes)
             if previous is not None
@@ -349,10 +350,11 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
         uncovered_total += seg.uncovered_thing_points
         core = timing["shift"] + timing["fps"] + timing["group"]
         core_time += core
-        core_points += n_points
+        core_points += counters["points"]
         row = (
-            f"window start={window[0]} n={window[1]} points={n_points} "
-            f"proposals={n_proposals} instances={n_instances} "
+            f"window start={window[0]} n={window[1]} "
+            + "".join(f"{name}={count} " for name, count in counters.items())
+            + f"instances={n_instances} "
             f"uncovered={seg.uncovered_thing_points} demoted={seg.instances_demoted} "
             f"contested={seg.contested_points} "
             + " ".join(f"{name}={seconds * 1e3:.1f}ms" for name, seconds in timing.items())

@@ -14,15 +14,18 @@ columns, so greedy selections and memberships are reproducible bit-for-bit
 against reference implementations using ``((a - b) ** 2).sum(axis=-1)``.
 Radius grouping and farthest point sampling on large windows find their
 candidates through a sorted voxel grid, which narrows the points each query
-evaluates and changes no result. Merging handles the window's claims as one
-flat list: a fixed number of sort, reduceat and bincount passes resolve
-multiple claims, vote the majority labels and demote stuff-majority
-instances, with no pass over the window per instance.
+evaluates and changes no result. Refinement takes all of a window's groups
+in one call and reduces their concatenated members with bincount and
+reduceat passes. DBSCAN builds its neighbour lists once, in row blocks, and
+labels the core components by label propagation with pointer jumping.
+Merging handles the window's claims as one flat list: a fixed number of
+sort, reduceat and bincount passes resolve multiple claims, vote the
+majority labels and demote stuff-majority instances, with no pass over the
+window per instance.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -58,6 +61,9 @@ _GROUP_CELL_HAIR = 1.0 + 2.0**-20
 # Grouping gathers seeds' candidates in chunks of at most this share of the
 # candidate count (a single seed may exceed it), bounding peak memory.
 _GROUP_CHUNK_SHARE = 4
+# DBSCAN builds its neighbour lists in row blocks of at most this many
+# item pairs.
+_DBSCAN_BLOCK = 1 << 16
 # Neighbour (x, y) columns of a cell; z neighbours are consecutive keys.
 _COLUMN_DX = np.repeat(np.arange(-1, 2), 3)
 _COLUMN_DY = np.tile(np.arange(-1, 2), 3)
@@ -88,6 +94,18 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenation of arange(s, s + c) over paired starts and counts."""
     ends = np.cumsum(counts)
     return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _chunks(sizes: np.ndarray, budget: int):
+    """Consecutive (start, stop) runs of items whose sizes sum to at most
+    ``budget``; a single item may exceed it."""
+    reach = np.cumsum(sizes)
+    start = 0
+    while start < len(sizes):
+        done = reach[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(reach, done + budget, side="right")))
+        yield start, stop
+        start = stop
 
 
 class _VoxelGrid:
@@ -140,7 +158,8 @@ class _VoxelGrid:
 
 
 def _require_finite(points: np.ndarray, what: str) -> None:
-    """Grid cell keys are undefined for NaN or infinite coordinates."""
+    """Reject NaN or infinite rows, naming the first: grid cell keys and
+    neighbourhoods are undefined for them."""
     if not np.isfinite(points).all():
         bad = int(np.argmax(~np.isfinite(points).all(axis=1)))
         raise NonFiniteValue(f"{what} row {bad} is not finite")
@@ -333,16 +352,11 @@ def radius_group(seed_points, candidate_points, radius: float) -> list[np.ndarra
     run_lo = np.searchsorted(grid.keys, column + z_lo, side="left")
     run_len = np.where(valid, np.searchsorted(grid.keys, column + z_hi, side="right") - run_lo, 0)
     per_seed = run_len.sum(axis=1)
-    reach = np.cumsum(per_seed)
 
     sx, sy, sz = _columns(seeds)
-    budget = max(n // _GROUP_CHUNK_SHARE, 1)
     r2 = radius * radius
     groups: list[np.ndarray] = []
-    start = 0
-    while start < len(seeds):
-        done = reach[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(reach, done + budget, side="right")))
+    for start, stop in _chunks(per_seed, max(n // _GROUP_CHUNK_SHARE, 1)):
         rows = _ranges(run_lo[start:stop].ravel(), run_len[start:stop].ravel())
         owner = np.repeat(np.arange(start, stop), per_seed[start:stop])
         d2 = _sq_dist(grid.x, grid.y, grid.z, sx[owner], sy[owner], sz[owner], rows)
@@ -353,33 +367,50 @@ def radius_group(seed_points, candidate_points, radius: float) -> list[np.ndarra
         members -= owner * n
         sizes = np.bincount(owner, minlength=stop - start)
         groups.extend(np.split(members, np.cumsum(sizes)[:-1]))
-        start = stop
     return groups
 
 
-def refine_proposal(positions, predicted_centers, member_indices, seed_index: int) -> Proposal:
-    """Geometric refinement of one raw proposal.
+def refine_proposal(positions, predicted_centers, groups, seed_indices) -> list[Proposal]:
+    """Geometric refinement of raw proposals, one per member group.
 
     Center = mean of the members' predicted centers; radius = max distance
     from that center to the members' positions; bbox = axis-aligned extents
     of the members' positions. The merging embedding is the refined center,
-    the smallest stand-in a learned embedding provider could replace.
+    the smallest stand-in a learned embedding provider could replace. All
+    groups are refined together over their concatenated members, gathered
+    in chunks of bounded size; a center is summed from zero in member order
+    and divided by the count, exactly as ``np.mean`` computes it.
     """
-    members = np.asarray(member_indices, dtype=np.int64).reshape(-1)
-    if members.size == 0:
-        raise EmptyInput("proposal must have at least one member")
-    pos = np.asarray(positions, dtype=np.float64)[members]
-    center = np.asarray(predicted_centers, dtype=np.float64)[members].mean(axis=0)
-    radius = float(np.sqrt(np.max(_sq_dist_to(pos, center))))
-    bbox = pos.max(axis=0) - pos.min(axis=0)
-    return Proposal(
-        seed_index=int(seed_index),
-        member_indices=members,
-        refined_center=center,
-        refined_radius=radius,
-        bbox=bbox,
-        embedding=center.copy(),
-    )
+    pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    pred = np.asarray(predicted_centers, dtype=np.float64).reshape(-1, 3)
+    members = [np.asarray(g, dtype=np.int64).reshape(-1) for g in groups]
+    seeds = np.asarray(seed_indices, dtype=np.int64).reshape(-1)
+    if len(seeds) != len(members):
+        raise LengthMismatch(f"{len(seeds)} seeds for {len(members)} member groups")
+    sizes = np.array([len(m) for m in members], dtype=np.int64)
+    if (sizes == 0).any():
+        raise EmptyInput(f"proposal {int(np.argmin(sizes))} has no members")
+    center = np.empty((len(members), 3))
+    radius = np.empty(len(members))
+    bbox = np.empty((len(members), 3))
+    for start, stop in _chunks(sizes, max(len(pos) // _GROUP_CHUNK_SHARE, 1)):
+        rows = np.concatenate(members[start:stop])
+        counts = sizes[start:stop]
+        owner = np.repeat(np.arange(stop - start), counts)
+        heads = np.cumsum(counts) - counts
+        c = center[start:stop]
+        for a in range(3):
+            c[:, a] = np.bincount(owner, weights=pred[rows, a], minlength=stop - start)
+        c /= counts[:, None]
+        p = pos[rows]
+        d2 = _sq_dist(p[:, 0], p[:, 1], p[:, 2], c[owner, 0], c[owner, 1], c[owner, 2])
+        radius[start:stop] = np.sqrt(np.maximum.reduceat(d2, heads))
+        for a in range(3):
+            bbox[start:stop, a] = np.maximum.reduceat(p[:, a], heads) - np.minimum.reduceat(p[:, a], heads)
+    return [
+        Proposal(seed, m, c, r, b, e)
+        for seed, m, c, r, b, e in zip(seeds.tolist(), members, center, radius.tolist(), bbox, center.copy())
+    ]
 
 
 def dbscan(embeddings, eps: float, min_pts: int) -> np.ndarray:
@@ -387,11 +418,15 @@ def dbscan(embeddings, eps: float, min_pts: int) -> np.ndarray:
 
     Core items have at least ``min_pts`` neighbors within ``eps``
     (inclusive, self counted). Clusters are connected components of core
-    items plus density-reachable border items; a border item reachable from
-    several clusters joins the cluster discovered first under
-    ascending-index iteration. Cluster ids count up from 0 in discovery
-    order.
+    items, numbered from 0 by their lowest core index; a border item joins
+    the lowest-numbered cluster among its core neighbors, and an item with
+    no core neighbor is NOISE. These are the ids a breadth-first expansion
+    under ascending-index iteration discovers. NaN or infinite embeddings
+    raise ``NonFiniteValue``; a non-finite or non-positive eps raises
+    ``ValueError``.
     """
+    if not np.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if min_pts < 1:
@@ -399,33 +434,72 @@ def dbscan(embeddings, eps: float, min_pts: int) -> np.ndarray:
     items = np.asarray(embeddings, dtype=np.float64)
     if items.ndim == 1:
         items = items.reshape(-1, 1)
+    _require_finite(items, "embedding")
     n = len(items)
-    eps2 = eps * eps
-    labels = np.full(n, -2, dtype=np.int64)  # -2 = unvisited
-    next_cluster = 0
-    for i in range(n):
-        if labels[i] != -2:
-            continue
-        neighbors = np.flatnonzero(((items - items[i]) ** 2).sum(axis=1) <= eps2)
-        if neighbors.size < min_pts:
-            labels[i] = NOISE
-            continue
-        cluster = next_cluster
-        next_cluster += 1
-        labels[i] = cluster
-        queue = deque(int(j) for j in neighbors)
-        while queue:
-            j = queue.popleft()
-            if labels[j] == NOISE:
-                labels[j] = cluster  # border adoption; never expands
-                continue
-            if labels[j] != -2:
-                continue
-            labels[j] = cluster
-            j_neighbors = np.flatnonzero(((items - items[j]) ** 2).sum(axis=1) <= eps2)
-            if j_neighbors.size >= min_pts:
-                queue.extend(int(k) for k in j_neighbors)
+    row, col = _neighbor_pairs(items, eps * eps)
+    core = np.bincount(row, minlength=n) >= min_pts
+    labels = np.full(n, NOISE, dtype=np.int64)
+    # A core component's root is its lowest core index; roots number the
+    # clusters in ascending order.
+    link = core[row] & core[col]
+    root = _components(row[link], col[link], n)
+    is_root = core & (root == np.arange(n))
+    labels[core] = (np.cumsum(is_root) - 1)[root[core]]
+    border = ~core[row] & core[col]
+    row, col = row[border], col[border]
+    heads = np.flatnonzero(_run_heads(row))
+    if heads.size:
+        labels[row[heads]] = np.minimum.reduceat(labels[col], heads)
     return labels
+
+
+def _neighbor_pairs(items: np.ndarray, eps2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j) whose squared distance is at most ``eps2``, sorted by i
+    then j. Squared coordinate differences are summed column by column from
+    the left, as ``((items[j] - items[i]) ** 2).sum()`` sums them for fewer
+    than eight columns (for three, the module's one kernel); rows go in
+    blocks of at most ``_DBSCAN_BLOCK`` pairs."""
+    n, dims = items.shape
+    step = max(1, _DBSCAN_BLOCK // max(n, 1))
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for start in range(0, n, step):
+        block = items[start : start + step]
+        d2 = np.zeros((len(block), n))
+        for a in range(dims):
+            diff = items[:, a] - block[:, a, None]
+            diff *= diff
+            d2 += diff
+        r, c = np.nonzero(d2 <= eps2)
+        rows.append(r + start)
+        cols.append(c)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _components(row: np.ndarray, col: np.ndarray, n: int) -> np.ndarray:
+    """Lowest node of each node's connected component.
+
+    The edges (row, col) are symmetric, sorted by row and hold a self-loop
+    for every linked node; a node without edges is its own root. Each round
+    lowers every linked node's root to the lowest root among its neighbors,
+    hooks its previous root onto that too, and then jumps pointers to a
+    fixed point; roots only fall and stay component members no higher than
+    their node, so the rounds end at each component's lowest node.
+    """
+    root = np.arange(n)
+    heads = np.flatnonzero(_run_heads(row))
+    if not heads.size:
+        return root
+    nodes = row[heads]
+    while True:
+        low = np.minimum.reduceat(root[col], heads)
+        new = root.copy()
+        new[nodes] = low
+        np.minimum.at(new, root[nodes], low)
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, root):
+            return root
+        root = new
 
 
 def _run_heads(values: np.ndarray) -> np.ndarray:

@@ -169,6 +169,13 @@ class TestSegment:
             assert names[at : at + 4] == ["uncovered", "demoted", "contested", "aggregate"]
             uncovered += int(fields[at].split("=")[1])
             assert int(fields[at + 1].split("=")[1]) >= 0 and int(fields[at + 2].split("=")[1]) >= 0
+            # DBSCAN counters follow the proposal count, before the timings.
+            found = names.index("clusters")
+            assert names[found - 1 : found + 2] == ["proposals", "clusters", "noise"]
+            assert found < names.index("aggregate")
+            proposals, clusters, noise = (int(fields[i].split("=")[1]) for i in range(found - 1, found + 2))
+            assert clusters >= 0 and noise >= 0 and clusters + noise <= proposals
+            assert clusters >= 1 or noise == proposals
         assert uncovered == stats.uncovered_thing_points
         log = (tmp_path / "out" / "00" / "run_log.txt").read_text().splitlines()
         assert log[: len(stats.window_rows)] == stats.window_rows

@@ -1,5 +1,6 @@
-"""Proposal stage oracles: FPS, grouping, DBSCAN, merging, losses."""
+"""Proposal stage oracles: FPS, grouping, refinement, DBSCAN, merging, losses."""
 
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from panseg4d.errors import EmptyAfterFilter, EmptyInput, LengthMismatch, NonFin
 from panseg4d.proposal_engine import (
     _FPS_GRID_MIN_POINTS,
     _GROUP_CELL_HAIR,
+    _GROUP_CHUNK_SHARE,
     NOISE,
     Proposal,
     aggregation_diagnostics,
@@ -81,6 +83,65 @@ def dbscan_oracle(items: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         if owning:
             labels[i] = min(owning)  # earliest-discovered cluster has lowest id
     return labels
+
+
+def dbscan_loop_oracle(embeddings, eps: float, min_pts: int) -> np.ndarray:
+    """Ascending-index breadth-first DBSCAN, one distance row per visited
+    item: cluster ids in discovery order, borders to the first cluster that
+    reaches them, NOISE items adopted when a later cluster reaches them."""
+    items = np.asarray(embeddings, dtype=np.float64)
+    if items.ndim == 1:
+        items = items.reshape(-1, 1)
+    n = len(items)
+    eps2 = eps * eps
+    labels = np.full(n, -2, dtype=np.int64)  # -2 = unvisited
+    next_cluster = 0
+    for i in range(n):
+        if labels[i] != -2:
+            continue
+        neighbors = np.flatnonzero(((items - items[i]) ** 2).sum(axis=1) <= eps2)
+        if neighbors.size < min_pts:
+            labels[i] = NOISE
+            continue
+        cluster = next_cluster
+        next_cluster += 1
+        labels[i] = cluster
+        queue = deque(int(j) for j in neighbors)
+        while queue:
+            j = queue.popleft()
+            if labels[j] == NOISE:
+                labels[j] = cluster  # border adoption; never expands
+                continue
+            if labels[j] != -2:
+                continue
+            labels[j] = cluster
+            j_neighbors = np.flatnonzero(((items - items[j]) ** 2).sum(axis=1) <= eps2)
+            if j_neighbors.size >= min_pts:
+                queue.extend(int(k) for k in j_neighbors)
+    return labels
+
+
+def refine_oracle(positions, predicted_centers, member_indices, seed_index: int) -> Proposal:
+    """One proposal at a time: mean of the members' predicted centers, max
+    distance from it to their positions, extents of their positions."""
+    members = np.asarray(member_indices, dtype=np.int64).reshape(-1)
+    if members.size == 0:
+        raise EmptyInput("proposal must have at least one member")
+    pos = np.asarray(positions, dtype=np.float64)[members]
+    center = np.asarray(predicted_centers, dtype=np.float64)[members].mean(axis=0)
+    radius = float(np.sqrt(np.max(((pos - center) ** 2).sum(axis=-1))))
+    bbox = pos.max(axis=0) - pos.min(axis=0)
+    return Proposal(int(seed_index), members, center, radius, bbox, center.copy())
+
+
+def assert_proposals_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g.seed_index) is int and g.seed_index == w.seed_index
+        assert type(g.refined_radius) is float and g.refined_radius == w.refined_radius
+        for field in ("member_indices", "refined_center", "bbox", "embedding"):
+            a, b = getattr(g, field), getattr(w, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
 
 
 def merge_oracle(predicted_centers, proposals, cluster_ids, point_labels, thing_mask):
@@ -373,14 +434,14 @@ class TestRadiusGroup:
 class TestRefineProposal:
     def test_single_member(self):
         position = np.array([[1.0, 2.0, 3.0]])
-        proposal = refine_proposal(position, position, [0], 0)
+        (proposal,) = refine_proposal(position, position, [[0]], [0])
         assert np.array_equal(proposal.refined_center, position[0])
         assert proposal.refined_radius == 0.0
         assert proposal.bbox.tolist() == [0.0, 0.0, 0.0]
 
     def test_two_member_arithmetic(self):
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0]])
-        proposal = refine_proposal(pts, pts, [0, 1], 0)
+        (proposal,) = refine_proposal(pts, pts, [[0, 1]], [0])
         assert proposal.refined_center.tolist() == [1.0, 0.0, 0.0]
         assert proposal.refined_radius == 1.0
         assert proposal.bbox.tolist() == [2.0, 0.0, 0.0]
@@ -391,7 +452,7 @@ class TestRefineProposal:
         positions = rng.normal(size=(40, 3))
         shifted = rng.normal(size=(40, 3))
         members = rng.choice(40, size=15, replace=False)
-        proposal = refine_proposal(positions, shifted, members, int(members[0]))
+        (proposal,) = refine_proposal(positions, shifted, [members], [members[0]])
         center = np.array([shifted[members][:, c].mean() for c in range(3)])
         assert np.abs(proposal.refined_center - center).max() < 1e-12
         radius = max(np.linalg.norm(positions[m] - proposal.refined_center) for m in members)
@@ -401,7 +462,58 @@ class TestRefineProposal:
 
     def test_empty_members_rejected(self):
         with pytest.raises(EmptyInput):
-            refine_proposal(np.zeros((2, 3)), np.zeros((2, 3)), [], 0)
+            refine_proposal(np.zeros((2, 3)), np.zeros((2, 3)), [[]], [0])
+
+    def test_empty_group_among_nonempty_rejected(self):
+        with pytest.raises(EmptyInput, match="proposal 1"):
+            refine_proposal(np.zeros((3, 3)), np.zeros((3, 3)), [[0, 1], [], [2]], [0, 1, 2])
+
+    def test_seed_count_must_match_groups(self):
+        with pytest.raises(LengthMismatch):
+            refine_proposal(np.zeros((3, 3)), np.zeros((3, 3)), [[0], [1]], [0])
+
+    def test_no_groups_gives_no_proposals(self):
+        assert refine_proposal(np.zeros((3, 3)), np.zeros((3, 3)), [], []) == []
+
+    def test_matches_per_proposal_oracle(self):
+        # Windows with duplicate coordinates (lattice values), single-member
+        # and repeated-member groups, groups found by grouping in shifted and
+        # in raw space (seed added by union1d, as the pipeline does), and
+        # enough members that the chunked gather splits groups across chunks.
+        rng = np.random.default_rng(31)
+        chunked = 0
+        for case in range(300):
+            n = int(rng.integers(1, 400))
+            if case % 2:
+                positions = rng.integers(-2, 3, (n, 3)).astype(float)
+                shifted = positions + rng.integers(-1, 2, (n, 3)) * 0.5
+            else:
+                positions = rng.normal(0, 3, (n, 3)) * 10.0 ** rng.integers(-3, 4)
+                shifted = positions + rng.normal(0, 0.3, (n, 3))
+            seeds = rng.integers(0, n, int(rng.integers(1, 40)))
+            if case % 3 == 0:
+                groups = radius_group(shifted[seeds], shifted, float(rng.uniform(0.3, 3.0)))
+                groups = [g if s in g else np.union1d(g, [s]) for s, g in zip(seeds, groups)]
+            elif case % 3 == 1:
+                groups = radius_group(shifted[seeds], positions, float(rng.uniform(0.3, 3.0)))
+                groups = [g if s in g else np.union1d(g, [s]) for s, g in zip(seeds, groups)]
+            else:
+                groups = [rng.integers(0, n, int(rng.integers(1, 2 * n + 2))) for _ in seeds]
+            sizes = np.array([len(g) for g in groups])
+            chunked += int(sizes.sum() > max(n // _GROUP_CHUNK_SHARE, 1) and len(groups) > 1)
+            got = refine_proposal(positions, shifted, groups, seeds)
+            want = [refine_oracle(positions, shifted, g, s) for s, g in zip(seeds, groups)]
+            assert_proposals_identical(got, want)
+        assert chunked > 100
+
+    def test_large_group_center_sums_like_mean(self):
+        rng = np.random.default_rng(32)
+        positions = rng.normal(0, 50, (20_000, 3))
+        shifted = positions + rng.normal(0, 1, (20_000, 3))
+        groups = [np.arange(20_000), rng.integers(0, 20_000, 7_000), np.array([5, 5, 5])]
+        got = refine_proposal(positions, shifted, groups, [0, 1, 5])
+        want = [refine_oracle(positions, shifted, g, s) for s, g in zip([0, 1, 5], groups)]
+        assert_proposals_identical(got, want)
 
 
 class TestDbscan:
@@ -453,12 +565,80 @@ class TestDbscan:
         with pytest.raises(ValueError):
             dbscan(np.zeros((1, 3)), eps=1.0, min_pts=0)
 
+    def test_nonfinite_eps_rejected(self):
+        for eps in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                dbscan(np.zeros((2, 3)), eps=eps, min_pts=1)
 
-def _proposals_from_groups(positions, shifted, groups, seeds):
-    return [
-        refine_proposal(positions, shifted, members, int(seed))
-        for seed, members in zip(seeds, groups)
-    ]
+    def test_nonfinite_embeddings_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            items = np.zeros((4, 3))
+            items[2, 1] = bad
+            with pytest.raises(NonFiniteValue, match="row 2"):
+                dbscan(items, eps=1.0, min_pts=1)
+        with pytest.raises(NonFiniteValue, match="row 0"):
+            dbscan(np.array([np.nan, 0.0]), eps=1.0, min_pts=1)
+
+    def test_empty_input(self):
+        for items in (np.zeros((0, 3)), np.zeros(0)):
+            labels = dbscan(items, eps=1.0, min_pts=2)
+            assert labels.dtype == np.int64 and labels.shape == (0,)
+
+    def test_matches_loop_oracle_ids(self):
+        # Exact ids, not just partitions: 1-, 2- and 3-column items, lattice
+        # items exactly eps apart, and densities from all-core to sparse.
+        rng = np.random.default_rng(33)
+        for case in range(600):
+            n = int(rng.integers(1, 120))
+            dims = 1 + case % 3
+            if case % 2:
+                items = rng.integers(-4, 5, (n, dims)).astype(float)
+                eps = float(rng.choice([1.0, 2.0, np.sqrt(2.0)]))
+            else:
+                items = rng.uniform(-3, 3, (n, dims))
+                eps = float(rng.uniform(0.2, 1.5))
+            min_pts = int(rng.integers(1, 7))
+            got = dbscan(items, eps, min_pts)
+            want = dbscan_loop_oracle(items, eps, min_pts)
+            assert np.array_equal(got, want), (case, got, want)
+            assert partitions_equal(got, dbscan_oracle(items, eps, min_pts))
+
+    def test_shared_border_takes_the_lower_cluster(self):
+        # At min_pts=4 the item at 2.0 has three neighbours, the cores at 1.0
+        # and 3.0 of two dense runs: it is a border of both. Whether it is
+        # visited before the runs (and first marked NOISE) or between them,
+        # it joins the run holding the lowest core index.
+        run_a, border, run_b = [0.0, 0.3, 0.6, 1.0], [2.0], [3.0, 3.4, 3.7, 4.0]
+        for xs, expected in (
+            (run_a + border + run_b, [0, 0, 0, 0, 0, 1, 1, 1, 1]),
+            (run_b + border + run_a, [0, 0, 0, 0, 0, 1, 1, 1, 1]),
+            (border + run_b + run_a, [0, 0, 0, 0, 0, 1, 1, 1, 1]),
+            (run_a + run_b + border, [0, 0, 0, 0, 1, 1, 1, 1, 0]),
+        ):
+            labels = dbscan(np.array(xs), eps=1.0, min_pts=4)
+            assert labels.tolist() == expected
+            assert np.array_equal(labels, dbscan_loop_oracle(np.array(xs), 1.0, 4))
+
+    def test_noise_item_adopted_by_later_cluster(self):
+        # Item 0 has too few neighbours when first visited and is marked
+        # NOISE; the cluster found from item 1 reaches it later.
+        xs = np.array([0.0, 1.9, 1.0, 1.5, 1.2, 9.0]).reshape(-1, 1)
+        labels = dbscan(xs, eps=1.0, min_pts=4)
+        assert np.array_equal(labels, dbscan_loop_oracle(xs, 1.0, 4))
+        assert labels.tolist() == [0, 0, 0, 0, 0, NOISE]
+
+    def test_long_shuffled_chain_is_one_cluster(self):
+        # 2000 items spaced just under eps along a line, in random index
+        # order: the longest path labels have to travel through the core
+        # graph.
+        rng = np.random.default_rng(34)
+        order = rng.permutation(2000)
+        for dims in (1, 3):
+            items = np.zeros((2000, dims))
+            items[order, 0] = np.arange(2000) * 0.999
+            labels = dbscan(items, eps=1.0, min_pts=2)
+            assert np.array_equal(labels, np.zeros(2000, dtype=np.int64))
+            assert np.array_equal(labels, dbscan_loop_oracle(items, 1.0, 2))
 
 
 def _merge_case(rng, case):
@@ -522,7 +702,7 @@ class TestMergeAndAssign:
         shifted = shift_to_centers(positions, centers_true - positions)
         seeds = farthest_point_sample(shifted, 30)
         groups = radius_group(shifted[seeds], shifted, 0.6)
-        proposals = _proposals_from_groups(positions, shifted, groups, seeds)
+        proposals = refine_proposal(positions, shifted, groups, seeds)
         cluster_ids = dbscan(np.stack([p.embedding for p in proposals]), 1.0, 1)
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
@@ -553,10 +733,7 @@ class TestMergeAndAssign:
         labels = np.zeros(3, dtype=int)  # all "car"
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
-        proposals = [
-            refine_proposal(positions, shifted, [0, 2], 0),
-            refine_proposal(positions, shifted, [1, 2], 1),
-        ]
+        proposals = refine_proposal(positions, shifted, [[0, 2], [1, 2]], [0, 1])
         cluster_ids = np.array([0, 1])  # two separate instances
         seg = merge_and_assign(shifted, proposals, cluster_ids, labels, thing_mask)
         assert seg.instance[2] == seg.instance[0] == 1
@@ -592,10 +769,7 @@ class TestMergeAndAssign:
         labels = np.array([0, 0, IGNORE])
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
-        proposals = [
-            refine_proposal(positions, positions, [0, 1], 0),
-            refine_proposal(positions, positions, [2], 2),
-        ]
+        proposals = refine_proposal(positions, positions, [[0, 1], [2]], [0, 2])
         args = (positions, proposals, np.array([0, 1]), labels, thing_mask)
         with pytest.raises(EmptyAfterFilter):
             merge_oracle(*args)
@@ -611,7 +785,7 @@ class TestMergeAndAssign:
         thing_mask[:8] = True
         seeds = farthest_point_sample(shifted, 10)
         groups = radius_group(shifted[seeds], shifted, 2.0)
-        proposals = _proposals_from_groups(positions, shifted, groups, seeds)
+        proposals = refine_proposal(positions, shifted, groups, seeds)
         cluster_ids = dbscan(np.stack([p.embedding for p in proposals]), 1.5, 1)
         seg = merge_and_assign(shifted, proposals, cluster_ids, labels, thing_mask)
         used = np.unique(seg.instance[seg.instance > 0])
@@ -623,7 +797,7 @@ class TestMergeAndAssign:
         labels = np.array([8, 8, 0])  # road, road, car
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
-        proposals = [refine_proposal(positions, positions, [0, 1, 2], 0)]
+        proposals = refine_proposal(positions, positions, [[0, 1, 2]], [0])
         seg = merge_and_assign(positions, proposals, np.array([0]), labels, thing_mask)
         assert seg.instance.tolist() == [0, 0, 0]
         assert seg.semantic.tolist() == [8, 8, 0]  # points keep their own argmax
@@ -635,10 +809,7 @@ class TestMergeAndAssign:
         labels = np.zeros(2, dtype=int)
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
-        proposals = [
-            refine_proposal(positions, positions, [0], 0),
-            refine_proposal(positions, positions, [1], 1),
-        ]
+        proposals = refine_proposal(positions, positions, [[0], [1]], [0, 1])
         seg = merge_and_assign(positions, proposals, np.array([NOISE, NOISE]), labels, thing_mask)
         assert seg.instance.tolist() == [1, 2]
 
@@ -648,7 +819,7 @@ class TestMergeAndAssign:
         labels = np.array([0, 0, 8])  # car, car, road
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
-        proposals = [refine_proposal(positions, positions, [0, 1, 2], 0)]
+        proposals = refine_proposal(positions, positions, [[0, 1, 2]], [0])
         seg = merge_and_assign(positions, proposals, np.array([0]), labels, thing_mask)
         assert seg.semantic.tolist() == [0, 0, 0]
         assert len(set(seg.instance.tolist())) == 1
@@ -717,7 +888,7 @@ class TestAggregationDiagnostics:
         centroid = member_positions.mean(axis=0)
         shifted = positions.copy()
         shifted[:50] = centroid
-        proposal = refine_proposal(positions, shifted, np.arange(50), 0)
+        (proposal,) = refine_proposal(positions, shifted, [np.arange(50)], [0])
         diags, unmatched = aggregation_diagnostics(positions, [proposal], gt)
         assert unmatched == []
         assert diags[0].gt_instance_id == 4
@@ -728,7 +899,7 @@ class TestAggregationDiagnostics:
     def test_no_instance_overlap_reported_unmatched(self):
         positions = np.zeros((4, 3))
         gt = np.zeros(4, dtype=int)
-        proposal = refine_proposal(positions, positions, [0, 1], 0)
+        (proposal,) = refine_proposal(positions, positions, [[0, 1]], [0])
         diags, unmatched = aggregation_diagnostics(positions, [proposal], gt)
         assert diags == []
         assert unmatched == [0]
@@ -751,6 +922,6 @@ class TestAggregationDiagnostics:
     def test_plurality_owner_ties_break_low(self):
         positions = np.zeros((4, 3))
         gt = np.array([1, 1, 2, 2])
-        proposal = refine_proposal(positions, positions, [0, 1, 2, 3], 0)
+        (proposal,) = refine_proposal(positions, positions, [[0, 1, 2, 3]], [0])
         diags, _ = aggregation_diagnostics(positions, [proposal], gt)
         assert diags[0].gt_instance_id == 1
