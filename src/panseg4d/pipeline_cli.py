@@ -36,6 +36,7 @@ from .proposal_engine import (
     DEFAULT_DBSCAN_MIN_PTS,
     DEFAULT_GROUP_RADIUS_M,
     NOISE,
+    covering_prefix,
     dbscan,
     default_proposal_count,
     farthest_point_sample,
@@ -80,7 +81,7 @@ class PipelineConfig:
     flip_prob: float = 0.0
     offset_sigma: float = 0.0
     noise_seed: int = 0
-    k_proposals: int = 0  # 0 = auto
+    k_proposals: int = 0  # cap on seeds per window; 0 = default_proposal_count(window points)
     group_radius_m: float = DEFAULT_GROUP_RADIUS_M
     dbscan_eps_m: float = DEFAULT_DBSCAN_EPS_M
     dbscan_min_pts: int = DEFAULT_DBSCAN_MIN_PTS
@@ -269,7 +270,16 @@ def _segment_window(config, window, scans, lidar_poses, labels, provider, thing_
     offsets = clock("offsets", lambda: provider.window_offsets(window))
     centers = clock("shift", lambda: shift_to_centers(cloud.positions, offsets))
     k = config.k_proposals or default_proposal_count(len(cloud))
-    seed_indices = clock("fps", lambda: farthest_point_sample(centers, k))
+    # Seeds come from thing-labelled points only; members from every point.
+    thing = np.flatnonzero(thing_mask[cloud.prior])
+
+    def sample_seeds():
+        if not len(thing):
+            return thing
+        picks = thing[farthest_point_sample(centers[thing], k)]
+        return picks[: covering_prefix(centers[picks], config.group_radius_m)]
+
+    seed_indices = clock("fps", sample_seeds)
     group_candidates = centers if config.group_space == "shifted" else cloud.positions
     groups = clock(
         "group", lambda: radius_group(centers[seed_indices], group_candidates, config.group_radius_m)
@@ -297,6 +307,7 @@ def _segment_window(config, window, scans, lidar_poses, labels, provider, thing_
     result = WindowSegmentation(segmentation=segmentation, origins=cloud.origin, window=window)
     counters = {
         "points": len(cloud),
+        "things": len(thing),
         "proposals": len(proposals),
         "clusters": int(cluster_ids.max()) + 1 if len(cluster_ids) else 0,
         "noise": int((cluster_ids == NOISE).sum()),

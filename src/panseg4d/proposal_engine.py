@@ -1,27 +1,30 @@
 """Offset-vote instance proposals: shift, sample, group, refine, merge.
 
 Points are shifted by their predicted offset toward an instance center;
-farthest point sampling seeds proposals in the shifted space; points join a
-proposal within a fixed grouping radius; proposals are refined to a center,
-radius, and box extent by deterministic geometric estimators; DBSCAN over
-the proposal embeddings merges proposals that vote for the same object, and
-the merged clusters become per-point instance masks with a majority
-semantic label.
+farthest point sampling seeds proposals in the shifted space, on the points
+the semantic prior labels as things, and keeps its picks only until one
+falls within the grouping radius of an earlier pick (the covering prefix);
+points of every class join a proposal within that fixed grouping radius;
+proposals are refined to a center, radius, and box extent by deterministic
+geometric estimators; DBSCAN over the proposal embeddings merges proposals
+that vote for the same object, and the merged clusters become per-point
+instance masks with a majority semantic label.
 
 Distance comparisons use squared Euclidean distances from one exact kernel
 at every input size, ((dx*dx + dy*dy) + dz*dz) on contiguous coordinate
 columns, so greedy selections and memberships are reproducible bit-for-bit
 against reference implementations using ``((a - b) ** 2).sum(axis=-1)``.
-Radius grouping and farthest point sampling on large windows find their
-candidates through a sorted voxel grid, which narrows the points each query
-evaluates and changes no result. Refinement takes all of a window's groups
-in one call and reduces their concatenated members with bincount and
-reduceat passes. DBSCAN builds its neighbour lists once, in row blocks, and
-labels the core components by label propagation with pointer jumping.
-Merging handles the window's claims as one flat list: a fixed number of
-sort, reduceat and bincount passes resolve multiple claims, vote the
-majority labels and demote stuff-majority instances, with no pass over the
-window per instance.
+Radius grouping finds its candidates through a sorted voxel grid, which
+narrows the points each query evaluates and changes no result. Farthest
+point sampling scans every sampled point per pick: it runs on a window's
+thing-labelled points only, a few thousand at most. Refinement takes all
+of a window's groups in one call and reduces their concatenated members
+with bincount and reduceat passes. DBSCAN builds its neighbour lists once,
+in row blocks, and labels the core components by label propagation with
+pointer jumping. Merging handles the window's claims as one flat list: a
+fixed number of sort, reduceat and bincount passes resolve multiple claims,
+vote the majority labels and demote stuff-majority instances, with no pass
+over the window per instance.
 """
 
 from __future__ import annotations
@@ -44,16 +47,13 @@ DEFAULT_HUBER_DELTA_M = 1.0
 
 
 def default_proposal_count(n_points: int) -> int:
-    """Seeds per window: 100 at desk scale, growing with cloud size."""
+    """Cap on the seeds sampled per window of ``n_points`` points: 100 at
+    desk scale, growing with cloud size. Sampling runs on the window's
+    thing-labelled points and usually stops earlier, at the covering
+    prefix."""
     return max(100, n_points // 500)
 
 
-# Windows at or above this size run farthest point sampling on the voxel
-# grid; below it, scanning every point per pick is faster (measured
-# crossover in BENCH_grid_index.json).
-_FPS_GRID_MIN_POINTS = 40_000
-# Target mean occupancy of an FPS grid cell.
-_FPS_POINTS_PER_CELL = 64
 # Grouping cells are this much wider than the radius, so that rounding in
 # the cell coordinates cannot push a point at distance exactly r two cells
 # away from its seed.
@@ -61,9 +61,9 @@ _GROUP_CELL_HAIR = 1.0 + 2.0**-20
 # Grouping gathers seeds' candidates in chunks of at most this share of the
 # candidate count (a single seed may exceed it), bounding peak memory.
 _GROUP_CHUNK_SHARE = 4
-# DBSCAN builds its neighbour lists in row blocks of at most this many
-# item pairs.
-_DBSCAN_BLOCK = 1 << 16
+# DBSCAN's neighbour lists and the covering prefix are built in row blocks
+# of at most this many item pairs.
+_PAIR_BLOCK = 1 << 16
 # Neighbour (x, y) columns of a cell; z neighbours are consecutive keys.
 _COLUMN_DX = np.repeat(np.arange(-1, 2), 3)
 _COLUMN_DY = np.tile(np.arange(-1, 2), 3)
@@ -151,11 +151,6 @@ class _VoxelGrid:
         np.clip(cells, -2, self.dims + 1, out=cells)
         return cells.astype(np.int64)
 
-    def bounds(self) -> np.ndarray:
-        """Start positions of the occupied cells, then the point count."""
-        change = np.flatnonzero(self.keys[1:] != self.keys[:-1]) + 1
-        return np.concatenate(([0], change, [len(self.keys)]))
-
 
 def _require_finite(points: np.ndarray, what: str) -> None:
     """Reject NaN or infinite rows, naming the first: grid cell keys and
@@ -241,19 +236,11 @@ def farthest_point_sample(points, count: int) -> np.ndarray:
         raise ValueError(f"count must be >= 1, got {count}")
     _require_finite(pts, "point")
     m = min(count, n)
-    first = int(np.argmax(_sq_dist_to(pts, pts.mean(axis=0))))
-    if n < _FPS_GRID_MIN_POINTS:
-        return _fps_all_points(pts, first, m)
-    return _fps_grid(pts, first, m)
-
-
-def _fps_all_points(pts: np.ndarray, first: int, m: int) -> np.ndarray:
-    """Max-min picks after ``first``, updating every point's distance."""
     x, y, z = _columns(pts)
     selected = np.empty(m, dtype=np.int64)
-    selected[0] = first
-    min_d2 = _sq_dist(x, y, z, *pts[first])
-    min_d2[first] = -np.inf  # selected points never win the argmax again
+    selected[0] = int(np.argmax(_sq_dist_to(pts, pts.mean(axis=0))))
+    min_d2 = _sq_dist(x, y, z, *pts[selected[0]])
+    min_d2[selected[0]] = -np.inf  # selected points never win the argmax again
     for i in range(1, m):
         nxt = int(np.argmax(min_d2))
         selected[i] = nxt
@@ -262,66 +249,30 @@ def _fps_all_points(pts: np.ndarray, first: int, m: int) -> np.ndarray:
     return selected
 
 
-def _fps_cell_edge(extent: np.ndarray, n: int) -> float:
-    """Edge of cells that would hold ``_FPS_POINTS_PER_CELL`` points each if
-    the points filled their bounding box, counting an axis thinner than a
-    cell as one cell thick."""
-    ext = np.sort(extent)[::-1]
-    for dim in (3, 2, 1):
-        edge = float(np.prod(ext[:dim]) * _FPS_POINTS_PER_CELL / n) ** (1.0 / dim)
-        if edge <= ext[dim - 1]:
-            break
-    return edge or 1.0
+def covering_prefix(picked_points, radius: float) -> int:
+    """Number of leading picks of a max-min selection that lie farther than
+    ``radius`` from every earlier pick.
 
-
-def _fps_grid(pts: np.ndarray, first: int, m: int) -> np.ndarray:
-    """The picks of ``_fps_all_points``, updating only cells a pick can reach.
-
-    Each cell keeps the max of its points' distance to the selected set and
-    the bounding box of its points' real coordinates. A pick rescans a cell
-    only if the box's squared distance to it is strictly below that max.
-    The box bound goes through the same kernel, and no point's coordinate
-    difference to the pick is smaller than the box's, so every skipped
-    point's distance to the pick is at least its current one.
+    A pick's squared distance to the earlier picks is the value farthest
+    point sampling selected it by, and those values never increase; so the
+    prefix ends exactly where sampling that stopped at a value <= radius**2
+    would end. At that point every point of the sampled cloud lies within
+    ``radius`` of a kept pick, by the kernel and inclusive test of
+    ``radius_group``. Pairs go in row blocks of at most ``_PAIR_BLOCK``.
     """
-    extent = np.array([pts[:, a].max() - pts[:, a].min() for a in range(3)])
-    grid = _VoxelGrid(pts, _fps_cell_edge(extent, len(pts)))
-    x, y, z = grid.x, grid.y, grid.z
-    bounds = grid.bounds()
-    starts = bounds[:-1]
-    box = [(np.minimum.reduceat(c, starts), np.maximum.reduceat(c, starts)) for c in (x, y, z)]
-
-    selected = np.empty(m, dtype=np.int64)
-    selected[0] = first
-    min_d2 = _sq_dist(x, y, z, *pts[first])
-    pos = int(np.flatnonzero(grid.order == first)[0])
-    min_d2[pos] = -np.inf
-    cell_max = np.maximum.reduceat(min_d2, starts)
-    for i in range(1, m):
-        # Lowest index among the points at the global max.
-        best = cell_max.max()
-        tied = np.flatnonzero(cell_max == best)
-        rows = _ranges(starts[tied], bounds[tied + 1] - starts[tied])
-        rows = rows[min_d2[rows] == best]
-        pos = int(rows[np.argmin(grid.order[rows])])
-        selected[i] = grid.order[pos]
-        min_d2[pos] = -np.inf
-        q = (x[pos], y[pos], z[pos])
-        gaps = []
-        for (lo, hi), qa in zip(box, q):
-            gap = np.maximum(lo - qa, qa - hi)
-            gaps.append(np.maximum(gap, 0.0, out=gap))
-        lower = _sq_dist(*gaps, 0.0, 0.0, 0.0)
-        # Rescan the pick's own cell even at a zero max, so its max drops the pick.
-        lower[np.searchsorted(bounds, pos, side="right") - 1] = -np.inf
-        hit = np.flatnonzero(lower < cell_max)
-        counts = bounds[hit + 1] - starts[hit]
-        rows = _ranges(starts[hit], counts)
-        d2 = _sq_dist(x, y, z, *q, rows)
-        np.minimum(d2, min_d2[rows], out=d2)
-        min_d2[rows] = d2
-        cell_max[hit] = np.maximum.reduceat(d2, np.cumsum(counts) - counts)
-    return selected
+    x, y, z = _columns(np.asarray(picked_points, dtype=np.float64).reshape(-1, 3))
+    k = len(x)
+    r2 = radius * radius
+    step = max(1, _PAIR_BLOCK // max(k, 1))
+    for start in range(1, k, step):
+        stop = min(start + step, k)
+        rows = slice(start, stop)
+        d2 = _sq_dist(x[:, None], y[:, None], z[:, None], x[:stop], y[:stop], z[:stop], rows)
+        earlier = np.arange(stop) < np.arange(start, stop)[:, None]
+        close = ((d2 <= r2) & earlier).any(axis=1)
+        if close.any():
+            return start + int(np.argmax(close))
+    return k
 
 
 def radius_group(seed_points, candidate_points, radius: float) -> list[np.ndarray]:
@@ -337,7 +288,7 @@ def radius_group(seed_points, candidate_points, radius: float) -> list[np.ndarra
     _require_finite(seeds, "seed")
     _require_finite(cands, "candidate")
     n = len(cands)
-    if n == 0:
+    if n == 0 or not len(seeds):
         return [np.empty(0, dtype=np.int64) for _ in seeds]
     grid = _VoxelGrid(cands, radius * _GROUP_CELL_HAIR)
     # Every candidate within the radius lies in the 3x3x3 cells around its
@@ -458,9 +409,9 @@ def _neighbor_pairs(items: np.ndarray, eps2: float) -> tuple[np.ndarray, np.ndar
     then j. Squared coordinate differences are summed column by column from
     the left, as ``((items[j] - items[i]) ** 2).sum()`` sums them for fewer
     than eight columns (for three, the module's one kernel); rows go in
-    blocks of at most ``_DBSCAN_BLOCK`` pairs."""
+    blocks of at most ``_PAIR_BLOCK`` pairs."""
     n, dims = items.shape
-    step = max(1, _DBSCAN_BLOCK // max(n, 1))
+    step = max(1, _PAIR_BLOCK // max(n, 1))
     rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for start in range(0, n, step):
         block = items[start : start + step]

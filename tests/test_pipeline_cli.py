@@ -176,6 +176,14 @@ class TestSegment:
             proposals, clusters, noise = (int(fields[i].split("=")[1]) for i in range(found - 1, found + 2))
             assert clusters >= 0 and noise >= 0 and clusters + noise <= proposals
             assert clusters >= 1 or noise == proposals
+            # Seeding ran on the window's thing points, reported after points=.
+            at = names.index("things")
+            assert names[at - 1 : at + 2] == ["points", "things", "proposals"]
+            points, things = (int(fields[i].split("=")[1]) for i in (at - 1, at))
+            assert 0 < things <= points and 0 < proposals <= things
+            # Oracle offsets put all of an object's votes on its center, so
+            # the covering prefix keeps one seed per object.
+            assert proposals == int(fields[names.index("instances")].split("=")[1])
         assert uncovered == stats.uncovered_thing_points
         log = (tmp_path / "out" / "00" / "run_log.txt").read_text().splitlines()
         assert log[: len(stats.window_rows)] == stats.window_rows
@@ -188,6 +196,17 @@ class TestSegment:
         end_to_end = log.index(f"end-to-end throughput: {stats.points_per_sec:,.0f} points/sec")
         core = log.index(f"core shift+fps+group throughput: {stats.core_points_per_sec:,.0f} points/sec")
         assert end_to_end < core
+
+    def test_reference_lstq_floor_under_offset_noise(self, reference_dataset, class_map, tmp_path):
+        # Seeds on thing points only, stopped at the grouping radius, keep
+        # each object's noisy votes together: 1.000 at sigma 0.3, where
+        # seeding on every point read 0.119.
+        config = _oracle_config(reference_dataset, tmp_path / "out", offset_sigma=0.3, noise_seed=7)
+        segment_sequence(config, "00")
+        reports, _ = evaluate_directories(
+            tmp_path / "out", reference_dataset.root, ("00",), class_map, tmp_path / "out"
+        )
+        assert reports["00"].lstq >= 0.99
 
     def test_raw_group_space_runs(self, small_dataset, tmp_path):
         # Grouping members by raw positions instead of shifted coordinates is
@@ -267,6 +286,56 @@ class TestSegment:
             from_labels = (tmp_path / "sem" / "00" / "predictions" / name).read_bytes()
             from_conf = (tmp_path / "conf_run" / "00" / "predictions" / name).read_bytes()
             assert from_conf == from_labels
+
+    @pytest.mark.parametrize("free_scans", [(2, 3), (0, 1)], ids=["between", "first"])
+    def test_window_without_thing_points_seeds_nothing(self, small_dataset, class_map, tmp_path, free_scans):
+        # Scans whose thing points are all relabelled stuff form one window
+        # with no thing-labelled point: either between two windows with
+        # objects, or the first window.
+        sem_dir = tmp_path / "sem"
+        off_dir = tmp_path / "off"
+        sem_dir.mkdir()
+        off_dir.mkdir()
+        stuff_raw = class_map.train_to_raw[np.flatnonzero(~class_map.thing_mask)[0]]
+        written = []
+        for k, scan in enumerate(small_dataset.scans):
+            semantic = small_dataset.gt.semantic[k]
+            raw = class_map.train_to_raw[semantic]
+            if k in free_scans:
+                raw = np.where(class_map.thing_mask[semantic], stuff_raw, raw)
+            written.append(raw)
+            sk_formats.write_labels(sem_dir / f"{k:06d}.label", np.stack([raw, np.zeros_like(raw)], axis=1))
+            delta = small_dataset.gt.centers[k] - scan.points
+            sk_formats.write_offsets(off_dir / f"{k:06d}.offset", delta)
+        config = PipelineConfig(
+            dataset_root=small_dataset.root, out_dir=tmp_path / "out", sequences=("00",), window_n=2,
+            source="files", semantic_dir=str(sem_dir), offset_dir=str(off_dir), offset_frame="sensor",
+        )
+        stats = segment_sequence(config, "00")
+        empty = free_scans[0]  # the window starting at the first free scan
+        rows = [dict(field.split("=") for field in row.split()[1:]) for row in stats.window_rows]
+        for w, (row, counts) in enumerate(zip(stats.window_rows, rows)):
+            if w == empty:
+                for name in ("things", "proposals", "clusters", "noise", "instances", "demoted", "contested"):
+                    assert counts[name] == "0", (name, row)
+            else:
+                assert int(counts["things"]) > 0 and int(counts["proposals"]) > 0, row
+
+        predictions = _read_predictions(tmp_path / "out", small_dataset.scans)
+        # Scans first written from the empty window keep their labels and no ids.
+        for k in range(empty, empty + 2) if empty == 0 else (empty + 1,):
+            assert (predictions[k].instance_id == 0).all()
+            assert np.array_equal(predictions[k].semantic_raw, written[k])
+        # The next window matches nothing and takes fresh ids, ascending from
+        # the first id not used by any earlier scan.
+        after = empty + 2
+        before = np.concatenate([predictions[k].instance_id for k in range(after)])
+        ids = np.unique(predictions[after].instance_id[predictions[after].instance_id > 0])
+        assert ids.size and np.array_equal(ids, np.arange(ids[0], ids[0] + len(ids)))
+        assert len(ids) == int(rows[empty + 1]["instances"])
+        assert ids[0] > before.max()
+        if empty == 0:
+            assert ids[0] == 1
 
     def test_missing_offset_file_names_scan(self, small_dataset, tmp_path):
         sem_dir = tmp_path / "sem"

@@ -6,14 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from panseg4d import proposal_engine
 from panseg4d.errors import EmptyAfterFilter, EmptyInput, LengthMismatch, NonFiniteValue
 from panseg4d.proposal_engine import (
-    _FPS_GRID_MIN_POINTS,
     _GROUP_CELL_HAIR,
     _GROUP_CHUNK_SHARE,
     NOISE,
     Proposal,
     aggregation_diagnostics,
+    covering_prefix,
     dbscan,
     farthest_point_sample,
     huber_center_loss,
@@ -21,8 +22,6 @@ from panseg4d.proposal_engine import (
     radius_group,
     refine_proposal,
     shift_to_centers,
-    _fps_all_points,
-    _fps_grid,
 )
 from panseg4d.semantic_prior import IGNORE, majority_label
 
@@ -53,6 +52,41 @@ def fps_oracle_light(points: np.ndarray, count: int) -> np.ndarray:
         np.minimum(min_d2, ((pts - pts[selected[-1]]) ** 2).sum(axis=-1), out=min_d2)
         min_d2[selected] = -np.inf
     return np.array(selected, dtype=np.int64)
+
+
+def fps_stop_oracle(points: np.ndarray, count: int, radius: float) -> np.ndarray:
+    """Greedy max-min selection of at most ``count`` points that stops
+    before the first pick whose distance to the selected set is at most
+    ``radius``."""
+    pts = np.asarray(points, dtype=np.float64)
+    selected = [int(np.argmax(((pts - pts.mean(axis=0)) ** 2).sum(axis=-1)))]
+    min_d2 = ((pts - pts[selected[0]]) ** 2).sum(axis=-1)
+    min_d2[selected] = -np.inf
+    while len(selected) < min(count, len(pts)):
+        nxt = int(np.argmax(min_d2))
+        if min_d2[nxt] <= radius * radius:
+            break
+        selected.append(nxt)
+        np.minimum(min_d2, ((pts - pts[nxt]) ** 2).sum(axis=-1), out=min_d2)
+        min_d2[selected] = -np.inf
+    return np.array(selected, dtype=np.int64)
+
+
+def prefix_cloud(rng: np.random.Generator, case: int, radius: float) -> np.ndarray:
+    """Seeded clouds for the covering prefix: uniform, lattice points exactly
+    ``radius`` apart, tight vote clumps, duplicated rows and single points."""
+    n = 1 if case % 11 == 0 else int(rng.integers(2, 300))
+    kind = case % 4
+    if kind == 0:
+        return rng.uniform(-5, 5, (n, 3))
+    if kind == 1:
+        return rng.integers(-4, 5, (n, 3)) * radius
+    if kind == 2:
+        centers = rng.uniform(-8, 8, (int(rng.integers(1, 8)), 3))
+        return centers[rng.integers(0, len(centers), n)] + rng.normal(0, radius / 4, (n, 3))
+    pts = rng.uniform(-3, 3, (n, 3))
+    pts[rng.choice(n, n // 2, replace=False)] = pts[0]
+    return pts
 
 
 def dbscan_oracle(items: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -266,6 +300,20 @@ class TestFarthestPointSample:
             count = int(rng.integers(1, n + 3))
             pts = rng.uniform(-10, 10, (n, 3))
             assert np.array_equal(farthest_point_sample(pts, count), fps_oracle(pts, count))
+        # Tie-heavy clouds: lattices, flat, collinear and all-identical ones,
+        # with picks up to the point count where only duplicates remain.
+        rng = np.random.default_rng(11)
+        for case in range(400):
+            n = int(rng.integers(1, 60))
+            pts = rng.integers(-3, 4, (n, 3)) * [0.3, 0.7, 0.1][case % 3]
+            if case % 5 == 1:
+                pts[:, 2] = 0.0
+            if case % 5 == 2:
+                pts[:, 1:] = 1.5
+            if case % 5 == 3:
+                pts[:] = pts[0]
+            count = int(rng.integers(1, n + 1))
+            assert np.array_equal(farthest_point_sample(pts, count), fps_oracle(pts, count))
 
     def test_greedy_optimality_property_exhaustive(self):
         # Every pick's min-distance to the previous picks is >= that of any
@@ -283,39 +331,17 @@ class TestFarthestPointSample:
                 assert min_d2[picks[k]] >= min_d2[others].max() - 1e-15
 
     def test_large_clouds_match_pick_by_pick_oracle(self):
-        # Exact picks on both sides of the grid cut, on clouds built to tie:
-        # lattice coordinates with a non-representable spacing, duplicates,
-        # and a dense clump that ties at distance zero once it is reached.
+        # Exact picks on large clouds built to tie: lattice coordinates with
+        # a non-representable spacing, duplicates, and a dense clump that
+        # ties at distance zero once it is reached.
         rng = np.random.default_rng(7)
-        cut = _FPS_GRID_MIN_POINTS
-        for n, count in ((2000, 40), (cut - 1, 60), (cut, 60), (cut + 4000, 90)):
+        for n, count in ((2000, 40), (40_000, 60), (44_000, 90)):
             lattice = rng.integers(-40, 41, (n, 3)) * 0.1
             lattice[rng.choice(n, n // 10, replace=False)] = lattice[: n // 10]
             lattice[-50:] = lattice[-1]
             assert np.array_equal(farthest_point_sample(lattice, count), fps_oracle_light(lattice, count))
             cloud = rng.uniform(-100, 100, (n, 3))
             assert np.array_equal(farthest_point_sample(cloud, count), fps_oracle_light(cloud, count))
-
-    def test_grid_path_matches_all_points_path(self):
-        # Both selection paths run on small, tie-heavy inputs, including
-        # flat, collinear and all-identical clouds and picks past the point
-        # count where only zero-distance duplicates remain.
-        rng = np.random.default_rng(11)
-        for case in range(400):
-            n = int(rng.integers(1, 60))
-            pts = rng.integers(-3, 4, (n, 3)) * [0.3, 0.7, 0.1][case % 3]
-            if case % 5 == 1:
-                pts[:, 2] = 0.0
-            if case % 5 == 2:
-                pts[:, 1:] = 1.5
-            if case % 5 == 3:
-                pts[:] = pts[0]
-            pts = pts.astype(np.float64)
-            m = int(rng.integers(1, n + 1))
-            first = int(np.argmax(((pts - pts.mean(axis=0)) ** 2).sum(axis=-1)))
-            want = fps_oracle(pts, m)
-            assert np.array_equal(_fps_grid(pts, first, m), want)
-            assert np.array_equal(_fps_all_points(pts, first, m), want)
 
     def test_duplicate_points_handled(self):
         pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0]])
@@ -329,6 +355,58 @@ class TestFarthestPointSample:
     def test_bad_count(self):
         with pytest.raises(ValueError):
             farthest_point_sample(np.zeros((2, 3)), 0)
+
+
+class TestCoveringPrefix:
+    RADII = (0.5, 0.6, 1.0)
+
+    def test_matches_sampling_that_stops_at_the_radius(self):
+        rng = np.random.default_rng(31)
+        for case in range(400):
+            radius = self.RADII[case % 3]
+            pts = prefix_cloud(rng, case, radius)
+            count = int(rng.integers(1, len(pts) + 3))
+            picks = farthest_point_sample(pts, count)
+            got = picks[: covering_prefix(pts[picks], radius)]
+            assert np.array_equal(got, fps_stop_oracle(pts, count, radius))
+
+    def test_row_blocks_do_not_change_the_prefix(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        cases = []
+        for case in range(60):
+            radius = self.RADII[case % 3]
+            pts = prefix_cloud(rng, case, radius)
+            picked = pts[farthest_point_sample(pts, len(pts))]
+            cases.append((picked, radius, covering_prefix(picked, radius)))
+        for block in (1, 7, 300):
+            monkeypatch.setattr(proposal_engine, "_PAIR_BLOCK", block)
+            for picked, radius, want in cases:
+                assert covering_prefix(picked, radius) == want
+
+    def test_boundary_is_inclusive(self):
+        assert covering_prefix(np.array([[0.0, 0, 0], [0.5, 0, 0]]), 0.5) == 1
+        assert covering_prefix(np.array([[0.0, 0, 0], [np.nextafter(0.5, 1), 0, 0]]), 0.5) == 2
+        assert covering_prefix(np.array([[1.0, 2, 3], [1.0, 2, 3]]), 0.6) == 1
+        assert covering_prefix(np.array([[1.0, 2, 3]]), 0.6) == 1
+
+    def test_groups_of_the_prefix_cover_every_sampled_point(self):
+        # Seeds sampled from a subset (the thing points) and grouped over the
+        # whole cloud in the same space: every sampled point joins a group.
+        rng = np.random.default_rng(33)
+        for case in range(200):
+            radius = self.RADII[case % 3]
+            things = prefix_cloud(rng, case, radius)
+            stuff = rng.uniform(-10, 10, (int(rng.integers(0, 400)), 3))
+            cloud = np.concatenate([things, stuff])
+            order = rng.permutation(len(cloud))
+            cloud = cloud[order]
+            thing = np.flatnonzero(order < len(things))
+            picks = thing[farthest_point_sample(cloud[thing], len(thing))]
+            seeds = picks[: covering_prefix(cloud[picks], radius)]
+            groups = radius_group(cloud[seeds], cloud, radius)
+            covered = np.zeros(len(cloud), dtype=bool)
+            covered[np.concatenate(groups)] = True
+            assert covered[thing].all()
 
 
 class TestRadiusGroup:
