@@ -9,6 +9,10 @@ Subcommands:
 * ``ablate``    sweep a label-noise grid and tabulate the scores
 * ``inspect``   dump header/stats of any supported file
 
+``segment`` takes a sequence's windows in order, on a thread pool when
+``threads > 1``. Each window is stitched and its new scans are written as
+soon as its result arrives; only the previous window's result is kept.
+
 Configuration comes from one plain-text key-value file plus flag overrides;
 flags win. Diagnostics go to stderr, data to files. Exit code 0 iff no
 errors.
@@ -22,6 +26,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -311,6 +316,8 @@ def _segment_window(config, window, scans, lidar_poses, labels, provider, thing_
         "proposals": len(proposals),
         "clusters": int(cluster_ids.max()) + 1 if len(cluster_ids) else 0,
         "noise": int((cluster_ids == NOISE).sum()),
+        # Merge numbers kept instances 1..M and stitching maps them one to one.
+        "instances": int(segmentation.instance.max(initial=0)),
     }
     return result, timing, counters
 
@@ -327,63 +334,54 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
     labels = [argmax_labels(provider.semantic_prior(k).matrix) for k in range(len(scans))]
     windows = plan_windows(len(scans), config.window_n, config.effective_stride)
     scan_sizes = [len(scan) for scan in scans]
-
-    def job(window):
-        return _segment_window(config, window, scans, lidar_poses, labels, provider, class_map.thing_mask)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(job, windows))
-    else:
-        results = [job(window) for window in windows]
-
     out_seq = Path(config.out_dir) / sequence
     pred_dir = out_seq / "predictions"
     pred_dir.mkdir(parents=True, exist_ok=True)
 
+    def job(window):
+        return _segment_window(config, window, scans, lidar_poses, labels, provider, class_map.thing_mask)
+
     state = TrackState()
     previous: WindowSegmentation | None = None
-    emitted = [False] * len(scans)
+    written = 0  # scans before this index have their prediction file
     window_rows: list[str] = []
     core_time = 0.0
     core_points = 0
     uncovered_total = 0
-    for (window_seg, timing, counters), window in zip(results, windows):
-        overlap = (
-            overlap_origins_between(previous.window, window, scan_sizes)
-            if previous is not None
-            else np.zeros((0, 2), dtype=np.int64)
-        )
-        state, stitched = stitch(state, previous, window_seg, overlap)
-        previous = stitched
-        seg = stitched.segmentation
-        n_instances = len(np.unique(seg.instance[seg.instance > 0]))
-        uncovered_total += seg.uncovered_thing_points
-        core = timing["shift"] + timing["fps"] + timing["group"]
-        core_time += core
-        core_points += counters["points"]
-        row = (
-            f"window start={window[0]} n={window[1]} "
-            + "".join(f"{name}={count} " for name, count in counters.items())
-            + f"instances={n_instances} "
-            f"uncovered={seg.uncovered_thing_points} demoted={seg.instances_demoted} "
-            f"contested={seg.contested_points} "
-            + " ".join(f"{name}={seconds * 1e3:.1f}ms" for name, seconds in timing.items())
-        )
-        window_rows.append(row)
-        logger.info("%s: %s", sequence, row)
-
-        for scan_index in range(window[0], window[0] + window[1]):
-            if emitted[scan_index]:
-                continue
-            rows = stitched.rows_for_scan(scan_index)
-            raw_semantic = class_map.train_to_raw[stitched.segmentation.semantic[rows]]
-            instance = stitched.segmentation.instance[rows]
-            sk_formats.write_predictions(
-                pred_dir / f"{scan_index:06d}.label",
-                np.stack([raw_semantic, instance], axis=1),
+    # Both maps yield results lazily in window order; each window is stitched
+    # against the previous one and its new scans written as it arrives.
+    with ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else nullcontext() as pool:
+        results = pool.map(job, windows) if pool else map(job, windows)
+        for window, (window_seg, timing, counters) in zip(windows, results):
+            overlap = (
+                overlap_origins_between(previous.window, window, scan_sizes)
+                if previous is not None
+                else np.zeros((0, 2), dtype=np.int64)
             )
-            emitted[scan_index] = True
+            state, previous = stitch(state, previous, window_seg, overlap)
+            seg = previous.segmentation
+            uncovered_total += seg.uncovered_thing_points
+            core_time += timing["shift"] + timing["fps"] + timing["group"]
+            core_points += counters["points"]
+            row = (
+                f"window start={window[0]} n={window[1]} "
+                + "".join(f"{name}={count} " for name, count in counters.items())
+                + f"uncovered={seg.uncovered_thing_points} demoted={seg.instances_demoted} "
+                f"contested={seg.contested_points} "
+                + " ".join(f"{name}={seconds * 1e3:.1f}ms" for name, seconds in timing.items())
+            )
+            window_rows.append(row)
+            logger.info("%s: %s", sequence, row)
+
+            # Window starts never pass the cursor, so the scans from it to this
+            # window's end are held first by this window.
+            for scan_index in range(written, window[0] + window[1]):
+                rows = previous.rows_for_scan(scan_index)
+                sk_formats.write_predictions(
+                    pred_dir / f"{scan_index:06d}.label",
+                    np.stack([class_map.train_to_raw[seg.semantic[rows]], seg.instance[rows]], axis=1),
+                )
+            written = window[0] + window[1]
 
     rate = core_points / core_time if core_time > 0 else float("inf")
     stats = SegmentStats(
@@ -433,17 +431,17 @@ def evaluate_directories(
     for sequence in sequences:
         seq_dir = Path(dataset_root) / sequence
         evaluator = SequenceEvaluator(class_map)
+        # Predictions live under <seq>/predictions; a root without that
+        # directory is scored from <seq>/labels, so a dataset can be scored
+        # against itself. The choice holds for every scan of the sequence.
+        pred_dir = Path(pred_root) / sequence / "predictions"
+        if not pred_dir.is_dir():
+            pred_dir = Path(pred_root) / sequence / "labels"
         for stem, count in _sequence_scan_counts(seq_dir):
             gt_path = seq_dir / "labels" / f"{stem}.label"
-            # Predictions live under <seq>/predictions; falling back to
-            # <seq>/labels lets a dataset be scored against itself.
-            pred_path = Path(pred_root) / sequence / "predictions" / f"{stem}.label"
+            pred_path = pred_dir / f"{stem}.label"
             if not pred_path.exists():
-                fallback = Path(pred_root) / sequence / "labels" / f"{stem}.label"
-                if fallback.exists():
-                    pred_path = fallback
-                else:
-                    raise CountMismatch(f"missing prediction file {pred_path}")
+                raise CountMismatch(f"missing prediction file {pred_path}")
             gt = sk_formats.read_labels(gt_path, count)
             pred = sk_formats.read_labels(pred_path, count)
             gt_sem = remap(gt, class_map)

@@ -29,7 +29,7 @@ over the window per instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -182,16 +182,12 @@ class InstanceSegmentation:
 
     semantic: np.ndarray  # (n,) int64
     instance: np.ndarray  # (n,) int64
-    scope: str = "window"  # "window" | "sequence"
     uncovered_thing_points: int = 0
     instances_demoted: int = 0  # instances voted a stuff majority
     contested_points: int = 0  # points claimed by more than one instance
 
     def __len__(self) -> int:
         return len(self.semantic)
-
-    def with_instance(self, instance: np.ndarray, scope: str | None = None) -> "InstanceSegmentation":
-        return replace(self, instance=instance, scope=scope or self.scope)
 
 
 class CenterLoss(NamedTuple):
@@ -258,21 +254,12 @@ def covering_prefix(picked_points, radius: float) -> int:
     prefix ends exactly where sampling that stopped at a value <= radius**2
     would end. At that point every point of the sampled cloud lies within
     ``radius`` of a kept pick, by the kernel and inclusive test of
-    ``radius_group``. Pairs go in row blocks of at most ``_PAIR_BLOCK``.
+    ``radius_group``.
     """
-    x, y, z = _columns(np.asarray(picked_points, dtype=np.float64).reshape(-1, 3))
-    k = len(x)
-    r2 = radius * radius
-    step = max(1, _PAIR_BLOCK // max(k, 1))
-    for start in range(1, k, step):
-        stop = min(start + step, k)
-        rows = slice(start, stop)
-        d2 = _sq_dist(x[:, None], y[:, None], z[:, None], x[:stop], y[:stop], z[:stop], rows)
-        earlier = np.arange(stop) < np.arange(start, stop)[:, None]
-        close = ((d2 <= r2) & earlier).any(axis=1)
-        if close.any():
-            return start + int(np.argmax(close))
-    return k
+    picked = np.asarray(picked_points, dtype=np.float64).reshape(-1, 3)
+    row, col = _neighbor_pairs(picked, radius * radius)
+    later = row[col < row]
+    return int(later[0]) if len(later) else len(picked)
 
 
 def radius_group(seed_points, candidate_points, radius: float) -> list[np.ndarray]:
@@ -562,7 +549,6 @@ def merge_and_assign(
     return InstanceSegmentation(
         semantic=semantic,
         instance=final_instance,
-        scope="window",
         uncovered_thing_points=uncovered,
         instances_demoted=int((voted & ~kept).sum()),
         contested_points=contested,

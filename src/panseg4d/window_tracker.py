@@ -10,7 +10,7 @@ points and competitors on a handful.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,7 +118,7 @@ def stitch(
     relabeled = table[local]
 
     return state, WindowSegmentation(
-        segmentation=new_window.segmentation.with_instance(relabeled, scope="sequence"),
+        segmentation=replace(new_window.segmentation, instance=relabeled),
         origins=new_window.origins,
         window=new_window.window,
     )

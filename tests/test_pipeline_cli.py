@@ -1,10 +1,14 @@
 """CLI workflows: synth, segment, evaluate, ablate, inspect, determinism."""
 
+import shutil
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from panseg4d import sk_formats
-from panseg4d.errors import ConfigError, NoOverlapWarning
+from panseg4d import pipeline_cli, sk_formats
+from panseg4d.errors import ConfigError, CountMismatch, NoOverlapWarning
 from panseg4d.pipeline_cli import (
     PipelineConfig,
     bundled_path,
@@ -17,6 +21,7 @@ from panseg4d.pipeline_cli import (
     run_ablation,
     segment_sequence,
 )
+from panseg4d.synthlab import SceneConfig, generate, write_dataset
 
 class TestPlanWindows:
     def test_unit_stride_covers_every_scan(self):
@@ -362,6 +367,79 @@ class TestSegment:
             segment_sequence(config, "00")
 
 
+@pytest.fixture(scope="module")
+def six_scan_dataset(tmp_path_factory, class_map):
+    scene = SceneConfig(
+        n_scans=6, points_per_scan=1500, n_objects=3, object_classes=(0, 5, 3),
+        plane_extent=8.0, n_boxes=2, seed=7,
+    )
+    root = tmp_path_factory.mktemp("six_scan_dataset")
+    scans, poses, gt = generate(scene)
+    write_dataset(root, "00", scans, poses, gt, class_map)
+    scene.save(root / "scene.cfg")
+    return SimpleNamespace(root=root, scene_path=root / "scene.cfg", scans=scans)
+
+
+class TestOnePass:
+    """Each window is stitched and its scans written before the next one runs."""
+
+    def test_first_scan_is_written_before_the_last_window_starts(self, small_dataset, tmp_path, monkeypatch):
+        first = tmp_path / "out" / "00" / "predictions" / "000000.label"
+        written_at_start = {}
+        segment_window = pipeline_cli._segment_window
+
+        def spy(config, window, *args):
+            written_at_start[window] = first.exists()
+            return segment_window(config, window, *args)
+
+        monkeypatch.setattr(pipeline_cli, "_segment_window", spy)
+        segment_sequence(_oracle_config(small_dataset, tmp_path / "out", threads=1), "00")
+        windows = plan_windows(len(small_dataset.scans), 2, 1)
+        assert list(written_at_start) == windows
+        assert not written_at_start[windows[0]]
+        assert written_at_start[windows[-1]]
+
+    @pytest.mark.filterwarnings("ignore::panseg4d.errors.NoOverlapWarning")
+    @pytest.mark.parametrize(
+        "window_n, stride, windows",
+        [(4, 3, [(0, 4), (2, 4)]), (3, 3, [(0, 3), (3, 3)])],
+        ids=["clipped-tail", "stride-equals-window"],
+    )
+    def test_each_scan_is_written_once_by_the_first_window_holding_it(
+        self, six_scan_dataset, tmp_path, monkeypatch, window_n, stride, windows
+    ):
+        assert plan_windows(6, window_n, stride) == windows
+        started, writes = [], []
+        segment_window = pipeline_cli._segment_window
+        write_predictions = sk_formats.write_predictions
+
+        def spy_window(config, window, *args):
+            started.append(window)
+            return segment_window(config, window, *args)
+
+        def spy_write(path, labels):
+            writes.append((int(Path(path).stem), started[-1]))
+            write_predictions(path, labels)
+
+        monkeypatch.setattr(pipeline_cli, "_segment_window", spy_window)
+        monkeypatch.setattr(sk_formats, "write_predictions", spy_write)
+        for threads in (1, 2):
+            config = _oracle_config(
+                six_scan_dataset, tmp_path / f"t{threads}", window_n=window_n, stride=stride, threads=threads
+            )
+            segment_sequence(config, "00")
+        serial, pooled = writes[:6], writes[6:]
+        # With one thread the window that writes a scan is the last one started.
+        first_holder = [next(w for w in windows if w[0] <= k < w[0] + w[1]) for k in range(6)]
+        assert serial == list(zip(range(6), first_holder))
+        assert [k for k, _ in pooled] == list(range(6))
+        for k in range(6):
+            name = f"{k:06d}.label"
+            a = (tmp_path / "t1" / "00" / "predictions" / name).read_bytes()
+            b = (tmp_path / "t2" / "00" / "predictions" / name).read_bytes()
+            assert a == b
+
+
 class TestEvaluate:
     def test_dataset_against_itself_scores_one(self, small_dataset, class_map, tmp_path):
         reports, overall = evaluate_directories(
@@ -372,6 +450,18 @@ class TestEvaluate:
         kv = (tmp_path / "rep" / "report_00.kv").read_text()
         assert "lstq: 100.00" in kv
         assert "iou.car:" in kv
+
+    def test_missing_prediction_file_raises_beside_complete_labels(self, small_dataset, class_map, tmp_path):
+        # A root with predictions/ is scored from it alone: a scan missing
+        # there is an error, not ground truth read from labels/.
+        seq = tmp_path / "pred" / "00"
+        shutil.copytree(small_dataset.root / "00" / "labels", seq / "labels")
+        (seq / "predictions").mkdir()
+        for k in range(len(small_dataset.scans)):
+            if k != 2:
+                shutil.copy(seq / "labels" / f"{k:06d}.label", seq / "predictions")
+        with pytest.raises(CountMismatch, match="predictions/000002.label"):
+            evaluate_directories(tmp_path / "pred", small_dataset.root, ("00",), class_map, tmp_path / "rep")
 
     def test_fixture_scores_reproduce_published_values(self, tmp_path):
         rows = reemit_fixture_scores(bundled_path("reference_scores.txt"), tmp_path / "fx.kv")

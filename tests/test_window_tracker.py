@@ -25,7 +25,6 @@ def make_window(start, scan_sizes, instance_rows, semantic_value=0):
     seg = InstanceSegmentation(
         semantic=np.full(len(instance), semantic_value, dtype=np.int64),
         instance=instance,
-        scope="window",
     )
     return WindowSegmentation(seg, np.concatenate(origins), (start, len(scan_sizes)))
 
