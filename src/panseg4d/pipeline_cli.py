@@ -10,8 +10,9 @@ Subcommands:
 * ``inspect``   dump header/stats of any supported file
 
 ``segment`` takes a sequence's windows in order, on a thread pool when
-``threads > 1``. Each window is stitched and its new scans are written as
-soon as its result arrives; only the previous window's result is kept.
+``threads > 1``, with at most ``threads + 1`` windows submitted and not yet
+stitched. Each window is stitched and its new scans are written as soon as
+its result arrives; only the previous window's result is kept.
 
 Configuration comes from one plain-text key-value file plus flag overrides;
 flags win. Diagnostics go to stderr, data to files. Exit code 0 iff no
@@ -25,6 +26,7 @@ import logging
 import os
 import sys
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
@@ -41,6 +43,7 @@ from .proposal_engine import (
     DEFAULT_DBSCAN_MIN_PTS,
     DEFAULT_GROUP_RADIUS_M,
     NOISE,
+    covering_bound,
     covering_prefix,
     dbscan,
     default_proposal_count,
@@ -280,11 +283,16 @@ def _segment_window(config, window, scans, lidar_poses, labels, provider, thing_
 
     def sample_seeds():
         if not len(thing):
-            return thing
-        picks = thing[farthest_point_sample(centers[thing], k)]
-        return picks[: covering_prefix(centers[picks], config.group_radius_m)]
+            return thing, 0
+        # A covering prefix holds at most covering_bound picks, and the first
+        # m picks do not depend on the count asked for, so the prefix of the
+        # first min(k, bound) picks is the prefix of all k.
+        votes = centers[thing]
+        count = min(k, covering_bound(votes, config.group_radius_m))
+        picks = thing[farthest_point_sample(votes, count)]
+        return picks[: covering_prefix(centers[picks], config.group_radius_m)], len(picks)
 
-    seed_indices = clock("fps", sample_seeds)
+    seed_indices, picks = clock("fps", sample_seeds)
     group_candidates = centers if config.group_space == "shifted" else cloud.positions
     groups = clock(
         "group", lambda: radius_group(centers[seed_indices], group_candidates, config.group_radius_m)
@@ -313,6 +321,7 @@ def _segment_window(config, window, scans, lidar_poses, labels, provider, thing_
     counters = {
         "points": len(cloud),
         "things": len(thing),
+        "picks": picks,
         "proposals": len(proposals),
         "clusters": int(cluster_ids.max()) + 1 if len(cluster_ids) else 0,
         "noise": int((cluster_ids == NOISE).sum()),
@@ -320,6 +329,19 @@ def _segment_window(config, window, scans, lidar_poses, labels, provider, thing_
         "instances": int(segmentation.instance.max(initial=0)),
     }
     return result, timing, counters
+
+
+def _in_order(pool, fn, items, limit: int):
+    """``fn`` over ``items`` on ``pool``, results yielded in item order, with
+    at most ``limit`` items submitted and not yet consumed (a result is
+    consumed when the next one is asked for)."""
+    pending = deque()
+    for item in items:
+        if len(pending) == limit:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
 
 
 def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
@@ -348,10 +370,11 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
     core_time = 0.0
     core_points = 0
     uncovered_total = 0
-    # Both maps yield results lazily in window order; each window is stitched
-    # against the previous one and its new scans written as it arrives.
+    # Results arrive lazily in window order; each window is stitched against
+    # the previous one and its new scans written as it arrives. The pool runs
+    # at most one window ahead of its threads, so few results wait.
     with ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else nullcontext() as pool:
-        results = pool.map(job, windows) if pool else map(job, windows)
+        results = _in_order(pool, job, windows, config.threads + 1) if pool else map(job, windows)
         for window, (window_seg, timing, counters) in zip(windows, results):
             overlap = (
                 overlap_origins_between(previous.window, window, scan_sizes)

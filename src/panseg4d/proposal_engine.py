@@ -17,14 +17,17 @@ against reference implementations using ``((a - b) ** 2).sum(axis=-1)``.
 Radius grouping finds its candidates through a sorted voxel grid, which
 narrows the points each query evaluates and changes no result. Farthest
 point sampling scans every sampled point per pick: it runs on a window's
-thing-labelled points only, a few thousand at most. Refinement takes all
-of a window's groups in one call and reduces their concatenated members
-with bincount and reduceat passes. DBSCAN builds its neighbour lists once,
-in row blocks, and labels the core components by label propagation with
-pointer jumping. Merging handles the window's claims as one flat list: a
-fixed number of sort, reduceat and bincount passes resolve multiple claims,
-vote the majority labels and demote stuff-majority instances, with no pass
-over the window per instance.
+thing-labelled points only, a few thousand at most, and is asked for no
+more picks than a covering prefix can use. That bound counts the occupied
+cells of a grid whose cell diagonal is shorter than the grouping radius;
+picks do not depend on the count asked for, so the prefix is unchanged.
+Refinement takes all of a window's groups in one call and reduces their
+concatenated members with bincount and reduceat passes. DBSCAN builds its
+neighbour lists once, in row blocks, and labels the core components by
+label propagation with pointer jumping. Merging handles the window's claims
+as one flat list: a fixed number of sort, reduceat and bincount passes
+resolve multiple claims, vote the majority labels and demote stuff-majority
+instances, with no pass over the window per instance.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ DEFAULT_HUBER_DELTA_M = 1.0
 def default_proposal_count(n_points: int) -> int:
     """Cap on the seeds sampled per window of ``n_points`` points: 100 at
     desk scale, growing with cloud size. Sampling runs on the window's
-    thing-labelled points and usually stops earlier, at the covering
-    prefix."""
+    thing-labelled points and keeps only the covering prefix; it is asked
+    for fewer picks than this cap whenever ``covering_bound`` shows that
+    the prefix must end sooner."""
     return max(100, n_points // 500)
 
 
@@ -58,6 +62,9 @@ def default_proposal_count(n_points: int) -> int:
 # the cell coordinates cannot push a point at distance exactly r two cells
 # away from its seed.
 _GROUP_CELL_HAIR = 1.0 + 2.0**-20
+# Covering-bound cells are this much narrower than radius / sqrt(3), so that
+# rounding cannot put two points farther apart than the radius in one cell.
+_BOUND_CELL_HAIR = 1.0 - 2.0**-20
 # Grouping gathers seeds' candidates in chunks of at most this share of the
 # candidate count (a single seed may exceed it), bounding peak memory.
 _GROUP_CHUNK_SHARE = 4
@@ -260,6 +267,27 @@ def covering_prefix(picked_points, radius: float) -> int:
     row, col = _neighbor_pairs(picked, radius * radius)
     later = row[col < row]
     return int(later[0]) if len(later) else len(picked)
+
+
+def covering_bound(points, radius: float) -> int:
+    """Upper bound on the covering prefix of any max-min selection from
+    ``points`` at ``radius``: the number of occupied cubic cells of edge
+    just under ``radius / sqrt(3)``.
+
+    A cell's diagonal is shorter than the radius, so no two picks of a
+    covering prefix share a cell; the hair below 1 outweighs the rounding
+    of cell coordinates at any grid that fits. A grid that had to widen its
+    cells to fit gives no such bound, and the point count is returned.
+    """
+    if radius <= 0:
+        raise ValueError(f"covering radius must be positive, got {radius}")
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if not len(pts):
+        return 0
+    _require_finite(pts, "point")
+    edge = radius / np.sqrt(3.0) * _BOUND_CELL_HAIR
+    grid = _VoxelGrid(pts, edge)
+    return int(np.count_nonzero(_run_heads(grid.keys))) if grid.edge == edge else len(pts)
 
 
 def radius_group(seed_points, candidate_points, radius: float) -> list[np.ndarray]:

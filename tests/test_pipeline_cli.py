@@ -1,6 +1,8 @@
 """CLI workflows: synth, segment, evaluate, ablate, inspect, determinism."""
 
 import shutil
+import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -181,11 +183,12 @@ class TestSegment:
             proposals, clusters, noise = (int(fields[i].split("=")[1]) for i in range(found - 1, found + 2))
             assert clusters >= 0 and noise >= 0 and clusters + noise <= proposals
             assert clusters >= 1 or noise == proposals
-            # Seeding ran on the window's thing points, reported after points=.
+            # Seeding ran on the window's thing points, reported after points=,
+            # and asked FPS for picks= of them, of which the prefix is kept.
             at = names.index("things")
-            assert names[at - 1 : at + 2] == ["points", "things", "proposals"]
-            points, things = (int(fields[i].split("=")[1]) for i in (at - 1, at))
-            assert 0 < things <= points and 0 < proposals <= things
+            assert names[at - 1 : at + 3] == ["points", "things", "picks", "proposals"]
+            points, things, picks = (int(fields[i].split("=")[1]) for i in (at - 1, at, at + 1))
+            assert 0 < things <= points and 0 < proposals <= picks <= things
             # Oracle offsets put all of an object's votes on its center, so
             # the covering prefix keeps one seed per object.
             assert proposals == int(fields[names.index("instances")].split("=")[1])
@@ -212,6 +215,30 @@ class TestSegment:
             tmp_path / "out", reference_dataset.root, ("00",), class_map, tmp_path / "out"
         )
         assert reports["00"].lstq >= 0.99
+
+    @pytest.mark.parametrize(
+        "noise", [dict(), dict(offset_sigma=0.3, flip_prob=0.1, noise_seed=7, k_proposals=3000)],
+        ids=["oracle", "noisy"],
+    )
+    def test_covering_bound_changes_no_prediction(self, reference_dataset, tmp_path, monkeypatch, noise):
+        # FPS asked for at most covering_bound picks keeps the same seeds as
+        # FPS asked for every pick up to the cap. Oracle votes end the
+        # prefix at one seed per object; noisy votes and flipped labels give
+        # prefixes of hundreds, under a cap raised above the bound.
+        def run(out):
+            config = _oracle_config(reference_dataset, out, **noise)
+            stats = segment_sequence(config, "00")
+            return [int(row.split("picks=")[1].split()[0]) for row in stats.window_rows]
+
+        bounded = run(tmp_path / "bounded")
+        monkeypatch.setattr(pipeline_cli, "covering_bound", lambda pts, r: len(pts))
+        full = run(tmp_path / "full")
+        assert all(b <= f for b, f in zip(bounded, full)) and sum(bounded) < sum(full)
+        for k in range(len(reference_dataset.scans)):
+            name = f"{k:06d}.label"
+            a = (tmp_path / "bounded" / "00" / "predictions" / name).read_bytes()
+            b = (tmp_path / "full" / "00" / "predictions" / name).read_bytes()
+            assert a == b
 
     def test_raw_group_space_runs(self, small_dataset, tmp_path):
         # Grouping members by raw positions instead of shifted coordinates is
@@ -438,6 +465,32 @@ class TestOnePass:
             a = (tmp_path / "t1" / "00" / "predictions" / name).read_bytes()
             b = (tmp_path / "t2" / "00" / "predictions" / name).read_bytes()
             assert a == b
+
+    def test_pool_runs_at_most_one_window_ahead_of_its_threads(self, six_scan_dataset, tmp_path, monkeypatch):
+        threads = 2
+        lock = threading.Lock()
+        started, stitched, ahead = [0], [0], []
+        segment_window = pipeline_cli._segment_window
+        stitch = pipeline_cli.stitch
+
+        def spy_window(*args):
+            with lock:
+                started[0] += 1
+                ahead.append(started[0] - stitched[0])
+            return segment_window(*args)
+
+        def slow_stitch(*args):
+            time.sleep(0.05)
+            result = stitch(*args)
+            with lock:
+                stitched[0] += 1
+            return result
+
+        monkeypatch.setattr(pipeline_cli, "_segment_window", spy_window)
+        monkeypatch.setattr(pipeline_cli, "stitch", slow_stitch)
+        segment_sequence(_oracle_config(six_scan_dataset, tmp_path / "out", threads=threads), "00")
+        assert started[0] == stitched[0] == len(plan_windows(6, 2, 1))
+        assert max(ahead) <= threads + 1
 
 
 class TestEvaluate:

@@ -14,6 +14,7 @@ from panseg4d.proposal_engine import (
     NOISE,
     Proposal,
     aggregation_diagnostics,
+    covering_bound,
     covering_prefix,
     dbscan,
     farthest_point_sample,
@@ -407,6 +408,66 @@ class TestCoveringPrefix:
             covered = np.zeros(len(cloud), dtype=bool)
             covered[np.concatenate(groups)] = True
             assert covered[thing].all()
+
+
+class TestCoveringBound:
+    RADII = (0.5, 0.6, 1.0)
+
+    @staticmethod
+    def cloud(rng: np.random.Generator, case: int, radius: float) -> np.ndarray:
+        """Uniform, lattice at the cell edge radius/sqrt(3), lattice at the
+        radius far from the origin, vote clumps, one repeated point, and a
+        checkerboard lattice whose points all lie farther than the radius
+        apart but closer than it along every axis."""
+        n = int(rng.integers(1, 300))
+        kind = case % 6
+        if kind == 0:
+            return prefix_cloud(rng, 0, radius)
+        if kind == 1:
+            return rng.integers(-4, 5, (n, 3)) * (radius / np.sqrt(3.0))
+        if kind == 2:
+            return rng.integers(-4, 5, (n, 3)) * radius + 1e4
+        if kind == 3:
+            return prefix_cloud(rng, 2, radius)
+        if kind == 4:
+            return np.repeat(rng.uniform(-3, 3, (1, 3)), n, axis=0)
+        cells = rng.integers(-4, 5, (n, 3))
+        cells = cells[cells.sum(axis=1) % 2 == 0]
+        return (cells if len(cells) else np.zeros((1, 3))) * (0.75 * radius) + rng.uniform(-5, 5, 3)
+
+    def test_bounds_the_prefix_and_asking_for_the_bound_keeps_the_prefix(self):
+        rng = np.random.default_rng(34)
+        for case in range(300):
+            radius = self.RADII[case % 3]
+            pts = self.cloud(rng, case, radius)
+            bound = covering_bound(pts, radius)
+            assert covering_prefix(pts[farthest_point_sample(pts, len(pts))], radius) <= bound <= len(pts)
+            count = int(rng.integers(1, len(pts) + 3))
+            picks = farthest_point_sample(pts, min(count, bound))
+            got = picks[: covering_prefix(pts[picks], radius)]
+            assert np.array_equal(got, fps_stop_oracle(pts, count, radius))
+
+    def test_points_just_over_the_radius_apart_never_share_a_cell(self):
+        for radius in self.RADII:
+            step = radius / np.sqrt(3.0) * (1 + 2.0**-16)
+            pts = np.array([[0.0, 0, 0], [step, step, step]])
+            assert covering_prefix(pts[farthest_point_sample(pts, 2)], radius) == 2
+            assert covering_bound(pts, radius) == 2
+
+    def test_widened_grid_falls_back_to_the_point_count(self):
+        assert covering_bound(np.array([[0.0, 0, 0], [1e6, 0, 0]]), 0.6) == 2
+        # The widened cells would hold the first two points together although
+        # both start the covering prefix.
+        pts = np.array([[0.0, 0, 0], [0.7, 0, 0], [1e6, 0, 0]])
+        assert covering_prefix(pts[farthest_point_sample(pts, 3)], 0.6) == 3
+        assert covering_bound(pts, 0.6) == 3
+
+    def test_empty_and_bad_input(self):
+        assert covering_bound(np.zeros((0, 3)), 0.6) == 0
+        with pytest.raises(ValueError):
+            covering_bound(np.zeros((2, 3)), 0.0)
+        with pytest.raises(NonFiniteValue):
+            covering_bound(np.array([[0.0, 0, 0], [np.nan, 0, 0]]), 0.6)
 
 
 class TestRadiusGroup:
