@@ -11,8 +11,11 @@ Subcommands:
 
 ``segment`` takes a sequence's windows in order, on a thread pool when
 ``threads > 1``, with at most ``threads + 1`` windows submitted and not yet
-stitched. Each window is stitched and its new scans are written as soon as
-its result arrives; only the previous window's result is kept.
+stitched. The first window job holding a scan reduces that scan's prior to
+train ids; later windows holding it wait for that result. Each window is
+stitched and its new scans are written as soon as its result arrives; only
+the previous window's result and the reduced priors of scans from the next
+window on are kept.
 
 Configuration comes from one plain-text key-value file plus flag overrides;
 flags win. Diagnostics go to stderr, data to files. Exit code 0 iff no
@@ -27,7 +30,7 @@ import os
 import sys
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
@@ -54,8 +57,8 @@ from .proposal_engine import (
     shift_to_centers,
 )
 from .scan_aggregator import aggregate, lidar_pose_from_camera_pose
-from .semantic_prior import ClassMap, FileProvider, argmax_labels, remap
-from .synthlab import OracleProvider, SceneConfig, generate, write_dataset
+from .semantic_prior import IGNORE, ClassMap, FileProvider, argmax_labels, remap
+from .synthlab import DatasetTruth, OracleProvider, SceneConfig, generate, write_dataset
 from .window_tracker import TrackState, WindowSegmentation, stitch
 
 ENV_DATASET_ROOT = "PANSEG4D_DATA"
@@ -213,18 +216,17 @@ def load_sequence(dataset_root, sequence: str):
 
 def build_provider(config: PipelineConfig, sequence: str, scans, lidar_poses, class_map: ClassMap):
     if config.source == "oracle":
+        # The oracle's truth is the dataset's own labels/ files, read per scan
+        # when asked; the scene config only checks the dataset's shape.
         scene = SceneConfig.load(config.scene_config)
-        generated_scans, _, gt = generate(scene)
-        if len(generated_scans) != len(scans) or any(
-            len(a) != len(b) for a, b in zip(generated_scans, scans)
-        ):
+        if scene.n_scans != len(scans) or any(len(scan) != scene.points_per_scan for scan in scans):
             raise ConfigError(
                 f"scene_config {config.scene_config} does not match dataset {sequence}"
             )
         return OracleProvider(
             scans=scans,
             lidar_poses=lidar_poses,
-            gt=gt,
+            gt=DatasetTruth(Path(config.dataset_root) / sequence, scans, class_map),
             class_map=class_map,
             flip_prob=config.flip_prob,
             offset_sigma=config.offset_sigma,
@@ -279,7 +281,7 @@ def _segment_window(config, window, scans, lidar_poses, labels, provider, thing_
     centers = clock("shift", lambda: shift_to_centers(cloud.positions, offsets))
     k = config.k_proposals or default_proposal_count(len(cloud))
     # Seeds come from thing-labelled points only; members from every point.
-    thing = np.flatnonzero(thing_mask[cloud.prior])
+    thing = np.flatnonzero(thing_mask[cloud.prior] & (cloud.prior != IGNORE))
 
     def sample_seeds():
         if not len(thing):
@@ -331,6 +333,20 @@ def _segment_window(config, window, scans, lidar_poses, labels, provider, thing_
     return result, timing, counters
 
 
+def _reduce_priors(provider, futures: dict[int, Future]) -> None:
+    """Reduce each scan's prior to train ids into its future, in scan order.
+    On failure every future still unset gets the error, so no window waits
+    for a scan that will never be reduced."""
+    try:
+        for scan_index, future in futures.items():
+            future.set_result(argmax_labels(provider.semantic_prior(scan_index).matrix))
+    except BaseException as exc:
+        for future in futures.values():
+            if not future.done():
+                future.set_exception(exc)
+        raise
+
+
 def _in_order(pool, fn, items, limit: int):
     """``fn`` over ``items`` on ``pool``, results yielded in item order, with
     at most ``limit`` items submitted and not yet consumed (a result is
@@ -351,17 +367,38 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
     class_map = ClassMap.semantic_kitti()
     scans, lidar_poses, _ = load_sequence(config.dataset_root, sequence)
     provider = build_provider(config, sequence, scans, lidar_poses, class_map)
-    # Only the argmax of each prior row is used downstream; reduce each scan's
-    # matrix to train ids at once so no (n, C) matrix outlives its scan.
-    labels = [argmax_labels(provider.semantic_prior(k).matrix) for k in range(len(scans))]
     windows = plan_windows(len(scans), config.window_n, config.effective_stride)
     scan_sizes = [len(scan) for scan in scans]
     out_seq = Path(config.out_dir) / sequence
     pred_dir = out_seq / "predictions"
     pred_dir.mkdir(parents=True, exist_ok=True)
+    # IGNORE (-1) reads the appended slot: unlabelled points write raw 0.
+    raw_of = np.append(class_map.train_to_raw, 0)
 
-    def job(window):
-        return _segment_window(config, window, scans, lidar_poses, labels, provider, class_map.thing_mask)
+    # Scan index -> its reduced prior (train ids), a future set by the first
+    # window job that holds the scan. Only the (n, C) matrix's argmax is used
+    # downstream, so no matrix outlives its reduction. Filled on the main
+    # thread, in window order, as each window is handed out.
+    priors: dict[int, Future] = {}
+
+    def hand_out(window):
+        held = range(window[0], window[0] + window[1])
+        owned = {k: Future() for k in held if k not in priors}
+        priors.update(owned)
+        return window, {k: priors[k] for k in held}, owned
+
+    def job(task):
+        window, held, owned = task
+        start = time.perf_counter()
+        _reduce_priors(provider, owned)
+        prior_s = time.perf_counter() - start
+        labels = [None] * len(scans)
+        for scan_index, future in held.items():
+            labels[scan_index] = future.result()
+        result, timing, counters = _segment_window(
+            config, window, scans, lidar_poses, labels, provider, class_map.thing_mask
+        )
+        return result, {**timing, "prior": prior_s}, counters
 
     state = TrackState()
     previous: WindowSegmentation | None = None
@@ -374,8 +411,9 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
     # the previous one and its new scans written as it arrives. The pool runs
     # at most one window ahead of its threads, so few results wait.
     with ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else nullcontext() as pool:
-        results = _in_order(pool, job, windows, config.threads + 1) if pool else map(job, windows)
-        for window, (window_seg, timing, counters) in zip(windows, results):
+        tasks = map(hand_out, windows)
+        results = _in_order(pool, job, tasks, config.threads + 1) if pool else map(job, tasks)
+        for position, (window, (window_seg, timing, counters)) in enumerate(zip(windows, results)):
             overlap = (
                 overlap_origins_between(previous.window, window, scan_sizes)
                 if previous is not None
@@ -402,9 +440,14 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
                 rows = previous.rows_for_scan(scan_index)
                 sk_formats.write_predictions(
                     pred_dir / f"{scan_index:06d}.label",
-                    np.stack([class_map.train_to_raw[seg.semantic[rows]], seg.instance[rows]], axis=1),
+                    np.stack([raw_of[seg.semantic[rows]], seg.instance[rows]], axis=1),
                 )
             written = window[0] + window[1]
+            # Windows not yet stitched start at or after the next one, so
+            # scans before it are never asked for again.
+            next_start = windows[position + 1][0] if position + 1 < len(windows) else len(scans)
+            for scan_index in [k for k in priors if k < next_start]:
+                del priors[scan_index]
 
     rate = core_points / core_time if core_time > 0 else float("inf")
     stats = SegmentStats(

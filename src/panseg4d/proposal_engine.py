@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyAfterFilter, EmptyInput, LengthMismatch, NonFiniteValue
+from .errors import EmptyInput, LengthMismatch, NonFiniteValue
 from .semantic_prior import IGNORE
 from .semantic_prior import majority_label  # noqa: F401  unused here; perfbench/tracer.py patches it
 
@@ -502,7 +502,8 @@ def merge_and_assign(
     point claimed by several instances goes to the instance whose center
     (mean of its proposals' refined centers) is nearest to the point's
     predicted center, ties to the lowest instance id. Instances whose
-    majority label is a stuff class are demoted to background: their points
+    majority label is a stuff class, or whose points are all IGNORE, are
+    demoted to background: their points
     keep instance id 0 and their own prior labels, matching the dataset
     convention that stuff points never carry instance ids. Surviving
     instances are renumbered 1..M in discovery order and all their points
@@ -556,11 +557,11 @@ def merge_and_assign(
     span = int(labels.max()) - low + 1 if labels.size else 1
     votes = np.bincount(instance[counted] * span + (labels - low), minlength=n_instances * span)
     votes = votes.reshape(n_instances, span)
-    if (voted & (votes.max(axis=1) == 0)).any():
-        raise EmptyAfterFilter("no members left after dropping IGNORE labels")
     majority = votes.argmax(axis=1) + low
-    kept = voted.copy()
-    kept[voted] = thing_mask[majority[voted]]
+    # An instance whose kept members are all IGNORE has no label to vote and
+    # is demoted with them.
+    kept = voted & (votes.max(axis=1) > 0)
+    kept[kept] = thing_mask[majority[kept]]
 
     # Stuff-majority instances demote to background; kept ones renumber
     # 1..M in instance order.
@@ -573,7 +574,7 @@ def merge_and_assign(
     final_instance = np.zeros(n, dtype=np.int64)
     final_instance[point] = new_id[instance]
 
-    uncovered = int((thing_mask[semantic] & (final_instance == 0)).sum()) if n else 0
+    uncovered = int((thing_mask[semantic] & (semantic != IGNORE) & (final_instance == 0)).sum()) if n else 0
     return InstanceSegmentation(
         semantic=semantic,
         instance=final_instance,

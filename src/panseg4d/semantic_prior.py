@@ -4,7 +4,8 @@ A provider hands out semantic evidence as a length-C row per point, either
 one-hot (hard prediction) or a normalized confidence vector; rows whose
 label is IGNORE encode as the uniform vector 1/C so every row sums to one.
 The pipeline reduces each scan's rows once to per-point train ids with
-:func:`argmax_labels` and carries only those labels downstream.
+:func:`argmax_labels`, uniform rows back to IGNORE, and carries only those
+labels downstream.
 
 The external predictor is abstracted as a :class:`PredictionSource` with two
 capabilities: a semantic prior per scan, and per-point offset vectors per
@@ -218,8 +219,13 @@ def argmax_label(prior_row) -> int:
 
 
 def argmax_labels(prior_matrix) -> np.ndarray:
-    """Row-wise :func:`argmax_label` for a full prior matrix."""
-    return np.argmax(np.asarray(prior_matrix, dtype=np.float64), axis=1).astype(np.int64)
+    """Row-wise :func:`argmax_label` for a full prior matrix, except that a
+    row whose largest entry is at most 1/C (the uniform row an IGNORE label
+    encodes to) reduces to IGNORE: it carries no class evidence."""
+    matrix = np.asarray(prior_matrix, dtype=np.float64)
+    labels = np.argmax(matrix, axis=1).astype(np.int64, copy=False)
+    labels[matrix[np.arange(len(matrix)), labels] <= 1.0 / matrix.shape[1]] = IGNORE
+    return labels
 
 
 class PredictionSource(ABC):

@@ -4,8 +4,10 @@ Scenes are rigid point blobs on linear trajectories above a ground plane
 with box obstacles, observed by an ego sensor moving along a waypoint
 polyline. Coordinates are quantized to float32 at generation time so that a
 scene round-trips bit-exactly through the on-disk scan format; per-scan
-instance centers are recomputed from the quantized points, so the stored
-center equals the instance centroid by construction.
+instance centers are recomputed from the quantized points by
+:func:`instance_centers`, so the stored center equals the instance centroid
+by construction, and a written dataset's labels give the same centers
+bit for bit (:class:`DatasetTruth`).
 
 All randomness comes from the counter-based Philox4x64-10 generator keyed
 as ``[seed, (purpose << 32) | index]``; generation order is strictly
@@ -22,11 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleLayout
+from .errors import ConfigError, InfeasibleLayout, LengthMismatch
 from . import sk_formats
 from .sk_formats import CalibRecord, PointCloudScan, PoseRecord
 from .scan_aggregator import RigidTransform, window_relative_transform
-from .semantic_prior import ClassMap, PredictionSource, SemanticPrior, encode_one_hot
+from .semantic_prior import IGNORE, ClassMap, PredictionSource, SemanticPrior, encode_one_hot, remap
 
 # Stream purposes for the keyed RNG.
 _STREAM_LAYOUT = 0
@@ -167,6 +169,62 @@ class GroundTruth:
     @property
     def n_scans(self) -> int:
         return len(self.semantic)
+
+    def semantic_of(self, scan_index: int) -> np.ndarray:
+        return self.semantic[scan_index]
+
+    def centers_of(self, scan_index: int) -> np.ndarray:
+        return self.centers[scan_index]
+
+
+class DatasetTruth:
+    """Ground truth of a written sequence, read from its ``labels/`` files.
+
+    Each call decodes scan k's ``.label`` file and keeps nothing: train ids
+    are the remapped semantic field, centers come from the instance field
+    through :func:`instance_centers`. Serves :class:`OracleProvider` in
+    place of a :class:`GroundTruth` without regenerating the scene.
+    """
+
+    def __init__(self, seq_dir, scans: list[PointCloudScan], class_map: ClassMap):
+        self.labels_dir = Path(seq_dir) / "labels"
+        self.scans = scans
+        self.class_map = class_map
+
+    def _read(self, scan_index: int) -> sk_formats.LabelArray:
+        path = self.labels_dir / f"{scan_index:06d}.label"
+        return sk_formats.read_labels(path, len(self.scans[scan_index]))
+
+    def semantic_of(self, scan_index: int) -> np.ndarray:
+        return remap(self._read(scan_index), self.class_map)
+
+    def centers_of(self, scan_index: int) -> np.ndarray:
+        return instance_centers(self.scans[scan_index].points, self._read(scan_index).instance_id)
+
+
+def instance_centers(points, instance_ids) -> np.ndarray:
+    """Per point, the centroid of its instance's points; rows with instance
+    id 0 (stuff) keep the point itself, so their oracle offset is zero.
+
+    Each instance's rows are summed in ascending row order from the first
+    (the order ``points[rows].mean(axis=0)`` adds them) and divided by their
+    count, so a scene's centers are the same bits whether its instances
+    occupy contiguous slices (as generated) or any other rows.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    ids = np.asarray(instance_ids, dtype=np.int64).reshape(-1)
+    if len(ids) != len(points):
+        raise LengthMismatch(f"{len(ids)} instance ids for {len(points)} points")
+    centers = points.copy()
+    rows = np.flatnonzero(ids > 0)
+    if len(rows):
+        rows = rows[np.argsort(ids[rows], kind="stable")]
+        sorted_ids = ids[rows]
+        heads = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+        counts = np.diff(np.append(heads, len(rows)))
+        sums = np.add.reduceat(points[rows], heads, axis=0)
+        centers[rows] = np.repeat(sums / counts[:, None], counts, axis=0)
+    return centers
 
 
 def _ego_poses(config: SceneConfig) -> list[RigidTransform]:
@@ -331,15 +389,9 @@ def generate(config: SceneConfig) -> tuple[list[PointCloudScan], list[RigidTrans
         feature = _quantize(keyed_rng(config.seed, _STREAM_FEATURE, k).random(len(world)))
         scans.append(PointCloudScan(points=sensor, feature=feature, scan_index=k))
 
-        center_rows = sensor.copy()
-        cursor = 0
-        for j in range(config.n_objects):
-            size = len(templates[j])
-            center_rows[cursor : cursor + size] = sensor[cursor : cursor + size].mean(axis=0)
-            cursor += size
         semantic.append(sem)
         instance.append(inst)
-        centers.append(center_rows)
+        centers.append(instance_centers(sensor, inst))
 
     gt = GroundTruth(
         semantic=semantic,
@@ -391,7 +443,7 @@ def _window_offsets(scans, lidar_poses, gt, window, sigma: float, seed: int) -> 
     start, count = window
     rows = []
     for scan_index in range(start, start + count):
-        delta = gt.centers[scan_index] - scans[scan_index].points
+        delta = gt.centers_of(scan_index) - scans[scan_index].points
         if sigma > 0:
             rng = keyed_rng(seed, _STREAM_OFFSET_NOISE, scan_index)
             delta = delta + rng.normal(0.0, sigma, delta.shape)
@@ -404,28 +456,31 @@ def flip_labels(train_ids: np.ndarray, flip_prob: float, rng: np.random.Generato
     """Replace each label by a uniformly random different class with prob flip_prob.
 
     Both random draws happen unconditionally so the stream consumption, and
-    therefore the result, does not depend on the flip decisions.
+    therefore the result, does not depend on the flip decisions. IGNORE
+    (unlabelled) points stay IGNORE.
     """
     ids = np.asarray(train_ids, dtype=np.int64).copy()
-    flip = rng.random(len(ids)) < flip_prob
+    flip = (rng.random(len(ids)) < flip_prob) & (ids != IGNORE)
     shift = rng.integers(1, n_classes, len(ids))
     ids[flip] = (ids[flip] + shift[flip]) % n_classes
     return ids
 
 
 class OracleProvider(PredictionSource):
-    """Prediction source backed by generator ground truth, with dial-in noise.
+    """Prediction source backed by ground truth, with dial-in noise.
 
-    Priors are one-hot rows of the ground-truth labels; ``flip_prob``
-    corrupts labels before encoding and ``offset_sigma`` perturbs the oracle
-    offsets, each from its own ``noise_seed`` stream.
+    ``gt`` is the generator's :class:`GroundTruth` or a dataset's
+    :class:`DatasetTruth`, asked for one scan at a time. Priors are one-hot
+    rows of the ground-truth labels; ``flip_prob`` corrupts labels before
+    encoding and ``offset_sigma`` perturbs the oracle offsets, each from its
+    own ``noise_seed`` stream.
     """
 
     def __init__(
         self,
         scans: list[PointCloudScan],
         lidar_poses: list[RigidTransform],
-        gt: GroundTruth,
+        gt: GroundTruth | DatasetTruth,
         class_map: ClassMap,
         flip_prob: float = 0.0,
         offset_sigma: float = 0.0,
@@ -445,7 +500,7 @@ class OracleProvider(PredictionSource):
 
     def semantic_prior(self, scan_index: int) -> SemanticPrior:
         n_classes = self.class_map.n_classes
-        ids = self.gt.semantic[scan_index]
+        ids = self.gt.semantic_of(scan_index)
         if self.flip_prob > 0:
             rng = keyed_rng(self.noise_seed, _STREAM_SEMANTIC_NOISE, scan_index)
             ids = flip_labels(ids, self.flip_prob, rng, n_classes)

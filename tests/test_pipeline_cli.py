@@ -3,6 +3,8 @@
 import shutil
 import threading
 import time
+import weakref
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +25,7 @@ from panseg4d.pipeline_cli import (
     run_ablation,
     segment_sequence,
 )
-from panseg4d.synthlab import SceneConfig, generate, write_dataset
+from panseg4d.synthlab import OracleProvider, SceneConfig, generate, write_dataset
 
 class TestPlanWindows:
     def test_unit_stride_covers_every_scan(self):
@@ -491,6 +493,182 @@ class TestOnePass:
         segment_sequence(_oracle_config(six_scan_dataset, tmp_path / "out", threads=threads), "00")
         assert started[0] == stitched[0] == len(plan_windows(6, 2, 1))
         assert max(ahead) <= threads + 1
+
+
+class TestPriorsInWindowJobs:
+    """Each scan's prior is reduced once, by the first window job holding it,
+    and dropped once no window left to stitch holds it."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_prior_is_asked_for_once(self, six_scan_dataset, tmp_path, monkeypatch, threads):
+        lock = threading.Lock()
+        calls = Counter()
+        semantic_prior = OracleProvider.semantic_prior
+
+        def slow_prior(self, scan_index):
+            with lock:
+                calls[scan_index] += 1
+            time.sleep(0.02)  # lets windows sharing a scan run at once
+            return semantic_prior(self, scan_index)
+
+        monkeypatch.setattr(OracleProvider, "semantic_prior", slow_prior)
+        # Three-scan windows at stride 1: scans 2 and 3 sit in three windows.
+        config = _oracle_config(six_scan_dataset, tmp_path / "out", window_n=3, stride=1, threads=threads)
+        stats = segment_sequence(config, "00")
+        assert calls == Counter(range(6))
+        # Only the window that reduced a scan pays for it: the first window
+        # reduces three scans, each later one the one scan it adds.
+        prior_ms = [float(row.split("prior=")[1].removesuffix("ms")) for row in stats.window_rows]
+        assert prior_ms[0] >= 3 * 20 and all(20 <= ms < 3 * 20 for ms in prior_ms[1:])
+        monkeypatch.undo()
+        reference = _oracle_config(six_scan_dataset, tmp_path / "ref", window_n=3, stride=1)
+        segment_sequence(reference, "00")
+        for k in range(6):
+            name = f"{k:06d}.label"
+            assert (tmp_path / "out" / "00" / "predictions" / name).read_bytes() == (
+                tmp_path / "ref" / "00" / "predictions" / name
+            ).read_bytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_reduced_prior_is_held_below_the_stitched_window(
+        self, six_scan_dataset, tmp_path, monkeypatch, threads
+    ):
+        lock = threading.Lock()
+        scan_of, alive, held_early = {}, set(), []
+        semantic_prior = OracleProvider.semantic_prior
+        argmax_labels = pipeline_cli.argmax_labels
+        stitch = pipeline_cli.stitch
+
+        def spy_prior(self, scan_index):
+            prior = semantic_prior(self, scan_index)
+            with lock:
+                scan_of[id(prior.matrix)] = scan_index
+            return prior
+
+        def spy_argmax(matrix):
+            labels = argmax_labels(matrix)
+            with lock:
+                scan_index = scan_of.pop(id(matrix))
+                alive.add(scan_index)
+            weakref.finalize(labels, alive.discard, scan_index)
+            return labels
+
+        def spy_stitch(state, prev, new, overlap):
+            with lock:
+                held_early.extend((new.window, k) for k in alive if k < new.window[0])
+            return stitch(state, prev, new, overlap)
+
+        monkeypatch.setattr(OracleProvider, "semantic_prior", spy_prior)
+        monkeypatch.setattr(pipeline_cli, "argmax_labels", spy_argmax)
+        monkeypatch.setattr(pipeline_cli, "stitch", spy_stitch)
+        segment_sequence(_oracle_config(six_scan_dataset, tmp_path / "out", threads=threads), "00")
+        assert held_early == []
+        assert not scan_of and not alive
+
+    def test_failed_reduction_reaches_every_window_waiting_for_it(self, six_scan_dataset, tmp_path, monkeypatch):
+        semantic_prior = OracleProvider.semantic_prior
+
+        def failing_prior(self, scan_index):
+            if scan_index == 1:
+                time.sleep(0.05)  # the second window is already waiting
+                raise ValueError("scan 1 prior failed")
+            return semantic_prior(self, scan_index)
+
+        monkeypatch.setattr(OracleProvider, "semantic_prior", failing_prior)
+        config = _oracle_config(six_scan_dataset, tmp_path / "out", window_n=3, stride=1, threads=2)
+        raised = []
+
+        def run():
+            try:
+                segment_sequence(config, "00")
+            except ValueError as exc:
+                raised.append(exc)
+
+        # A window left waiting for a scan nobody reduces would hang the run.
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "segment hung on a prior that failed"
+        assert [str(exc) for exc in raised] == ["scan 1 prior failed"]
+
+
+class TestOracleTruth:
+    """The oracle reads its truth from the dataset; the scene config is a shape check."""
+
+    @pytest.mark.parametrize("field, value", [("n_scans", 4), ("points_per_scan", 3001)])
+    def test_scene_config_of_another_shape_is_rejected(self, small_dataset, tmp_path, field, value):
+        scene = SceneConfig.load(small_dataset.scene_path)
+        setattr(scene, field, value)
+        scene.save(tmp_path / "other.cfg")
+        config = _oracle_config(small_dataset, tmp_path / "out", scene_config=tmp_path / "other.cfg")
+        with pytest.raises(ConfigError, match="does not match dataset 00"):
+            segment_sequence(config, "00")
+
+    def test_scene_seed_does_not_reach_the_predictions(self, small_dataset, tmp_path):
+        # Truth comes from labels/, not from regenerating the scene.
+        scene = SceneConfig.load(small_dataset.scene_path)
+        scene.seed += 1
+        scene.save(tmp_path / "reseeded.cfg")
+        segment_sequence(_oracle_config(small_dataset, tmp_path / "a"), "00")
+        segment_sequence(_oracle_config(small_dataset, tmp_path / "b", scene_config=tmp_path / "reseeded.cfg"), "00")
+        for k in range(len(small_dataset.scans)):
+            name = f"{k:06d}.label"
+            assert (tmp_path / "a" / "00" / "predictions" / name).read_bytes() == (
+                tmp_path / "b" / "00" / "predictions" / name
+            ).read_bytes()
+
+    def test_missing_label_file_exits_1_naming_it(self, small_dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(small_dataset.root / "00", data / "00")
+        missing = data / "00" / "labels" / "000003.label"
+        missing.unlink()
+        code = main(
+            [
+                "segment", "--dataset-root", str(data), "--out", str(tmp_path / "out"),
+                "--source", "oracle", "--scene-config", str(small_dataset.scene_path),
+            ]
+        )
+        assert code == 1
+        assert str(missing) in capsys.readouterr().err
+
+
+class TestUnlabelledPoints:
+    def test_unlabelled_points_stay_unlabelled(self, class_map, tmp_path):
+        # Three scans, three objects, 10% of the stuff points unlabelled (raw 0).
+        scene = SceneConfig(
+            n_scans=3, points_per_scan=3000, n_objects=3, object_classes=(0, 5, 3),
+            plane_extent=8.0, n_boxes=2, seed=7,
+        )
+        scans, poses, gt = generate(scene)
+        write_dataset(tmp_path / "data", "00", scans, poses, gt, class_map)
+        sem_dir, off_dir = tmp_path / "sem", tmp_path / "off"
+        sem_dir.mkdir()
+        off_dir.mkdir()
+        rng = np.random.default_rng(8)
+        unlabelled = []
+        for k, scan in enumerate(scans):
+            stuff = np.flatnonzero(gt.instance[k] == 0)
+            mask = np.zeros(len(scan), dtype=bool)
+            mask[rng.choice(stuff, len(stuff) // 10, replace=False)] = True
+            unlabelled.append(mask)
+            raw = np.where(mask, 0, class_map.train_to_raw[gt.semantic[k]])
+            sk_formats.write_labels(sem_dir / f"{k:06d}.label", np.stack([raw, gt.instance[k]], axis=1))
+            sk_formats.write_offsets(off_dir / f"{k:06d}.offset", gt.centers[k] - scan.points)
+        config = PipelineConfig(
+            dataset_root=tmp_path / "data", out_dir=tmp_path / "out", sequences=("00",), window_n=2,
+            source="files", semantic_dir=str(sem_dir), offset_dir=str(off_dir), offset_frame="sensor",
+        )
+        stats = segment_sequence(config, "00")
+        for row in stats.window_rows:
+            counts = dict(field.split("=") for field in row.split()[1:])
+            assert counts["proposals"] == counts["instances"] == "3", row
+        assert stats.uncovered_thing_points == 0
+        for k, labels in enumerate(_read_predictions(tmp_path / "out", scans)):
+            assert (labels.semantic_raw[unlabelled[k]] == 0).all()
+            assert (labels.instance_id[unlabelled[k]] == 0).all()
+            assert np.array_equal(
+                labels.semantic_raw[~unlabelled[k]], class_map.train_to_raw[gt.semantic[k]][~unlabelled[k]]
+            )
 
 
 class TestEvaluate:

@@ -195,6 +195,18 @@ class TestArgmaxLabel:
         prior = encode_one_hot(ids, 19)
         assert np.array_equal(argmax_labels(prior.matrix), ids)
 
+    def test_uniform_rows_reduce_to_ignore(self):
+        # IGNORE survives encode + reduce instead of becoming train id 0 (a
+        # thing class); a row with any class above 1/C keeps its argmax.
+        ids = np.array([3, IGNORE, 0, IGNORE, 18])
+        assert np.array_equal(argmax_labels(encode_one_hot(ids, 19).matrix), ids)
+        near_uniform = np.full(19, 1.0 / 19)
+        near_uniform[4] += 1e-9
+        near_uniform[5] -= 1e-9
+        scores = np.stack([np.full(19, 2.5), near_uniform])
+        assert argmax_labels(normalize_confidences(scores).matrix).tolist() == [IGNORE, 4]
+        assert argmax_labels(np.zeros((0, 19))).shape == (0,)
+
 
 class TestSemanticPriorValidation:
     def test_rows_must_sum_to_one(self):

@@ -7,13 +7,17 @@ from panseg4d import sk_formats
 from panseg4d.errors import ConfigError, InfeasibleLayout
 from panseg4d.proposal_engine import huber_center_loss
 from panseg4d.scan_aggregator import aggregate
-from panseg4d.semantic_prior import ClassMap, argmax_labels
+from panseg4d.errors import LengthMismatch
+from panseg4d.semantic_prior import IGNORE, ClassMap, argmax_labels
 from panseg4d.synthlab import (
     DEFAULT_CALIB,
+    DatasetTruth,
     GroundTruth,
     OracleProvider,
     SceneConfig,
+    flip_labels,
     generate,
+    instance_centers,
     keyed_rng,
     noisy_offsets,
     oracle_offsets,
@@ -223,6 +227,18 @@ class TestNoisySemantics:
         assert any(not np.array_equal(x.matrix, y.matrix) for x, y in zip(a, c))
 
 
+class TestFlipLabels:
+    def test_unlabelled_points_stay_ignore(self):
+        ids = np.array([IGNORE, 3, IGNORE, 8] * 50)
+        flipped = flip_labels(ids, 1.0, keyed_rng(3, 4), 19)
+        assert (flipped[ids == IGNORE] == IGNORE).all()
+        assert (flipped[ids != IGNORE] != ids[ids != IGNORE]).all()
+        # The draws do not depend on the labels, so labelled points flip the
+        # same way with or without IGNORE beside them.
+        relabelled = flip_labels(np.where(ids == IGNORE, 0, ids), 1.0, keyed_rng(3, 4), 19)
+        assert np.array_equal(flipped[ids != IGNORE], relabelled[ids != IGNORE])
+
+
 class TestNoisyOffsets:
     def test_sigma_zero_equals_oracle(self, small_scene):
         window = (1, 3)
@@ -313,3 +329,66 @@ class TestOracleProvider:
             self._provider(small_scene, flip_prob=1.5)
         with pytest.raises(ConfigError):
             self._provider(small_scene, offset_sigma=-1.0)
+
+
+def contiguous_centers(points, instance):
+    """Reference: each object's rows are one slice, objects in id order
+    before the stuff rows, as the generator lays them out; each slice's
+    rows take the slice's mean."""
+    centers = points.copy()
+    cursor = 0
+    for object_id in range(1, int(instance.max(initial=0)) + 1):
+        size = int((instance == object_id).sum())
+        assert (instance[cursor : cursor + size] == object_id).all()
+        centers[cursor : cursor + size] = points[cursor : cursor + size].mean(axis=0)
+        cursor += size
+    assert (instance[cursor:] == 0).all()
+    return centers
+
+
+_CENTER_SCENES = [
+    SceneConfig(n_scans=3, points_per_scan=3000, n_objects=3, object_classes=(0, 5, 3),
+                plane_extent=8.0, n_boxes=2, seed=7),
+    SceneConfig(n_scans=2, points_per_scan=6000, n_objects=6, seed=11),
+    SceneConfig(n_scans=2, points_per_scan=1000, n_objects=0, seed=12),
+    # Objects of 9,000-27,000 points each.
+    SceneConfig(n_scans=2, points_per_scan=120000, n_objects=3, points_per_m2=6000.0, seed=13),
+]
+
+
+class TestInstanceCenters:
+    @pytest.mark.parametrize("scene", _CENTER_SCENES, ids=["small", "six-objects", "stuff-only", "dense-objects"])
+    def test_matches_contiguous_slice_loop_bit_for_bit(self, scene):
+        scans, _, gt = generate(scene)
+        for k, scan in enumerate(scans):
+            want = contiguous_centers(scan.points, gt.instance[k])
+            got = instance_centers(scan.points, gt.instance[k])
+            assert got.tobytes() == want.tobytes()
+            assert gt.centers[k].tobytes() == want.tobytes()
+
+    def test_row_shuffled_scan_gives_each_row_its_centroid(self, small_scene):
+        rng = np.random.default_rng(31)
+        for k, scan in enumerate(small_scene.scans):
+            order = rng.permutation(len(scan))
+            points, instance = scan.points[order], small_scene.gt.instance[k][order]
+            got = instance_centers(points, instance)
+            assert np.abs(got - contiguous_centers(scan.points, small_scene.gt.instance[k])[order]).max() < 1e-12
+            stuff = instance == 0
+            assert np.array_equal(got[stuff], points[stuff])
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            instance_centers(np.zeros((3, 3)), np.zeros(2, dtype=int))
+
+
+class TestDatasetTruth:
+    def test_written_labels_give_the_generated_truth_bit_for_bit(self, small_dataset, class_map):
+        truth = DatasetTruth(small_dataset.root / "00", small_dataset.scans, class_map)
+        for k in range(len(small_dataset.scans)):
+            assert np.array_equal(truth.semantic_of(k), small_dataset.gt.semantic[k])
+            assert truth.centers_of(k).tobytes() == small_dataset.gt.centers[k].tobytes()
+        window = (1, 3)
+        assert np.array_equal(
+            noisy_offsets(small_dataset.scans, small_dataset.poses, truth, window, 0.2, seed=4),
+            noisy_offsets(small_dataset.scans, small_dataset.poses, small_dataset.gt, window, 0.2, seed=4),
+        )
