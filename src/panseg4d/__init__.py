@@ -35,6 +35,7 @@ from .semantic_prior import (
     ClassMap,
     SemanticPrior,
     PredictionSource,
+    ScanInputs,
     FileProvider,
     remap,
     encode_one_hot,

@@ -11,11 +11,12 @@ Subcommands:
 
 ``segment`` takes a sequence's windows in order, on a thread pool when
 ``threads > 1``, with at most ``threads + 1`` windows submitted and not yet
-stitched. The first window job holding a scan reduces that scan's prior to
-train ids; later windows holding it wait for that result. Each window is
-stitched and its new scans are written as soon as its result arrives; only
-the previous window's result and the reduced priors of scans from the next
-window on are kept.
+stitched. The first window job holding a scan reads that scan's provider
+inputs (train ids and scan-frame offsets) once; later windows holding it
+wait for that result, and each window only rotates its scans' offsets into
+its own frame. Each window is stitched and its new scans are written as
+soon as its result arrives; only the previous window's result and the
+inputs of scans from the next window on are kept.
 
 Configuration comes from one plain-text key-value file plus flag overrides;
 flags win. Diagnostics go to stderr, data to files. Exit code 0 iff no
@@ -57,7 +58,7 @@ from .proposal_engine import (
     shift_to_centers,
 )
 from .scan_aggregator import aggregate, lidar_pose_from_camera_pose
-from .semantic_prior import IGNORE, ClassMap, FileProvider, argmax_labels, remap
+from .semantic_prior import IGNORE, ClassMap, FileProvider, check_scan_inputs, remap
 from .synthlab import DatasetTruth, OracleProvider, SceneConfig, generate, write_dataset
 from .window_tracker import TrackState, WindowSegmentation, stitch
 
@@ -267,7 +268,7 @@ class SegmentStats:
         return self.total_points / self.wall_time_s if self.wall_time_s > 0 else float("inf")
 
 
-def _segment_window(config, window, scans, lidar_poses, labels, provider, thing_mask):
+def _segment_window(config, window, scans, lidar_poses, labels, scan_offsets, provider, thing_mask):
     timing: dict[str, float] = {}
 
     def clock(name, fn):
@@ -277,7 +278,7 @@ def _segment_window(config, window, scans, lidar_poses, labels, provider, thing_
         return result
 
     cloud = clock("aggregate", lambda: aggregate(scans, lidar_poses, labels, window))
-    offsets = clock("offsets", lambda: provider.window_offsets(window))
+    offsets = clock("offsets", lambda: provider.window_offsets(window, scan_offsets))
     centers = clock("shift", lambda: shift_to_centers(cloud.positions, offsets))
     k = config.k_proposals or default_proposal_count(len(cloud))
     # Seeds come from thing-labelled points only; members from every point.
@@ -333,13 +334,14 @@ def _segment_window(config, window, scans, lidar_poses, labels, provider, thing_
     return result, timing, counters
 
 
-def _reduce_priors(provider, futures: dict[int, Future]) -> None:
-    """Reduce each scan's prior to train ids into its future, in scan order.
-    On failure every future still unset gets the error, so no window waits
-    for a scan that will never be reduced."""
+def _read_inputs(provider, futures: dict[int, Future], scans, n_classes: int) -> None:
+    """Read each scan's checked provider inputs into its future, in scan
+    order. On failure every future still unset gets the error, so no window
+    waits for a scan that will never be read."""
     try:
         for scan_index, future in futures.items():
-            future.set_result(argmax_labels(provider.semantic_prior(scan_index).matrix))
+            inputs = provider.scan_inputs(scan_index)
+            future.set_result(check_scan_inputs(inputs, scan_index, len(scans[scan_index]), n_classes))
     except BaseException as exc:
         for future in futures.values():
             if not future.done():
@@ -375,30 +377,32 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
     # IGNORE (-1) reads the appended slot: unlabelled points write raw 0.
     raw_of = np.append(class_map.train_to_raw, 0)
 
-    # Scan index -> its reduced prior (train ids), a future set by the first
-    # window job that holds the scan. Only the (n, C) matrix's argmax is used
-    # downstream, so no matrix outlives its reduction. Filled on the main
-    # thread, in window order, as each window is handed out.
-    priors: dict[int, Future] = {}
+    # Scan index -> its provider inputs (train ids and scan-frame offsets),
+    # a future set by the first window job that holds the scan, so each
+    # scan's files are read once. Filled on the main thread, in window
+    # order, as each window is handed out.
+    inputs: dict[int, Future] = {}
 
     def hand_out(window):
         held = range(window[0], window[0] + window[1])
-        owned = {k: Future() for k in held if k not in priors}
-        priors.update(owned)
-        return window, {k: priors[k] for k in held}, owned
+        owned = {k: Future() for k in held if k not in inputs}
+        inputs.update(owned)
+        return window, {k: inputs[k] for k in held}, owned
 
     def job(task):
         window, held, owned = task
         start = time.perf_counter()
-        _reduce_priors(provider, owned)
-        prior_s = time.perf_counter() - start
+        _read_inputs(provider, owned, scans, class_map.n_classes)
+        inputs_s = time.perf_counter() - start
         labels = [None] * len(scans)
+        scan_offsets = []
         for scan_index, future in held.items():
-            labels[scan_index] = future.result()
+            labels[scan_index], offsets = future.result()
+            scan_offsets.append(offsets)
         result, timing, counters = _segment_window(
-            config, window, scans, lidar_poses, labels, provider, class_map.thing_mask
+            config, window, scans, lidar_poses, labels, scan_offsets, provider, class_map.thing_mask
         )
-        return result, {**timing, "prior": prior_s}, counters
+        return result, {**timing, "inputs": inputs_s}, counters
 
     state = TrackState()
     previous: WindowSegmentation | None = None
@@ -446,8 +450,8 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
             # Windows not yet stitched start at or after the next one, so
             # scans before it are never asked for again.
             next_start = windows[position + 1][0] if position + 1 < len(windows) else len(scans)
-            for scan_index in [k for k in priors if k < next_start]:
-                del priors[scan_index]
+            for scan_index in [k for k in inputs if k < next_start]:
+                del inputs[scan_index]
 
     rate = core_points / core_time if core_time > 0 else float("inf")
     stats = SegmentStats(

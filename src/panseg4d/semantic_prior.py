@@ -1,15 +1,17 @@
 """Class-id remapping, semantic-prior encoding, and prediction sources.
 
-A provider hands out semantic evidence as a length-C row per point, either
-one-hot (hard prediction) or a normalized confidence vector; rows whose
-label is IGNORE encode as the uniform vector 1/C so every row sums to one.
-The pipeline reduces each scan's rows once to per-point train ids with
-:func:`argmax_labels`, uniform rows back to IGNORE, and carries only those
-labels downstream.
+A provider hands the pipeline each scan's inputs once, through
+:meth:`PredictionSource.scan_inputs`: per-point train ids (IGNORE where
+unlabelled) and per-point offset vectors in the scan's stored frame.
+Label sources give their remapped ids directly; confidence rows are
+normalized and reduced with :func:`argmax_labels`. Each window then only
+rotates its scans' offsets into its reference frame
+(:meth:`PredictionSource.window_offsets`).
 
-The external predictor is abstracted as a :class:`PredictionSource` with two
-capabilities: a semantic prior per scan, and per-point offset vectors per
-window. :class:`FileProvider` reads both from disk; the synthetic oracle
+:meth:`PredictionSource.semantic_prior` gives the same evidence as a
+length-C row per point, one-hot for labels (IGNORE as the uniform row 1/C)
+or the normalized confidences, for callers that want the matrix.
+:class:`FileProvider` reads its inputs from disk; the synthetic oracle
 provider lives in :mod:`panseg4d.synthlab`.
 """
 
@@ -20,7 +22,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .errors import (
     EmptyAfterFilter,
     IdOutOfRange,
     LengthMismatch,
+    NonFiniteValue,
     UnknownRawIdWarning,
 )
 from . import sk_formats
@@ -228,32 +231,77 @@ def argmax_labels(prior_matrix) -> np.ndarray:
     return labels
 
 
-class PredictionSource(ABC):
-    """Provider of semantic priors per scan and offset fields per window.
+class ScanInputs(NamedTuple):
+    """One scan's provider inputs, row-aligned with the scan's points."""
 
-    Offsets returned by :meth:`window_offsets` are expressed in the frame of
-    the window's reference scan and are row-aligned with the aggregated
-    cloud (scans concatenated in window order).
+    labels: np.ndarray  # (n,) int64 train ids, IGNORE where unlabelled
+    offsets: np.ndarray  # (n, 3) float64, in the scan's stored frame
+
+
+def check_scan_inputs(inputs: ScanInputs, scan_index: int, n_points: int, n_classes: int) -> ScanInputs:
+    """``inputs`` as int64 labels beside their offsets, after checking that
+    both hold one row per point, every label is IGNORE or a train id below
+    ``n_classes`` and every offset is finite; errors name the scan."""
+    labels, offsets = np.asarray(inputs.labels), np.asarray(inputs.offsets)
+    if labels.shape != (n_points,):
+        raise LengthMismatch(f"scan {scan_index}: labels of shape {labels.shape} for {n_points} points")
+    if labels.dtype.kind not in "iu":
+        raise IdOutOfRange(f"scan {scan_index}: labels of dtype {labels.dtype} are not train ids")
+    if n_points and (labels.min() < IGNORE or labels.max() >= n_classes):
+        i = int(np.argmax((labels < IGNORE) | (labels >= n_classes)))
+        raise IdOutOfRange(
+            f"scan {scan_index}: label {int(labels[i])} at point {i} outside [{IGNORE}, {n_classes})"
+        )
+    if offsets.shape != (n_points, 3):
+        raise LengthMismatch(f"scan {scan_index}: offsets of shape {offsets.shape} for {n_points} points")
+    if not np.isfinite(offsets).all():
+        i = int(np.argmin(np.isfinite(offsets).all(axis=1)))
+        raise NonFiniteValue(f"scan {scan_index}: non-finite offset at point {i}")
+    return ScanInputs(labels.astype(np.int64, copy=False), offsets)
+
+
+def rotate_into_window(lidar_poses: Sequence[RigidTransform], start: int, scan_offsets) -> np.ndarray:
+    """Sensor-frame offsets of scans ``start``, ``start + 1``, ... rotated
+    into scan ``start``'s frame (the rotation the aggregator applies to the
+    points) and concatenated in scan order."""
+    rows = [
+        offsets @ window_relative_transform(lidar_poses, start, start + i).rotation.T
+        for i, offsets in enumerate(scan_offsets)
+    ]
+    return np.concatenate(rows) if rows else np.zeros((0, 3))
+
+
+class PredictionSource(ABC):
+    """Provider of each scan's semantic labels and offsets.
+
+    The pipeline asks :meth:`scan_inputs` once per scan and passes the
+    offsets of a window's scans, in window order, to :meth:`window_offsets`,
+    which returns them in the frame of the window's reference scan,
+    row-aligned with the aggregated cloud.
     """
+
+    @abstractmethod
+    def scan_inputs(self, scan_index: int) -> ScanInputs:
+        ...
 
     @abstractmethod
     def semantic_prior(self, scan_index: int) -> SemanticPrior:
         ...
 
     @abstractmethod
-    def window_offsets(self, window: tuple[int, int]) -> np.ndarray:
+    def window_offsets(self, window: tuple[int, int], scan_offsets: Sequence[np.ndarray]) -> np.ndarray:
         ...
 
 
 class FileProvider(PredictionSource):
-    """Reads priors and offsets from per-scan files.
+    """Reads labels and offsets from per-scan files.
 
     Semantic inputs are either ``.label``-format files (semantic field used,
     instance field ignored) or confidence files (N x C float32 rows). Offset
     files hold N x 3 float32 rows per scan; ``offset_frame`` declares whether
     the stored vectors are already in the consuming window's reference frame
     ("window") or in each scan's own sensor frame ("sensor", rotated into the
-    window frame at load using the lidar poses).
+    window frame by :meth:`window_offsets` using the lidar poses).
     """
 
     def __init__(
@@ -288,24 +336,28 @@ class FileProvider(PredictionSource):
             raise FileNotFoundError(f"{what} file for scan {scan_index} not found: {path}")
         return path
 
-    def semantic_prior(self, scan_index: int) -> SemanticPrior:
-        n = self.scan_sizes[scan_index]
-        if self.semantic_paths is not None:
-            path = self._path_for(self.semantic_paths, scan_index, "semantic label")
-            labels = sk_formats.read_labels(path, n)
-            return encode_one_hot(remap(labels, self.class_map), self.class_map.n_classes)
+    def _confidences(self, scan_index: int) -> SemanticPrior:
         path = self._path_for(self.confidence_paths, scan_index, "confidence")
-        scores = sk_formats.read_confidences(path, n, self.class_map.n_classes)
+        scores = sk_formats.read_confidences(path, self.scan_sizes[scan_index], self.class_map.n_classes)
         return normalize_confidences(scores)
 
-    def window_offsets(self, window: tuple[int, int]) -> np.ndarray:
-        start, n = window
-        rows = []
-        for scan_index in range(start, start + n):
-            path = self._path_for(self.offset_paths, scan_index, "offset")
-            offsets = sk_formats.read_offsets(path, self.scan_sizes[scan_index])
-            if self.offset_frame == "sensor":
-                rotation = window_relative_transform(self.lidar_poses, start, scan_index).rotation
-                offsets = offsets @ rotation.T
-            rows.append(offsets)
-        return np.concatenate(rows) if rows else np.zeros((0, 3))
+    def _labels(self, scan_index: int) -> np.ndarray:
+        if self.semantic_paths is None:
+            return argmax_labels(self._confidences(scan_index).matrix)
+        path = self._path_for(self.semantic_paths, scan_index, "semantic label")
+        return remap(sk_formats.read_labels(path, self.scan_sizes[scan_index]), self.class_map)
+
+    def scan_inputs(self, scan_index: int) -> ScanInputs:
+        labels = self._labels(scan_index)
+        path = self._path_for(self.offset_paths, scan_index, "offset")
+        return ScanInputs(labels, sk_formats.read_offsets(path, self.scan_sizes[scan_index]))
+
+    def semantic_prior(self, scan_index: int) -> SemanticPrior:
+        if self.semantic_paths is None:
+            return self._confidences(scan_index)
+        return encode_one_hot(self._labels(scan_index), self.class_map.n_classes)
+
+    def window_offsets(self, window: tuple[int, int], scan_offsets: Sequence[np.ndarray]) -> np.ndarray:
+        if self.offset_frame == "sensor":
+            return rotate_into_window(self.lidar_poses, window[0], scan_offsets)
+        return np.concatenate(scan_offsets) if len(scan_offsets) else np.zeros((0, 3))

@@ -294,14 +294,19 @@ def write_calib(path, calib: CalibRecord) -> None:
 
 
 def read_offsets(path, expected_count: int) -> np.ndarray:
-    """Read an offset file: ``expected_count`` little-endian float32 triples."""
+    """Read an offset file: ``expected_count`` little-endian float32 triples,
+    every one finite."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) != 12 * expected_count:
         raise CountMismatch(
             f"{path}: {len(raw)} bytes, expected {12 * expected_count} ({expected_count} offset rows)"
         )
-    return np.frombuffer(raw, dtype=_F32LE).astype(np.float64).reshape(-1, 3)
+    offsets = np.frombuffer(raw, dtype=_F32LE).astype(np.float64).reshape(-1, 3)
+    if not np.isfinite(offsets).all():
+        i = int(np.argmin(np.isfinite(offsets).all(axis=1)))
+        raise NonFiniteValue(f"{path}: non-finite offset at point {i}")
+    return offsets
 
 
 def write_offsets(path, offsets: np.ndarray) -> None:

@@ -27,8 +27,17 @@ import numpy as np
 from .errors import ConfigError, InfeasibleLayout, LengthMismatch
 from . import sk_formats
 from .sk_formats import CalibRecord, PointCloudScan, PoseRecord
-from .scan_aggregator import RigidTransform, window_relative_transform
-from .semantic_prior import IGNORE, ClassMap, PredictionSource, SemanticPrior, encode_one_hot, remap
+from .scan_aggregator import RigidTransform
+from .semantic_prior import (
+    IGNORE,
+    ClassMap,
+    PredictionSource,
+    ScanInputs,
+    SemanticPrior,
+    encode_one_hot,
+    remap,
+    rotate_into_window,
+)
 
 # Stream purposes for the keyed RNG.
 _STREAM_LAYOUT = 0
@@ -170,20 +179,20 @@ class GroundTruth:
     def n_scans(self) -> int:
         return len(self.semantic)
 
-    def semantic_of(self, scan_index: int) -> np.ndarray:
-        return self.semantic[scan_index]
-
-    def centers_of(self, scan_index: int) -> np.ndarray:
-        return self.centers[scan_index]
+    def scan_truth(self, scan_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Scan k's train ids and per-point instance centers."""
+        return self.semantic[scan_index], self.centers[scan_index]
 
 
 class DatasetTruth:
     """Ground truth of a written sequence, read from its ``labels/`` files.
 
-    Each call decodes scan k's ``.label`` file and keeps nothing: train ids
-    are the remapped semantic field, centers come from the instance field
-    through :func:`instance_centers`. Serves :class:`OracleProvider` in
-    place of a :class:`GroundTruth` without regenerating the scene.
+    :meth:`scan_truth` decodes scan k's ``.label`` file once for both of
+    its results: train ids are the remapped semantic field, centers come
+    from the instance field through :func:`instance_centers`. The pipeline
+    asks once per scan and holds the result while windows need it, so each
+    file is decoded once per run. Serves :class:`OracleProvider` in place
+    of a :class:`GroundTruth` without regenerating the scene.
     """
 
     def __init__(self, seq_dir, scans: list[PointCloudScan], class_map: ClassMap):
@@ -191,15 +200,12 @@ class DatasetTruth:
         self.scans = scans
         self.class_map = class_map
 
-    def _read(self, scan_index: int) -> sk_formats.LabelArray:
+    def scan_truth(self, scan_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Scan k's train ids and per-point instance centers, from one decode."""
         path = self.labels_dir / f"{scan_index:06d}.label"
-        return sk_formats.read_labels(path, len(self.scans[scan_index]))
-
-    def semantic_of(self, scan_index: int) -> np.ndarray:
-        return remap(self._read(scan_index), self.class_map)
-
-    def centers_of(self, scan_index: int) -> np.ndarray:
-        return instance_centers(self.scans[scan_index].points, self._read(scan_index).instance_id)
+        labels = sk_formats.read_labels(path, len(self.scans[scan_index]))
+        centers = instance_centers(self.scans[scan_index].points, labels.instance_id)
+        return remap(labels, self.class_map), centers
 
 
 def instance_centers(points, instance_ids) -> np.ndarray:
@@ -439,17 +445,21 @@ def noisy_offsets(
     return _window_offsets(scans, lidar_poses, gt, window, sigma=sigma, seed=seed)
 
 
+def _scan_offsets(points, centers, scan_index: int, sigma: float, seed: int) -> np.ndarray:
+    """Sensor-frame oracle offsets of one scan, plus its keyed noise."""
+    delta = centers - points
+    if sigma > 0:
+        rng = keyed_rng(seed, _STREAM_OFFSET_NOISE, scan_index)
+        delta = delta + rng.normal(0.0, sigma, delta.shape)
+    return delta
+
+
 def _window_offsets(scans, lidar_poses, gt, window, sigma: float, seed: int) -> np.ndarray:
     start, count = window
-    rows = []
-    for scan_index in range(start, start + count):
-        delta = gt.centers_of(scan_index) - scans[scan_index].points
-        if sigma > 0:
-            rng = keyed_rng(seed, _STREAM_OFFSET_NOISE, scan_index)
-            delta = delta + rng.normal(0.0, sigma, delta.shape)
-        rotation = window_relative_transform(lidar_poses, start, scan_index).rotation
-        rows.append(delta @ rotation.T)
-    return np.concatenate(rows) if rows else np.zeros((0, 3))
+    return rotate_into_window(lidar_poses, start, [
+        _scan_offsets(scans[k].points, gt.scan_truth(k)[1], k, sigma, seed)
+        for k in range(start, start + count)
+    ])
 
 
 def flip_labels(train_ids: np.ndarray, flip_prob: float, rng: np.random.Generator, n_classes: int) -> np.ndarray:
@@ -470,10 +480,11 @@ class OracleProvider(PredictionSource):
     """Prediction source backed by ground truth, with dial-in noise.
 
     ``gt`` is the generator's :class:`GroundTruth` or a dataset's
-    :class:`DatasetTruth`, asked for one scan at a time. Priors are one-hot
-    rows of the ground-truth labels; ``flip_prob`` corrupts labels before
-    encoding and ``offset_sigma`` perturbs the oracle offsets, each from its
-    own ``noise_seed`` stream.
+    :class:`DatasetTruth`, asked for one scan at a time. Labels are the
+    ground-truth train ids and offsets point from each point to its
+    instance center; ``flip_prob`` corrupts labels and ``offset_sigma``
+    perturbs the offsets, each from its own ``noise_seed`` stream keyed by
+    the scan index, so a scan's inputs do not depend on the window asking.
     """
 
     def __init__(
@@ -498,19 +509,21 @@ class OracleProvider(PredictionSource):
         self.offset_sigma = offset_sigma
         self.noise_seed = noise_seed
 
-    def semantic_prior(self, scan_index: int) -> SemanticPrior:
-        n_classes = self.class_map.n_classes
-        ids = self.gt.semantic_of(scan_index)
+    def scan_inputs(self, scan_index: int) -> ScanInputs:
+        ids, centers = self.gt.scan_truth(scan_index)
         if self.flip_prob > 0:
             rng = keyed_rng(self.noise_seed, _STREAM_SEMANTIC_NOISE, scan_index)
-            ids = flip_labels(ids, self.flip_prob, rng, n_classes)
-        return encode_one_hot(ids, n_classes)
-
-    def window_offsets(self, window: tuple[int, int]) -> np.ndarray:
-        return _window_offsets(
-            self.scans, self.lidar_poses, self.gt, window,
-            sigma=self.offset_sigma, seed=self.noise_seed,
+            ids = flip_labels(ids, self.flip_prob, rng, self.class_map.n_classes)
+        offsets = _scan_offsets(
+            self.scans[scan_index].points, centers, scan_index, self.offset_sigma, self.noise_seed
         )
+        return ScanInputs(ids, offsets)
+
+    def semantic_prior(self, scan_index: int) -> SemanticPrior:
+        return encode_one_hot(self.scan_inputs(scan_index).labels, self.class_map.n_classes)
+
+    def window_offsets(self, window: tuple[int, int], scan_offsets) -> np.ndarray:
+        return rotate_into_window(self.lidar_poses, window[0], scan_offsets)
 
 
 def write_dataset(

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from panseg4d import pipeline_cli, sk_formats
-from panseg4d.errors import ConfigError, CountMismatch, NoOverlapWarning
+from panseg4d.errors import (
+    ConfigError,
+    CountMismatch,
+    IdOutOfRange,
+    LengthMismatch,
+    NonFiniteValue,
+    NoOverlapWarning,
+)
 from panseg4d.pipeline_cli import (
     PipelineConfig,
     bundled_path,
@@ -25,7 +32,8 @@ from panseg4d.pipeline_cli import (
     run_ablation,
     segment_sequence,
 )
-from panseg4d.synthlab import OracleProvider, SceneConfig, generate, write_dataset
+from panseg4d.semantic_prior import PredictionSource, ScanInputs
+from panseg4d.synthlab import OracleProvider, SceneConfig, generate, instance_centers, write_dataset
 
 class TestPlanWindows:
     def test_unit_stride_covers_every_scan(self):
@@ -496,30 +504,30 @@ class TestOnePass:
 
 
 class TestPriorsInWindowJobs:
-    """Each scan's prior is reduced once, by the first window job holding it,
-    and dropped once no window left to stitch holds it."""
+    """Each scan's provider inputs are read once, by the first window job
+    holding the scan, and dropped once no window left to stitch holds it."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_each_prior_is_asked_for_once(self, six_scan_dataset, tmp_path, monkeypatch, threads):
         lock = threading.Lock()
         calls = Counter()
-        semantic_prior = OracleProvider.semantic_prior
+        scan_inputs = OracleProvider.scan_inputs
 
-        def slow_prior(self, scan_index):
+        def slow_inputs(self, scan_index):
             with lock:
                 calls[scan_index] += 1
             time.sleep(0.02)  # lets windows sharing a scan run at once
-            return semantic_prior(self, scan_index)
+            return scan_inputs(self, scan_index)
 
-        monkeypatch.setattr(OracleProvider, "semantic_prior", slow_prior)
+        monkeypatch.setattr(OracleProvider, "scan_inputs", slow_inputs)
         # Three-scan windows at stride 1: scans 2 and 3 sit in three windows.
         config = _oracle_config(six_scan_dataset, tmp_path / "out", window_n=3, stride=1, threads=threads)
         stats = segment_sequence(config, "00")
         assert calls == Counter(range(6))
-        # Only the window that reduced a scan pays for it: the first window
-        # reduces three scans, each later one the one scan it adds.
-        prior_ms = [float(row.split("prior=")[1].removesuffix("ms")) for row in stats.window_rows]
-        assert prior_ms[0] >= 3 * 20 and all(20 <= ms < 3 * 20 for ms in prior_ms[1:])
+        # Only the window that read a scan pays for it: the first window
+        # reads three scans, each later one the one scan it adds.
+        inputs_ms = [float(row.split("inputs=")[1].removesuffix("ms")) for row in stats.window_rows]
+        assert inputs_ms[0] >= 3 * 20 and all(20 <= ms < 3 * 20 for ms in inputs_ms[1:])
         monkeypatch.undo()
         reference = _oracle_config(six_scan_dataset, tmp_path / "ref", window_n=3, stride=1)
         segment_sequence(reference, "00")
@@ -534,47 +542,39 @@ class TestPriorsInWindowJobs:
         self, six_scan_dataset, tmp_path, monkeypatch, threads
     ):
         lock = threading.Lock()
-        scan_of, alive, held_early = {}, set(), []
-        semantic_prior = OracleProvider.semantic_prior
-        argmax_labels = pipeline_cli.argmax_labels
+        alive, held_early = set(), []
+        scan_inputs = OracleProvider.scan_inputs
         stitch = pipeline_cli.stitch
 
-        def spy_prior(self, scan_index):
-            prior = semantic_prior(self, scan_index)
-            with lock:
-                scan_of[id(prior.matrix)] = scan_index
-            return prior
-
-        def spy_argmax(matrix):
-            labels = argmax_labels(matrix)
-            with lock:
-                scan_index = scan_of.pop(id(matrix))
-                alive.add(scan_index)
-            weakref.finalize(labels, alive.discard, scan_index)
-            return labels
+        def spy_inputs(self, scan_index):
+            inputs = scan_inputs(self, scan_index)
+            for array in inputs:
+                with lock:
+                    alive.add((scan_index, id(array)))
+                weakref.finalize(array, alive.discard, (scan_index, id(array)))
+            return inputs
 
         def spy_stitch(state, prev, new, overlap):
             with lock:
-                held_early.extend((new.window, k) for k in alive if k < new.window[0])
+                held_early.extend((new.window, k) for k, _ in alive if k < new.window[0])
             return stitch(state, prev, new, overlap)
 
-        monkeypatch.setattr(OracleProvider, "semantic_prior", spy_prior)
-        monkeypatch.setattr(pipeline_cli, "argmax_labels", spy_argmax)
+        monkeypatch.setattr(OracleProvider, "scan_inputs", spy_inputs)
         monkeypatch.setattr(pipeline_cli, "stitch", spy_stitch)
         segment_sequence(_oracle_config(six_scan_dataset, tmp_path / "out", threads=threads), "00")
         assert held_early == []
-        assert not scan_of and not alive
+        assert not alive
 
     def test_failed_reduction_reaches_every_window_waiting_for_it(self, six_scan_dataset, tmp_path, monkeypatch):
-        semantic_prior = OracleProvider.semantic_prior
+        scan_inputs = OracleProvider.scan_inputs
 
-        def failing_prior(self, scan_index):
+        def failing_inputs(self, scan_index):
             if scan_index == 1:
                 time.sleep(0.05)  # the second window is already waiting
-                raise ValueError("scan 1 prior failed")
-            return semantic_prior(self, scan_index)
+                raise ValueError("scan 1 inputs failed")
+            return scan_inputs(self, scan_index)
 
-        monkeypatch.setattr(OracleProvider, "semantic_prior", failing_prior)
+        monkeypatch.setattr(OracleProvider, "scan_inputs", failing_inputs)
         config = _oracle_config(six_scan_dataset, tmp_path / "out", window_n=3, stride=1, threads=2)
         raised = []
 
@@ -584,12 +584,143 @@ class TestPriorsInWindowJobs:
             except ValueError as exc:
                 raised.append(exc)
 
-        # A window left waiting for a scan nobody reduces would hang the run.
+        # A window left waiting for a scan nobody reads would hang the run.
         runner = threading.Thread(target=run, daemon=True)
         runner.start()
         runner.join(timeout=30)
-        assert not runner.is_alive(), "segment hung on a prior that failed"
-        assert [str(exc) for exc in raised] == ["scan 1 prior failed"]
+        assert not runner.is_alive(), "segment hung on scan inputs that failed"
+        assert [str(exc) for exc in raised] == ["scan 1 inputs failed"]
+
+
+class TestInputsReadOnce:
+    """Every label and offset file is read once per run, however many
+    windows hold its scan (the first window job holding it reads it)."""
+
+    def _spy_reads(self, monkeypatch) -> Counter:
+        reads, lock = Counter(), threading.Lock()
+        for name in ("read_labels", "read_offsets"):
+            def spy(path, *args, _read=getattr(sk_formats, name)):
+                with lock:
+                    reads[Path(path)] += 1
+                return _read(path, *args)
+
+            monkeypatch.setattr(sk_formats, name, spy)
+        return reads
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_oracle_reads_each_label_file_once(self, six_scan_dataset, tmp_path, monkeypatch, threads):
+        reads = self._spy_reads(monkeypatch)
+        # Three-scan windows at stride 1 hold scans 2 and 3 three times each.
+        config = _oracle_config(six_scan_dataset, tmp_path / "out", window_n=3, stride=1, threads=threads)
+        segment_sequence(config, "00")
+        labels_dir = six_scan_dataset.root / "00" / "labels"
+        assert reads == Counter({labels_dir / f"{k:06d}.label": 1 for k in range(6)})
+
+    @pytest.mark.parametrize("offset_frame", ["sensor", "window"])
+    def test_files_read_each_label_and_offset_file_once(
+        self, six_scan_dataset, tmp_path, monkeypatch, offset_frame
+    ):
+        labels_dir = six_scan_dataset.root / "00" / "labels"
+        off_dir = tmp_path / "off"
+        off_dir.mkdir()
+        for k, scan in enumerate(six_scan_dataset.scans):
+            labels = sk_formats.read_labels(labels_dir / f"{k:06d}.label", len(scan))
+            delta = instance_centers(scan.points, labels.instance_id) - scan.points
+            sk_formats.write_offsets(off_dir / f"{k:06d}.offset", delta)
+        reads = self._spy_reads(monkeypatch)
+        config = PipelineConfig(
+            dataset_root=six_scan_dataset.root, out_dir=tmp_path / "out", sequences=("00",),
+            window_n=3, stride=1, source="files", semantic_dir=str(labels_dir),
+            offset_dir=str(off_dir), offset_frame=offset_frame, threads=2,
+        )
+        segment_sequence(config, "00")
+        want = {labels_dir / f"{k:06d}.label": 1 for k in range(6)}
+        want.update({off_dir / f"{k:06d}.offset": 1 for k in range(6)})
+        assert reads == Counter(want)
+
+
+class StubProvider(PredictionSource):
+    """Road labels and zero offsets for every scan, except the inputs of
+    one scan replaced by ``bad``."""
+
+    def __init__(self, sizes, bad_scan, bad):
+        self.sizes, self.bad_scan, self.bad = sizes, bad_scan, bad
+
+    def scan_inputs(self, scan_index):
+        n = self.sizes[scan_index]
+        inputs = ScanInputs(np.full(n, 8, dtype=np.int64), np.zeros((n, 3)))
+        return self.bad(inputs) if scan_index == self.bad_scan else inputs
+
+    def semantic_prior(self, scan_index):
+        raise AssertionError("segment asks no prior matrix")
+
+    def window_offsets(self, window, scan_offsets):
+        return np.concatenate(scan_offsets)
+
+
+def _with_label(index, value):
+    def bad(inputs):
+        labels = inputs.labels.copy()
+        labels[index] = value
+        return ScanInputs(labels, inputs.offsets)
+
+    return bad
+
+
+class TestProviderInputsChecked:
+    """segment checks each scan's provider inputs once, naming the scan."""
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (_with_label(7, -2), IdOutOfRange, "scan 2: label -2 at point 7 outside"),
+            (_with_label(9, 19), IdOutOfRange, "scan 2: label 19 at point 9 outside"),
+            (lambda i: ScanInputs(i.labels[:-1], i.offsets), LengthMismatch, "scan 2: labels of shape"),
+            (lambda i: ScanInputs(i.labels.astype(float), i.offsets), IdOutOfRange, "scan 2: labels of dtype"),
+            (lambda i: ScanInputs(i.labels, i.offsets[:, :2]), LengthMismatch, "scan 2: offsets of shape"),
+        ],
+        ids=["below-ignore", "above-classes", "short", "float", "two-columns"],
+    )
+    def test_bad_provider_inputs_raise_naming_the_scan(
+        self, six_scan_dataset, tmp_path, monkeypatch, bad, error, message
+    ):
+        sizes = [len(scan) for scan in six_scan_dataset.scans]
+        monkeypatch.setattr(
+            pipeline_cli, "build_provider", lambda *args: StubProvider(sizes, 2, bad)
+        )
+        with pytest.raises(error, match=message):
+            segment_sequence(_oracle_config(six_scan_dataset, tmp_path / "out"), "00")
+
+    def test_stub_inputs_pass(self, six_scan_dataset, tmp_path, monkeypatch):
+        sizes = [len(scan) for scan in six_scan_dataset.scans]
+        monkeypatch.setattr(
+            pipeline_cli, "build_provider", lambda *args: StubProvider(sizes, 2, lambda inputs: inputs)
+        )
+        stats = segment_sequence(_oracle_config(six_scan_dataset, tmp_path / "out"), "00")
+        assert all("things=0 " in row for row in stats.window_rows)
+
+    def test_non_finite_oracle_offsets_name_the_scan(self, small_dataset, tmp_path):
+        config = _oracle_config(small_dataset, tmp_path / "out", offset_sigma=float("inf"))
+        with pytest.raises(NonFiniteValue, match="scan 0: non-finite offset at point 0"):
+            segment_sequence(config, "00")
+
+    def test_non_finite_offset_file_exits_1_naming_file_and_point(self, small_dataset, tmp_path, capsys):
+        off_dir = tmp_path / "off"
+        off_dir.mkdir()
+        for k, scan in enumerate(small_dataset.scans):
+            delta = small_dataset.gt.centers[k] - scan.points
+            if k == 3:
+                delta[17, 2] = np.nan
+            sk_formats.write_offsets(off_dir / f"{k:06d}.offset", delta)
+        code = main(
+            [
+                "segment", "--dataset-root", str(small_dataset.root), "--out", str(tmp_path / "out"),
+                "--source", "files", "--semantic-dir", str(small_dataset.root / "{seq}" / "labels"),
+                "--offset-dir", str(off_dir), "--offset-frame", "sensor",
+            ]
+        )
+        assert code == 1
+        assert f"{off_dir / '000003.offset'}: non-finite offset at point 17" in capsys.readouterr().err
 
 
 class TestOracleTruth:

@@ -13,16 +13,20 @@ from panseg4d.errors import (
     ConfigError,
     EmptyAfterFilter,
     IdOutOfRange,
+    LengthMismatch,
+    NonFiniteValue,
     UnknownRawIdWarning,
 )
-from panseg4d.scan_aggregator import RigidTransform
+from panseg4d.scan_aggregator import RigidTransform, window_relative_transform
 from panseg4d.semantic_prior import (
     IGNORE,
     ClassMap,
     FileProvider,
+    ScanInputs,
     SemanticPrior,
     argmax_label,
     argmax_labels,
+    check_scan_inputs,
     encode_one_hot,
     majority_label,
     normalize_confidences,
@@ -214,9 +218,37 @@ class TestSemanticPriorValidation:
             SemanticPrior(matrix=np.ones((2, 19)))
 
 
+def _parent_window_offsets(offset_paths, sizes, lidar_poses, offset_frame, window):
+    """Reference: the per-window file read the provider used to make, each
+    window reading and rotating every scan it holds."""
+    start, n = window
+    rows = []
+    for scan_index in range(start, start + n):
+        offsets = sk_formats.read_offsets(offset_paths[scan_index], sizes[scan_index])
+        if offset_frame == "sensor":
+            rotation = window_relative_transform(lidar_poses, start, scan_index).rotation
+            offsets = offsets @ rotation.T
+        rows.append(offsets)
+    return np.concatenate(rows)
+
+
 class TestFileProvider:
     def _write_labels(self, path, raw, inst):
         sk_formats.write_labels(path, np.stack([raw, inst], axis=1))
+
+    def _offset_provider(self, tmp_path, class_map, sizes, **kwargs):
+        """Label and offset files for ``sizes`` scans, offsets random."""
+        rng = np.random.default_rng(7)
+        for k, n in enumerate(sizes):
+            self._write_labels(tmp_path / f"{k:06d}.label", np.full(n, 40), np.zeros(n, dtype=int))
+            sk_formats.write_offsets(tmp_path / f"{k:06d}.offset", rng.normal(size=(n, 3)))
+        return FileProvider(
+            class_map=class_map,
+            scan_sizes=sizes,
+            semantic_paths=[tmp_path / f"{k:06d}.label" for k in range(len(sizes))],
+            offset_paths=[tmp_path / f"{k:06d}.offset" for k in range(len(sizes))],
+            **kwargs,
+        )
 
     def test_label_files_become_one_hot(self, tmp_path, class_map):
         raw = np.array([10, 30, 40])
@@ -243,20 +275,38 @@ class TestFileProvider:
         assert np.abs(prior.matrix.sum(axis=1) - 1.0).max() < 1e-9
         assert np.array_equal(argmax_labels(prior.matrix), scores.argmax(axis=1))
 
-    def test_window_offsets_concatenate(self, tmp_path, class_map):
-        rng = np.random.default_rng(7)
-        sizes = [3, 2]
-        offsets = [rng.normal(size=(n, 3)).astype(np.float32).astype(np.float64) for n in sizes]
-        for k, rows in enumerate(offsets):
-            sk_formats.write_offsets(tmp_path / f"{k:06d}.offset", rows)
+    @pytest.mark.parametrize("kind", ["label", "conf"])
+    def test_scan_input_labels_are_the_prior_reduced(self, tmp_path, class_map, kind):
+        # Label files give their remapped ids (raw 0 unlabelled -> IGNORE)
+        # without a matrix; confidence rows, uniform ones included, reduce
+        # as the prior matrix does.
+        n = 500
+        rng = np.random.default_rng(8)
+        if kind == "label":
+            raw = class_map.train_to_raw[rng.integers(0, 19, n)]
+            raw[rng.random(n) < 0.2] = 0
+            self._write_labels(tmp_path / "000000.label", raw, np.zeros(n, dtype=int))
+            semantic = dict(semantic_paths=[tmp_path / "000000.label"])
+        else:
+            scores = rng.random((n, 19)).astype(np.float32)
+            scores[rng.random(n) < 0.2] = 0.5
+            sk_formats.write_confidences(tmp_path / "000000.conf", scores)
+            semantic = dict(confidence_paths=[tmp_path / "000000.conf"])
+        sk_formats.write_offsets(tmp_path / "000000.offset", rng.normal(size=(n, 3)))
         provider = FileProvider(
-            class_map=class_map,
-            scan_sizes=sizes,
-            semantic_paths=[tmp_path / "x.label"] * 2,
-            offset_paths=[tmp_path / f"{k:06d}.offset" for k in range(2)],
+            class_map=class_map, scan_sizes=[n], offset_paths=[tmp_path / "000000.offset"], **semantic
         )
-        got = provider.window_offsets((0, 2))
-        assert np.array_equal(got, np.concatenate(offsets))
+        labels = provider.scan_inputs(0).labels
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, argmax_labels(provider.semantic_prior(0).matrix))
+        assert (labels == IGNORE).sum() > 50
+
+    def test_window_offsets_concatenate(self, tmp_path, class_map):
+        sizes = [3, 2]
+        provider = self._offset_provider(tmp_path, class_map, sizes)
+        scan_offsets = [provider.scan_inputs(k).offsets for k in range(2)]
+        got = provider.window_offsets((0, 2), scan_offsets)
+        assert np.array_equal(got, np.concatenate(scan_offsets))
 
     def test_sensor_frame_offsets_rotated(self, tmp_path, class_map):
         yaw = np.pi / 2
@@ -264,31 +314,47 @@ class TestFileProvider:
             [[np.cos(yaw), -np.sin(yaw), 0.0], [np.sin(yaw), np.cos(yaw), 0.0], [0.0, 0.0, 1.0]]
         )
         poses = [RigidTransform.identity(), RigidTransform(rotation, np.array([1.0, 0.0, 0.0]))]
-        offsets = np.array([[1.0, 0.0, 0.0]], dtype=np.float32).astype(np.float64)
-        for k in range(2):
-            sk_formats.write_offsets(tmp_path / f"{k:06d}.offset", offsets)
+        offsets = np.array([[1.0, 0.0, 0.0]])
         provider = FileProvider(
             class_map=class_map,
             scan_sizes=[1, 1],
             semantic_paths=[tmp_path / "x.label"] * 2,
-            offset_paths=[tmp_path / f"{k:06d}.offset" for k in range(2)],
+            offset_paths=[tmp_path / "x.offset"] * 2,
             lidar_poses=poses,
             offset_frame="sensor",
         )
-        got = provider.window_offsets((0, 2))
+        got = provider.window_offsets((0, 2), [offsets, offsets])
         assert np.abs(got[0] - [1.0, 0.0, 0.0]).max() < 1e-12  # reference scan unrotated
         assert np.abs(got[1] - [0.0, 1.0, 0.0]).max() < 1e-12  # rotated by the relative yaw
 
+    @pytest.mark.parametrize("offset_frame", ["window", "sensor"])
+    def test_window_offsets_equal_the_per_window_file_read_bit_for_bit(self, tmp_path, class_map, offset_frame):
+        from conftest import random_rigid
+
+        rng = np.random.default_rng(9)
+        poses = [random_rigid(rng) for _ in range(5)]
+        sizes = [700, 500, 900, 600, 800]
+        provider = self._offset_provider(tmp_path, class_map, sizes, lidar_poses=poses, offset_frame=offset_frame)
+        scan_offsets = [provider.scan_inputs(k).offsets for k in range(len(sizes))]
+        for start, n in [(0, 2), (1, 3), (2, 3)]:
+            got = provider.window_offsets((start, n), scan_offsets[start : start + n])
+            want = _parent_window_offsets(provider.offset_paths, sizes, poses, offset_frame, (start, n))
+            assert got.tobytes() == want.tobytes()
+
     def test_missing_offset_file_names_scan(self, tmp_path, class_map):
-        provider = FileProvider(
-            class_map=class_map,
-            scan_sizes=[2, 2],
-            semantic_paths=[tmp_path / "000000.label", tmp_path / "000001.label"],
-            offset_paths=[tmp_path / "000000.offset", tmp_path / "000001.offset"],
-        )
-        sk_formats.write_offsets(tmp_path / "000000.offset", np.zeros((2, 3)))
-        with pytest.raises(FileNotFoundError, match="scan 1"):
-            provider.window_offsets((0, 2))
+        provider = self._offset_provider(tmp_path, class_map, [2, 2])
+        (tmp_path / "000001.offset").unlink()
+        provider.scan_inputs(0)
+        with pytest.raises(FileNotFoundError, match="offset file for scan 1"):
+            provider.scan_inputs(1)
+
+    def test_non_finite_offset_names_file_and_point(self, tmp_path, class_map):
+        provider = self._offset_provider(tmp_path, class_map, [4])
+        offsets = sk_formats.read_offsets(tmp_path / "000000.offset", 4)
+        offsets[2, 1] = np.nan
+        sk_formats.write_offsets(tmp_path / "000000.offset", offsets)
+        with pytest.raises(NonFiniteValue, match=r"000000\.offset: non-finite offset at point 2"):
+            provider.scan_inputs(0)
 
     def test_requires_exactly_one_semantic_source(self, class_map):
         with pytest.raises(ConfigError):
@@ -298,3 +364,38 @@ class TestFileProvider:
                 class_map=class_map, scan_sizes=[1],
                 semantic_paths=["a"], confidence_paths=["b"],
             )
+
+
+class TestCheckScanInputs:
+    """Provider results are checked once, where the pipeline receives them."""
+
+    def _inputs(self, n=5):
+        return ScanInputs(np.array([0, IGNORE, 18, 8, 3])[:n], np.zeros((n, 3)))
+
+    def test_valid_inputs_pass_as_int64(self):
+        labels, offsets = self._inputs()
+        checked = check_scan_inputs(ScanInputs(labels.astype(np.int16), offsets), 4, 5, 19)
+        assert checked.labels.dtype == np.int64
+        assert np.array_equal(checked.labels, labels) and checked.offsets is offsets
+
+    @pytest.mark.parametrize(
+        "labels, offsets, error, message",
+        [
+            ([0, IGNORE, -2, 8, 3], None, IdOutOfRange, "scan 4: label -2 at point 2 outside"),
+            ([0, IGNORE, 19, 8, 3], None, IdOutOfRange, "scan 4: label 19 at point 2 outside"),
+            ([0.0, 1.0, 2.0, 3.0, 4.0], None, IdOutOfRange, "scan 4: labels of dtype float64"),
+            ([0, 1, 2, 3], None, LengthMismatch, r"scan 4: labels of shape \(4,\) for 5 points"),
+            (None, np.zeros((5, 2)), LengthMismatch, r"scan 4: offsets of shape \(5, 2\) for 5 points"),
+            (None, np.zeros((4, 3)), LengthMismatch, r"scan 4: offsets of shape \(4, 3\) for 5 points"),
+            (None, np.array([[0.0] * 3] * 3 + [[0.0, np.inf, 0.0], [0.0] * 3]), NonFiniteValue,
+             "scan 4: non-finite offset at point 3"),
+        ],
+    )
+    def test_bad_inputs_raise_naming_the_scan(self, labels, offsets, error, message):
+        base = self._inputs()
+        inputs = ScanInputs(
+            base.labels if labels is None else np.array(labels),
+            base.offsets if offsets is None else offsets,
+        )
+        with pytest.raises(error, match=message):
+            check_scan_inputs(inputs, 4, 5, 19)

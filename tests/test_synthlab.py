@@ -317,12 +317,26 @@ class TestOracleProvider:
         assert np.array_equal(argmax_labels(prior.matrix), small_scene.gt.semantic[0])
 
     def test_window_offsets_match_module_functions(self, small_scene):
-        provider = self._provider(small_scene, offset_sigma=0.25, noise_seed=21)
-        got = provider.window_offsets((1, 2))
-        want = noisy_offsets(
-            small_scene.scans, small_scene.poses, small_scene.gt, (1, 2), 0.25, seed=21
-        )
-        assert np.array_equal(got, want)
+        # Scan-frame offsets read once and rotated per window are the bits
+        # of the per-window module function, noise included.
+        for sigma in (0.0, 0.25):
+            provider = self._provider(small_scene, offset_sigma=sigma, noise_seed=21)
+            scan_offsets = [provider.scan_inputs(k).offsets for k in range(len(small_scene.scans))]
+            for start, n in [(0, 2), (1, 2), (1, 3), (2, 3)]:
+                got = provider.window_offsets((start, n), scan_offsets[start : start + n])
+                want = noisy_offsets(
+                    small_scene.scans, small_scene.poses, small_scene.gt, (start, n), sigma, seed=21
+                )
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("flip_prob", [0.0, 0.3])
+    def test_scan_input_labels_are_the_prior_reduced(self, small_scene, flip_prob):
+        provider = self._provider(small_scene, flip_prob=flip_prob, noise_seed=22)
+        for k in range(len(small_scene.scans)):
+            labels = provider.scan_inputs(k).labels
+            assert labels.dtype == np.int64
+            assert np.array_equal(labels, argmax_labels(provider.semantic_prior(k).matrix))
+            assert (labels != small_scene.gt.semantic[k]).any() == (flip_prob > 0)
 
     def test_validation(self, small_scene):
         with pytest.raises(ConfigError):
@@ -385,8 +399,9 @@ class TestDatasetTruth:
     def test_written_labels_give_the_generated_truth_bit_for_bit(self, small_dataset, class_map):
         truth = DatasetTruth(small_dataset.root / "00", small_dataset.scans, class_map)
         for k in range(len(small_dataset.scans)):
-            assert np.array_equal(truth.semantic_of(k), small_dataset.gt.semantic[k])
-            assert truth.centers_of(k).tobytes() == small_dataset.gt.centers[k].tobytes()
+            semantic, centers = truth.scan_truth(k)
+            assert np.array_equal(semantic, small_dataset.gt.semantic[k])
+            assert centers.tobytes() == small_dataset.gt.centers[k].tobytes()
         window = (1, 3)
         assert np.array_equal(
             noisy_offsets(small_dataset.scans, small_dataset.poses, truth, window, 0.2, seed=4),
