@@ -19,13 +19,20 @@ Counting streams scan by scan into 64-bit integer accumulators; divisions
 happen only at report time, so accumulation is exact and scans may be
 counted in any association-friendly order (per-scan counts are associative
 and commutative).
+
+A report over several sequences (``pool_reports``) is pooled from the
+sequences' own reports, so each scan is counted once, into its sequence's
+evaluator. The confusion matrices add up, and S_assoc is the sum of every
+sequence's per-tube terms over the total number of GT tubes. Instance ids
+are only unique within a sequence, so pooled tubes are keyed by
+(sequence, id) and never merge across sequences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,13 +46,14 @@ class EvalCounts:
 
     ``confusion[g, p]`` counts points with ground-truth class g and
     predicted class p; column C collects predictions that are IGNORE or out
-    of range. Tube sizes and intersections are whole-sequence point counts.
+    of range. Tube sizes and intersections are whole-sequence point counts,
+    keyed by instance id, or by (sequence, instance id) in a pooled report.
     """
 
     confusion: np.ndarray  # (C, C+1) int64
-    gt_tube_sizes: dict[int, int] = field(default_factory=dict)
-    pred_tube_sizes: dict[int, int] = field(default_factory=dict)
-    intersections: dict[tuple[int, int], int] = field(default_factory=dict)
+    gt_tube_sizes: dict = field(default_factory=dict)
+    pred_tube_sizes: dict = field(default_factory=dict)
+    intersections: dict = field(default_factory=dict)  # (gt tube, pred tube) -> points
 
     @property
     def n_gt_tubes(self) -> int:
@@ -54,7 +62,7 @@ class EvalCounts:
 
 @dataclass(frozen=True)
 class LSTQReport:
-    """Scores for one sequence (or an accumulation of sequences)."""
+    """Scores for one sequence, or for several pooled by ``pool_reports``."""
 
     s_cls: float
     s_assoc: float
@@ -65,6 +73,8 @@ class LSTQReport:
     counts: EvalCounts
     class_present: np.ndarray  # (C,) bool, class seen in GT or prediction
     assoc_vacuous: bool = False  # no GT tubes: s_assoc defined as 1.0
+    # Each GT tube's association term, keyed like counts.gt_tube_sizes.
+    tube_terms: dict = field(default_factory=dict)
 
     def as_keyvalues(self, names: Sequence[str]) -> str:
         """Machine-readable report; percentages with 2 decimals."""
@@ -149,16 +159,24 @@ class AssociationAccumulator:
                 pair = (int(key >> 32), int(key & 0xFFFFFFFF))
                 self.intersections[pair] = self.intersections.get(pair, 0) + int(count)
 
-    def score(self) -> tuple[float, bool]:
-        """(association score, vacuous flag); 1.0 when there are no GT tubes."""
-        if not self.gt_tube_sizes:
-            return 1.0, True
+    def tube_terms(self) -> dict[int, float]:
+        """Each GT tube's term (1/|t|) sum_s |s and t| IoU(s, t), in first-seen order."""
         per_tube_sum = {gid: 0.0 for gid in self.gt_tube_sizes}
         for (gid, pid), shared in self.intersections.items():
             union = self.gt_tube_sizes[gid] + self.pred_tube_sizes[pid] - shared
             per_tube_sum[gid] += shared * (shared / union)
-        total = sum(per_tube_sum[gid] / size for gid, size in self.gt_tube_sizes.items())
-        return total / len(self.gt_tube_sizes), False
+        return {gid: per_tube_sum[gid] / size for gid, size in self.gt_tube_sizes.items()}
+
+    def score(self) -> tuple[float, bool]:
+        """(association score, vacuous flag); 1.0 when there are no GT tubes."""
+        return _assoc_score(self.tube_terms())
+
+
+def _assoc_score(tube_terms: dict) -> tuple[float, bool]:
+    """Mean of the per-tube terms, summed in key order; (1.0, True) for none."""
+    if not tube_terms:
+        return 1.0, True
+    return sum(tube_terms.values()) / len(tube_terms), False
 
 
 class IoUAccumulator:
@@ -223,24 +241,57 @@ class SequenceEvaluator:
         self.assoc.add_scan(pred_inst, gt_inst, gt_sem)
 
     def report(self) -> LSTQReport:
-        s_cls_value, iou, iou_th, iou_st, present = self.iou.results(self.class_map.thing_mask)
-        s_assoc_value, vacuous = self.assoc.score()
-        return LSTQReport(
-            s_cls=s_cls_value,
-            s_assoc=s_assoc_value,
-            lstq=lstq(s_cls_value, s_assoc_value),
-            per_class_iou=iou,
-            iou_th=iou_th,
-            iou_st=iou_st,
-            counts=EvalCounts(
-                confusion=self.iou.confusion,
-                gt_tube_sizes=self.assoc.gt_tube_sizes,
-                pred_tube_sizes=self.assoc.pred_tube_sizes,
-                intersections=self.assoc.intersections,
-            ),
-            class_present=present,
-            assoc_vacuous=vacuous,
+        counts = EvalCounts(
+            confusion=self.iou.confusion,
+            gt_tube_sizes=self.assoc.gt_tube_sizes,
+            pred_tube_sizes=self.assoc.pred_tube_sizes,
+            intersections=self.assoc.intersections,
         )
+        return _build_report(self.iou, self.assoc.tube_terms(), counts, self.class_map)
+
+
+def pool_reports(reports: Mapping[str, LSTQReport], class_map: ClassMap) -> LSTQReport:
+    """One report over several sequences, pooled from their counts.
+
+    The confusion matrices add up, and S_assoc is the sum of every
+    sequence's per-tube terms over the total number of GT tubes. Instance
+    ids are only unique within a sequence, so pooled tubes are keyed by
+    (sequence, id) and never merge across sequences. For one sequence the
+    scores are that sequence's own, bit for bit: the same sums in the same
+    order.
+    """
+    iou = IoUAccumulator(class_map.n_classes)
+    terms: dict[tuple[str, int], float] = {}
+    counts = EvalCounts(confusion=iou.confusion)
+    for sequence, report in reports.items():
+        iou.confusion += report.counts.confusion
+        terms.update(((sequence, gid), term) for gid, term in report.tube_terms.items())
+        for key, size in report.counts.gt_tube_sizes.items():
+            counts.gt_tube_sizes[sequence, key] = size
+        for key, size in report.counts.pred_tube_sizes.items():
+            counts.pred_tube_sizes[sequence, key] = size
+        for (gid, pid), shared in report.counts.intersections.items():
+            counts.intersections[(sequence, gid), (sequence, pid)] = shared
+    return _build_report(iou, terms, counts, class_map)
+
+
+def _build_report(
+    iou: IoUAccumulator, tube_terms: dict, counts: EvalCounts, class_map: ClassMap
+) -> LSTQReport:
+    s_cls_value, per_class, iou_th, iou_st, present = iou.results(class_map.thing_mask)
+    s_assoc_value, vacuous = _assoc_score(tube_terms)
+    return LSTQReport(
+        s_cls=s_cls_value,
+        s_assoc=s_assoc_value,
+        lstq=lstq(s_cls_value, s_assoc_value),
+        per_class_iou=per_class,
+        iou_th=iou_th,
+        iou_st=iou_st,
+        counts=counts,
+        class_present=present,
+        assoc_vacuous=vacuous,
+        tube_terms=tube_terms,
+    )
 
 
 def _scan_pairs(labels) -> Iterable[tuple[np.ndarray, np.ndarray]]:

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import sk_formats, synthlab
 from .errors import ConfigError, CountMismatch, PipelineError
-from .lstq_eval import LSTQReport, SequenceEvaluator, lstq
+from .lstq_eval import LSTQReport, SequenceEvaluator, lstq, pool_reports
 from .proposal_engine import (
     DEFAULT_DBSCAN_EPS_M,
     DEFAULT_DBSCAN_MIN_PTS,
@@ -493,10 +493,13 @@ def evaluate_directories(
     class_map: ClassMap,
     out_dir,
 ) -> tuple[dict[str, LSTQReport], LSTQReport]:
-    """Score predictions per sequence plus an all-sequence accumulation."""
+    """Score predictions per sequence, plus a report pooled over the sequences.
+
+    Each scan is read and counted once, into its sequence's evaluator; the
+    overall report is pooled from the sequences' counts (``pool_reports``).
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    overall = SequenceEvaluator(class_map)
     reports: dict[str, LSTQReport] = {}
     for sequence in sequences:
         seq_dir = Path(dataset_root) / sequence
@@ -517,14 +520,13 @@ def evaluate_directories(
             gt_sem = remap(gt, class_map)
             pred_sem = remap(pred, class_map)
             evaluator.add_scan(pred_sem, pred.instance_id, gt_sem, gt.instance_id)
-            overall.add_scan(pred_sem, pred.instance_id, gt_sem, gt.instance_id)
         report = evaluator.report()
         reports[sequence] = report
         (out_dir / f"report_{sequence}.kv").write_text(report.as_keyvalues(class_map.names))
         (out_dir / f"report_{sequence}.txt").write_text(
             report.as_table(class_map.names, class_map.thing_mask)
         )
-    overall_report = overall.report()
+    overall_report = pool_reports(reports, class_map)
     (out_dir / "report_overall.kv").write_text(overall_report.as_keyvalues(class_map.names))
     (out_dir / "report_overall.txt").write_text(
         overall_report.as_table(class_map.names, class_map.thing_mask)

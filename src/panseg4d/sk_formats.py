@@ -48,6 +48,11 @@ _F32LE = np.dtype("<f4")
 _U32LE = np.dtype("<u4")
 
 
+def _first_non_finite_row(rows: np.ndarray) -> int:
+    """Index of the first row holding a NaN or inf (callers checked one exists)."""
+    return int(np.argmin(np.isfinite(rows).all(axis=1)))
+
+
 @dataclass(frozen=True)
 class PointCloudScan:
     """One LiDAR sweep: sensor-frame coordinates plus a per-point feature."""
@@ -63,10 +68,9 @@ class PointCloudScan:
             raise LengthMismatch(
                 f"scan {self.scan_index}: {len(points)} points vs {len(feature)} feature values"
             )
-        finite = np.isfinite(points).all(axis=1)
-        if not finite.all():
+        if not np.isfinite(points).all():
             raise NonFiniteValue(
-                f"scan {self.scan_index}: non-finite coordinate at point {int(np.argmax(~finite))}"
+                f"scan {self.scan_index}: non-finite coordinate at point {_first_non_finite_row(points)}"
             )
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "feature", feature)
@@ -161,10 +165,9 @@ def read_scan(path, scan_index: int | None = None) -> PointCloudScan:
         )
     arr = np.frombuffer(raw, dtype=_F32LE).astype(np.float64).reshape(-1, 4)
     points = arr[:, :3]
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(points).all():
         raise NonFiniteValue(
-            f"{path}: non-finite coordinate at point {int(np.argmax(~finite))}"
+            f"{path}: non-finite coordinate at point {_first_non_finite_row(points)}"
         )
     if scan_index is None:
         scan_index = _scan_index_from_name(path)
@@ -304,8 +307,7 @@ def read_offsets(path, expected_count: int) -> np.ndarray:
         )
     offsets = np.frombuffer(raw, dtype=_F32LE).astype(np.float64).reshape(-1, 3)
     if not np.isfinite(offsets).all():
-        i = int(np.argmin(np.isfinite(offsets).all(axis=1)))
-        raise NonFiniteValue(f"{path}: non-finite offset at point {i}")
+        raise NonFiniteValue(f"{path}: non-finite offset at point {_first_non_finite_row(offsets)}")
     return offsets
 
 

@@ -13,6 +13,7 @@ from panseg4d.lstq_eval import (
     SequenceEvaluator,
     evaluate_sequence,
     lstq,
+    pool_reports,
     s_assoc,
     s_cls,
 )
@@ -293,3 +294,42 @@ class TestEvaluateSequence:
         got = streaming.report()
         assert got.lstq == batch.lstq
         assert np.array_equal(got.counts.confusion, batch.counts.confusion)
+
+
+class TestPoolReports:
+    @staticmethod
+    def _random_sequence(rng, class_map, n_scans=3, n=40):
+        pred, gt = [], []
+        for _ in range(n_scans):
+            gt_sem = rng.integers(0, 19, n)
+            gt_sem[rng.random(n) < 0.1] = IGNORE
+            thing = class_map.thing_mask[np.clip(gt_sem, 0, 18)] & (gt_sem != IGNORE)
+            pred.append((np.where(rng.random(n) < 0.7, gt_sem, rng.integers(0, 19, n)), rng.integers(0, 4, n)))
+            gt.append((gt_sem, np.where(thing, rng.integers(1, 4, n), 0)))
+        return pred, gt
+
+    def test_pool_keeps_tubes_per_sequence_and_sums_confusion(self, class_map):
+        rng = np.random.default_rng(11)
+        sequences = {name: self._random_sequence(rng, class_map) for name in ("00", "01", "02")}
+        reports = {name: evaluate_sequence(pred, gt, class_map) for name, (pred, gt) in sequences.items()}
+        pooled = pool_reports(reports, class_map)
+        # Oracle: the sequences' ids shifted apart, so equal ids never meet.
+        scans = [
+            (np.where(p_inst > 0, p_inst + 100 * k, 0), np.where(g_inst > 0, g_inst + 100 * k, 0), g_sem)
+            for k, (pred, gt) in enumerate(sequences.values())
+            for (_, p_inst), (g_sem, g_inst) in zip(pred, gt)
+        ]
+        assert pooled.s_assoc == pytest.approx(float(assoc_rational_oracle(scans, class_map.thing_mask)), abs=1e-12)
+        assert pooled.counts.n_gt_tubes == sum(r.counts.n_gt_tubes for r in reports.values())
+        assert np.array_equal(pooled.counts.confusion, sum(r.counts.confusion for r in reports.values()))
+        everything = evaluate_sequence(
+            [scan for pred, _ in sequences.values() for scan in pred],
+            [scan for _, gt in sequences.values() for scan in gt],
+            class_map,
+        )
+        assert pooled.s_cls == everything.s_cls
+
+    def test_no_sequences_is_vacuous(self, class_map):
+        pooled = pool_reports({}, class_map)
+        assert pooled.assoc_vacuous and pooled.s_assoc == 1.0
+        assert not pooled.class_present.any()

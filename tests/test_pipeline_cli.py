@@ -825,6 +825,75 @@ class TestEvaluate:
         with pytest.raises(CountMismatch, match="predictions/000002.label"):
             evaluate_directories(tmp_path / "pred", small_dataset.root, ("00",), class_map, tmp_path / "rep")
 
+    @staticmethod
+    def _one_scan_sequence(dataset_root, pred_root, sequence, pred_car_id):
+        # Two car points of GT instance 1 and two road points; the prediction
+        # is right up to the car's instance id.
+        seq = dataset_root / sequence
+        (seq / "velodyne").mkdir(parents=True)
+        (seq / "labels").mkdir()
+        points = np.array([[1.0, 0, 0], [1.1, 0, 0], [5.0, 0, 0], [5.1, 0, 0]])
+        sk_formats.write_scan(
+            seq / "velodyne" / "000000.bin", sk_formats.PointCloudScan(points, np.zeros(4))
+        )
+        sk_formats.write_labels(seq / "labels" / "000000.label", [(10, 1), (10, 1), (40, 0), (40, 0)])
+        pred_dir = pred_root / sequence / "predictions"
+        pred_dir.mkdir(parents=True)
+        sk_formats.write_predictions(
+            pred_dir / "000000.label", [(10, pred_car_id), (10, pred_car_id), (40, 0), (40, 0)]
+        )
+
+    def test_tubes_with_colliding_ids_stay_apart_across_sequences(self, class_map, tmp_path):
+        # GT car id 1 in both sequences, predicted as id 1 in 00 and id 2 in
+        # 01: each sequence is perfect, so the pool is too. Tubes keyed by
+        # bare id would merge into one GT tube matched half by each
+        # prediction (S_assoc 0.5, LSTQ 0.707).
+        data, pred = tmp_path / "data", tmp_path / "pred"
+        self._one_scan_sequence(data, pred, "00", pred_car_id=1)
+        self._one_scan_sequence(data, pred, "01", pred_car_id=2)
+        reports, overall = evaluate_directories(pred, data, ("00", "01"), class_map, tmp_path / "rep")
+        assert reports["00"].lstq == reports["01"].lstq == 1.0
+        assert overall.s_assoc == 1.0
+        assert overall.lstq == 1.0
+        assert overall.counts.n_gt_tubes == 2
+        assert "lstq: 100.00" in (tmp_path / "rep" / "report_overall.kv").read_text()
+
+    def test_each_scan_is_counted_once(self, small_dataset, class_map, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        shutil.copytree(small_dataset.root / "00", data / "00")
+        shutil.copytree(small_dataset.root / "00", data / "01")
+        calls = []
+        add_scan = pipeline_cli.SequenceEvaluator.add_scan
+
+        def spy(self, *args):
+            calls.append(self)
+            return add_scan(self, *args)
+
+        monkeypatch.setattr(pipeline_cli.SequenceEvaluator, "add_scan", spy)
+        reports, overall = evaluate_directories(data, data, ("00", "01"), class_map, tmp_path / "rep")
+        assert len(calls) == 2 * len(small_dataset.scans)
+        assert len(set(map(id, calls))) == 2  # one evaluator per sequence
+        assert overall.lstq == 1.0
+        assert overall.counts.n_gt_tubes == 2 * reports["00"].counts.n_gt_tubes > 0
+
+    def test_single_sequence_overall_report_is_the_sequence_report(
+        self, small_dataset, class_map, tmp_path
+    ):
+        config = _oracle_config(
+            small_dataset, tmp_path / "out", offset_sigma=0.3, flip_prob=0.1, noise_seed=7
+        )
+        segment_sequence(config, "00")
+        reports, overall = evaluate_directories(
+            config.out_dir, small_dataset.root, ("00",), class_map, tmp_path / "rep"
+        )
+        assert overall.lstq < 1.0  # noisy input: a non-trivial report
+        assert (overall.s_cls, overall.s_assoc, overall.lstq) == (
+            reports["00"].s_cls, reports["00"].s_assoc, reports["00"].lstq
+        )
+        rep = tmp_path / "rep"
+        for suffix in ("kv", "txt"):
+            assert (rep / f"report_overall.{suffix}").read_bytes() == (rep / f"report_00.{suffix}").read_bytes()
+
     def test_fixture_scores_reproduce_published_values(self, tmp_path):
         rows = reemit_fixture_scores(bundled_path("reference_scores.txt"), tmp_path / "fx.kv")
         by_name = {name: (computed, expected) for name, _, _, computed, expected in rows}

@@ -47,6 +47,22 @@ class TestReadScan:
         with pytest.raises(NonFiniteValue, match="point 1"):
             sk_formats.read_scan(path)
 
+    def test_first_of_several_nonfinite_points_is_named(self, tmp_path):
+        points = np.zeros((6, 4), dtype="<f4")
+        points[4, 0] = np.inf
+        points[2, 2] = -np.inf
+        path = tmp_path / "inf.bin"
+        path.write_bytes(points.tobytes())
+        with pytest.raises(NonFiniteValue, match=r"inf\.bin: non-finite coordinate at point 2$"):
+            sk_formats.read_scan(path)
+        with pytest.raises(NonFiniteValue, match=r"^scan 3: non-finite coordinate at point 2$"):
+            sk_formats.PointCloudScan(points[:, :3], points[:, 3], scan_index=3)
+
+    def test_nonfinite_feature_is_not_a_coordinate_error(self, tmp_path):
+        path = tmp_path / "feature.bin"
+        path.write_bytes(struct.pack("<4f", 1, 2, 3, float("nan")))
+        assert np.isnan(sk_formats.read_scan(path).feature[0])
+
     def test_decodes_exactly_length_over_16_points(self, tmp_path):
         rng = np.random.default_rng(3)
         for n in (0, 1, 7, 100):
