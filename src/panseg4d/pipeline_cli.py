@@ -11,12 +11,16 @@ Subcommands:
 
 ``segment`` takes a sequence's windows in order, on a thread pool when
 ``threads > 1``, with at most ``threads + 1`` windows submitted and not yet
-stitched. The first window job holding a scan reads that scan's provider
-inputs (train ids and scan-frame offsets) once; later windows holding it
-wait for that result, and each window only rotates its scans' offsets into
-its own frame. Each window is stitched and its new scans are written as
-soon as its result arrives; only the previous window's result and the
-inputs of scans from the next window on are kept.
+stitched. Before the first window only poses, calibration and each
+velodyne file's size are read. The first window job holding a scan decodes
+it and reads its provider inputs (train ids and scan-frame offsets) once;
+later windows holding it wait for that result, and each window only
+rotates its scans' offsets into its own frame. Each window is stitched and
+its new scans are written as soon as its result arrives; only the previous
+window's result and the decoded scans and inputs from the next window's
+start on are kept, so the scans held do not grow with the sequence's
+length. A bad scan fails the run when its first window reaches it, after
+earlier windows have written their predictions.
 
 Configuration comes from one plain-text key-value file plus flag overrides;
 flags win. Diagnostics go to stderr, data to files. Exit code 0 iff no
@@ -57,10 +61,10 @@ from .proposal_engine import (
     refine_proposal,
     shift_to_centers,
 )
-from .scan_aggregator import aggregate, lidar_pose_from_camera_pose
+from .scan_aggregator import PoseTable, aggregate, lidar_pose_from_camera_pose
 from .semantic_prior import IGNORE, ClassMap, FileProvider, check_scan_inputs, remap
 from .synthlab import DatasetTruth, OracleProvider, SceneConfig, generate, write_dataset
-from .window_tracker import TrackState, WindowSegmentation, stitch
+from .window_tracker import MAX_GLOBAL_ID, TrackState, WindowSegmentation, stitch
 
 ENV_DATASET_ROOT = "PANSEG4D_DATA"
 
@@ -198,20 +202,32 @@ def overlap_origins_between(
     return np.concatenate(rows) if rows else np.zeros((0, 2), dtype=np.int64)
 
 
-def load_sequence(dataset_root, sequence: str):
-    """Scans, lidar poses, and the sequence directory for one sequence."""
-    seq_dir = Path(dataset_root) / sequence
-    scan_paths = sorted((seq_dir / "velodyne").glob("*.bin"))
-    if not scan_paths:
+def scan_files(seq_dir: Path) -> list[sk_formats.ScanFile]:
+    """One undecoded handle per velodyne file of a sequence, in name order
+    (list position is the scan index); a file that is not whole point
+    records raises ``FileTooShort``."""
+    paths = sorted((seq_dir / "velodyne").glob("*.bin"))
+    if not paths:
         raise ConfigError(f"no scans under {seq_dir / 'velodyne'}")
-    scans = [sk_formats.read_scan(path, index) for index, path in enumerate(scan_paths)]
+    return [sk_formats.scan_file(path) for path in paths]
+
+
+def load_sequence(dataset_root, sequence: str):
+    """Scan handles (``len()`` is each scan's point count, nothing is
+    decoded), lidar poses, and the sequence directory for one sequence."""
+    seq_dir = Path(dataset_root) / sequence
+    scans = scan_files(seq_dir)
     calib = sk_formats.read_calib(seq_dir / "calib.txt")
     camera_poses = sk_formats.read_poses(seq_dir / "poses.txt")
     if len(camera_poses) != len(scans):
         raise CountMismatch(
             f"{seq_dir}: {len(camera_poses)} poses for {len(scans)} scans"
         )
-    lidar_poses = [lidar_pose_from_camera_pose(pose, calib) for pose in camera_poses]
+    # Packed one pose at a time, never held as a list of transforms.
+    lidar_poses = PoseTable(np.empty((len(scans), 3, 3)), np.empty((len(scans), 3)))
+    for k, pose in enumerate(camera_poses):
+        lidar = lidar_pose_from_camera_pose(pose, calib)
+        lidar_poses.rotations[k], lidar_poses.translations[k] = lidar.rotation, lidar.translation
     return scans, lidar_poses, seq_dir
 
 
@@ -225,9 +241,8 @@ def build_provider(config: PipelineConfig, sequence: str, scans, lidar_poses, cl
                 f"scene_config {config.scene_config} does not match dataset {sequence}"
             )
         return OracleProvider(
-            scans=scans,
             lidar_poses=lidar_poses,
-            gt=DatasetTruth(Path(config.dataset_root) / sequence, scans, class_map),
+            gt=DatasetTruth(Path(config.dataset_root) / sequence, class_map),
             class_map=class_map,
             flip_prob=config.flip_prob,
             offset_sigma=config.offset_sigma,
@@ -240,10 +255,8 @@ def build_provider(config: PipelineConfig, sequence: str, scans, lidar_poses, cl
         directory = Path(template.format(seq=sequence))
         return [directory / f"{k:06d}{extension}" for k in range(len(scans))]
 
-    sizes = [len(scan) for scan in scans]
     return FileProvider(
         class_map=class_map,
-        scan_sizes=sizes,
         semantic_paths=scan_paths(config.semantic_dir, ".label"),
         confidence_paths=scan_paths(config.confidence_dir, ".conf"),
         offset_paths=scan_paths(config.offset_dir, ".offset"),
@@ -334,14 +347,16 @@ def _segment_window(config, window, scans, lidar_poses, labels, scan_offsets, pr
     return result, timing, counters
 
 
-def _read_inputs(provider, futures: dict[int, Future], scans, n_classes: int) -> None:
-    """Read each scan's checked provider inputs into its future, in scan
-    order. On failure every future still unset gets the error, so no window
-    waits for a scan that will never be read."""
+def _read_scans(provider, futures: dict[int, Future], scans, n_classes: int) -> None:
+    """Decode each scan and read its checked provider inputs, in scan order,
+    into its future as ``(scan, inputs)``. On failure every future still
+    unset gets the error, so no window waits for a scan that will never be
+    read."""
     try:
         for scan_index, future in futures.items():
-            inputs = provider.scan_inputs(scan_index)
-            future.set_result(check_scan_inputs(inputs, scan_index, len(scans[scan_index]), n_classes))
+            scan = sk_formats.read_scan(scans[scan_index].path, scan_index)
+            inputs = provider.scan_inputs(scan_index, scan.points)
+            future.set_result((scan, check_scan_inputs(inputs, scan_index, len(scan), n_classes)))
     except BaseException as exc:
         for future in futures.values():
             if not future.done():
@@ -377,10 +392,10 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
     # IGNORE (-1) reads the appended slot: unlabelled points write raw 0.
     raw_of = np.append(class_map.train_to_raw, 0)
 
-    # Scan index -> its provider inputs (train ids and scan-frame offsets),
-    # a future set by the first window job that holds the scan, so each
-    # scan's files are read once. Filled on the main thread, in window
-    # order, as each window is handed out.
+    # Scan index -> its decoded scan and provider inputs (train ids and
+    # scan-frame offsets), a future set by the first window job that holds
+    # the scan, so each scan's files are read once. Filled on the main
+    # thread, in window order, as each window is handed out.
     inputs: dict[int, Future] = {}
 
     def hand_out(window):
@@ -392,15 +407,16 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
     def job(task):
         window, held, owned = task
         start = time.perf_counter()
-        _read_inputs(provider, owned, scans, class_map.n_classes)
+        _read_scans(provider, owned, scans, class_map.n_classes)
         inputs_s = time.perf_counter() - start
-        labels = [None] * len(scans)
+        # Aligned with the sequence; only this window's slots are filled.
+        window_scans, labels = [None] * len(scans), [None] * len(scans)
         scan_offsets = []
         for scan_index, future in held.items():
-            labels[scan_index], offsets = future.result()
+            window_scans[scan_index], (labels[scan_index], offsets) = future.result()
             scan_offsets.append(offsets)
         result, timing, counters = _segment_window(
-            config, window, scans, lidar_poses, labels, scan_offsets, provider, class_map.thing_mask
+            config, window, window_scans, lidar_poses, labels, scan_offsets, provider, class_map.thing_mask
         )
         return result, {**timing, "inputs": inputs_s}, counters
 
@@ -454,6 +470,7 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
                 del inputs[scan_index]
 
     rate = core_points / core_time if core_time > 0 else float("inf")
+    ids_used = state.next_global_id - 1
     stats = SegmentStats(
         sequence=sequence,
         n_scans=len(scans),
@@ -468,22 +485,15 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
         f"core shift+fps+group throughput: {rate:,.0f} points/sec",
         f"uncovered thing points: {uncovered_total}",
         f"wall time: {stats.wall_time_s:.2f} s",
+        # Global ids are never reused, so ids per scan times a sequence's
+        # length projects its use against the 16-bit limit.
+        f"global instance ids used: {ids_used} of {MAX_GLOBAL_ID}, "
+        f"{ids_used / len(scans):.4g} per scan",
     ]
-    (out_seq / "run_log.txt").write_text("\n".join(log_lines) + "\n")
-    logger.info("%s: %s; %s", sequence, log_lines[-4], log_lines[-3])
+    with open(out_seq / "run_log.txt", "w") as log:
+        log.writelines(f"{line}\n" for line in log_lines)
+    logger.info("%s: %s; %s", sequence, log_lines[-5], log_lines[-4])
     return stats
-
-
-def _sequence_scan_counts(seq_dir: Path) -> list[tuple[str, int]]:
-    names = []
-    for path in sorted((seq_dir / "velodyne").glob("*.bin")):
-        size = path.stat().st_size
-        if size % sk_formats.POINT_RECORD_BYTES:
-            raise CountMismatch(f"{path}: truncated scan file")
-        names.append((path.stem, size // sk_formats.POINT_RECORD_BYTES))
-    if not names:
-        raise ConfigError(f"no scans under {seq_dir / 'velodyne'}")
-    return names
 
 
 def evaluate_directories(
@@ -510,13 +520,14 @@ def evaluate_directories(
         pred_dir = Path(pred_root) / sequence / "predictions"
         if not pred_dir.is_dir():
             pred_dir = Path(pred_root) / sequence / "labels"
-        for stem, count in _sequence_scan_counts(seq_dir):
+        for scan in scan_files(seq_dir):
+            stem = Path(scan.path).stem
             gt_path = seq_dir / "labels" / f"{stem}.label"
             pred_path = pred_dir / f"{stem}.label"
             if not pred_path.exists():
                 raise CountMismatch(f"missing prediction file {pred_path}")
-            gt = sk_formats.read_labels(gt_path, count)
-            pred = sk_formats.read_labels(pred_path, count)
+            gt = sk_formats.read_labels(gt_path, len(scan))
+            pred = sk_formats.read_labels(pred_path, len(scan))
             gt_sem = remap(gt, class_map)
             pred_sem = remap(pred, class_map)
             evaluator.add_scan(pred_sem, pred.instance_id, gt_sem, gt.instance_id)

@@ -62,6 +62,22 @@ class RigidTransform:
 
 
 @dataclass(frozen=True)
+class PoseTable(Sequence):
+    """A sequence's rigid poses packed into one rotation and one translation
+    array, 96 bytes per pose where a list of :class:`RigidTransform` costs
+    about 700; item ``i`` is a :class:`RigidTransform` viewing row ``i``."""
+
+    rotations: np.ndarray  # (n, 3, 3)
+    translations: np.ndarray  # (n, 3)
+
+    def __len__(self) -> int:
+        return len(self.rotations)
+
+    def __getitem__(self, index: int) -> RigidTransform:
+        return RigidTransform(self.rotations[index], self.translations[index])
+
+
+@dataclass(frozen=True)
 class Aggregated4DCloud:
     """N scans fused in the reference frame with per-point scan offsets.
 

@@ -2,7 +2,8 @@
 
 A provider hands the pipeline each scan's inputs once, through
 :meth:`PredictionSource.scan_inputs`: per-point train ids (IGNORE where
-unlabelled) and per-point offset vectors in the scan's stored frame.
+unlabelled) and per-point offset vectors in the scan's stored frame. The
+pipeline passes in the scan's decoded points, so providers hold no scans.
 Label sources give their remapped ids directly; confidence rows are
 normalized and reduced with :func:`argmax_labels`. Each window then only
 rotates its scans' offsets into its reference frame
@@ -274,18 +275,19 @@ def rotate_into_window(lidar_poses: Sequence[RigidTransform], start: int, scan_o
 class PredictionSource(ABC):
     """Provider of each scan's semantic labels and offsets.
 
-    The pipeline asks :meth:`scan_inputs` once per scan and passes the
-    offsets of a window's scans, in window order, to :meth:`window_offsets`,
-    which returns them in the frame of the window's reference scan,
-    row-aligned with the aggregated cloud.
+    The pipeline asks :meth:`scan_inputs` once per scan, in the window job
+    that decoded the scan, and passes the offsets of a window's scans, in
+    window order, to :meth:`window_offsets`, which returns them in the frame
+    of the window's reference scan, row-aligned with the aggregated cloud.
     """
 
     @abstractmethod
-    def scan_inputs(self, scan_index: int) -> ScanInputs:
-        ...
+    def scan_inputs(self, scan_index: int, points: np.ndarray) -> ScanInputs:
+        """Scan k's inputs, one row per row of its (n, 3) sensor-frame
+        ``points``; a provider that needs no coordinates uses only ``len``."""
 
     @abstractmethod
-    def semantic_prior(self, scan_index: int) -> SemanticPrior:
+    def semantic_prior(self, scan_index: int, points: np.ndarray) -> SemanticPrior:
         ...
 
     @abstractmethod
@@ -301,13 +303,13 @@ class FileProvider(PredictionSource):
     files hold N x 3 float32 rows per scan; ``offset_frame`` declares whether
     the stored vectors are already in the consuming window's reference frame
     ("window") or in each scan's own sensor frame ("sensor", rotated into the
-    window frame by :meth:`window_offsets` using the lidar poses).
+    window frame by :meth:`window_offsets` using the lidar poses). N is the
+    number of points the caller passes; no coordinate is read.
     """
 
     def __init__(
         self,
         class_map: ClassMap,
-        scan_sizes: Sequence[int],
         semantic_paths: Sequence | None = None,
         confidence_paths: Sequence | None = None,
         offset_paths: Sequence | None = None,
@@ -321,11 +323,10 @@ class FileProvider(PredictionSource):
         if offset_frame == "sensor" and lidar_poses is None:
             raise ConfigError("sensor-frame offsets require lidar_poses for rotation")
         self.class_map = class_map
-        self.scan_sizes = list(scan_sizes)
         self.semantic_paths = list(semantic_paths) if semantic_paths is not None else None
         self.confidence_paths = list(confidence_paths) if confidence_paths is not None else None
         self.offset_paths = list(offset_paths) if offset_paths is not None else None
-        self.lidar_poses = list(lidar_poses) if lidar_poses is not None else None
+        self.lidar_poses = lidar_poses
         self.offset_frame = offset_frame
 
     def _path_for(self, paths, scan_index: int, what: str):
@@ -336,26 +337,26 @@ class FileProvider(PredictionSource):
             raise FileNotFoundError(f"{what} file for scan {scan_index} not found: {path}")
         return path
 
-    def _confidences(self, scan_index: int) -> SemanticPrior:
+    def _confidences(self, scan_index: int, n_points: int) -> SemanticPrior:
         path = self._path_for(self.confidence_paths, scan_index, "confidence")
-        scores = sk_formats.read_confidences(path, self.scan_sizes[scan_index], self.class_map.n_classes)
+        scores = sk_formats.read_confidences(path, n_points, self.class_map.n_classes)
         return normalize_confidences(scores)
 
-    def _labels(self, scan_index: int) -> np.ndarray:
+    def _labels(self, scan_index: int, n_points: int) -> np.ndarray:
         if self.semantic_paths is None:
-            return argmax_labels(self._confidences(scan_index).matrix)
+            return argmax_labels(self._confidences(scan_index, n_points).matrix)
         path = self._path_for(self.semantic_paths, scan_index, "semantic label")
-        return remap(sk_formats.read_labels(path, self.scan_sizes[scan_index]), self.class_map)
+        return remap(sk_formats.read_labels(path, n_points), self.class_map)
 
-    def scan_inputs(self, scan_index: int) -> ScanInputs:
-        labels = self._labels(scan_index)
+    def scan_inputs(self, scan_index: int, points: np.ndarray) -> ScanInputs:
+        labels = self._labels(scan_index, len(points))
         path = self._path_for(self.offset_paths, scan_index, "offset")
-        return ScanInputs(labels, sk_formats.read_offsets(path, self.scan_sizes[scan_index]))
+        return ScanInputs(labels, sk_formats.read_offsets(path, len(points)))
 
-    def semantic_prior(self, scan_index: int) -> SemanticPrior:
+    def semantic_prior(self, scan_index: int, points: np.ndarray) -> SemanticPrior:
         if self.semantic_paths is None:
-            return self._confidences(scan_index)
-        return encode_one_hot(self._labels(scan_index), self.class_map.n_classes)
+            return self._confidences(scan_index, len(points))
+        return encode_one_hot(self._labels(scan_index, len(points)), self.class_map.n_classes)
 
     def window_offsets(self, window: tuple[int, int], scan_offsets: Sequence[np.ndarray]) -> np.ndarray:
         if self.offset_frame == "sensor":

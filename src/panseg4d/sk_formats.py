@@ -150,6 +150,35 @@ def _scan_index_from_name(path: Path) -> int:
     return int(stem) if stem.isdigit() else 0
 
 
+def _point_count(path: Path, n_bytes: int) -> int:
+    """Points in a velodyne file of ``n_bytes``; it must hold whole records."""
+    if n_bytes % POINT_RECORD_BYTES != 0:
+        raise FileTooShort(f"{path}: {n_bytes} bytes is not a multiple of {POINT_RECORD_BYTES}")
+    return n_bytes // POINT_RECORD_BYTES
+
+
+@dataclass(frozen=True, slots=True)
+class ScanFile:
+    """A velodyne file not yet decoded; ``len()`` is its point count, taken
+    from the file size by :func:`scan_file`. Decode it with :func:`read_scan`.
+
+    A sequence holds one per scan for the whole run, so the path is kept as
+    a plain string (a ``Path`` costs about four times the memory).
+    """
+
+    path: str
+    n_points: int
+
+    def __len__(self) -> int:
+        return self.n_points
+
+
+def scan_file(path) -> ScanFile:
+    """Handle on a velodyne ``.bin`` file, sized without reading it."""
+    path = Path(path)
+    return ScanFile(str(path), _point_count(path, path.stat().st_size))
+
+
 def read_scan(path, scan_index: int | None = None) -> PointCloudScan:
     """Decode a velodyne ``.bin`` file.
 
@@ -159,10 +188,7 @@ def read_scan(path, scan_index: int | None = None) -> PointCloudScan:
     """
     path = Path(path)
     raw = path.read_bytes()
-    if len(raw) % POINT_RECORD_BYTES != 0:
-        raise FileTooShort(
-            f"{path}: {len(raw)} bytes is not a multiple of {POINT_RECORD_BYTES}"
-        )
+    _point_count(path, len(raw))
     arr = np.frombuffer(raw, dtype=_F32LE).astype(np.float64).reshape(-1, 4)
     points = arr[:, :3]
     if not np.isfinite(points).all():

@@ -179,8 +179,9 @@ class GroundTruth:
     def n_scans(self) -> int:
         return len(self.semantic)
 
-    def scan_truth(self, scan_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Scan k's train ids and per-point instance centers."""
+    def scan_truth(self, scan_index: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scan k's train ids and per-point instance centers; ``points`` is
+        unused, as generated truth holds its centers."""
         return self.semantic[scan_index], self.centers[scan_index]
 
 
@@ -189,22 +190,24 @@ class DatasetTruth:
 
     :meth:`scan_truth` decodes scan k's ``.label`` file once for both of
     its results: train ids are the remapped semantic field, centers come
-    from the instance field through :func:`instance_centers`. The pipeline
-    asks once per scan and holds the result while windows need it, so each
-    file is decoded once per run. Serves :class:`OracleProvider` in place
-    of a :class:`GroundTruth` without regenerating the scene.
+    from the instance field and the scan's points, which the caller passes,
+    through :func:`instance_centers`. It holds no scans. The pipeline asks
+    once per scan, in the window job that decoded the scan, and holds the
+    result while windows need it, so each file is decoded once per run.
+    Serves :class:`OracleProvider` in place of a :class:`GroundTruth`
+    without regenerating the scene.
     """
 
-    def __init__(self, seq_dir, scans: list[PointCloudScan], class_map: ClassMap):
+    def __init__(self, seq_dir, class_map: ClassMap):
         self.labels_dir = Path(seq_dir) / "labels"
-        self.scans = scans
         self.class_map = class_map
 
-    def scan_truth(self, scan_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Scan k's train ids and per-point instance centers, from one decode."""
+    def scan_truth(self, scan_index: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scan k's train ids and per-point instance centers, from one decode
+        of its label file, which must hold one record per row of ``points``."""
         path = self.labels_dir / f"{scan_index:06d}.label"
-        labels = sk_formats.read_labels(path, len(self.scans[scan_index]))
-        centers = instance_centers(self.scans[scan_index].points, labels.instance_id)
+        labels = sk_formats.read_labels(path, len(points))
+        centers = instance_centers(points, labels.instance_id)
         return remap(labels, self.class_map), centers
 
 
@@ -457,7 +460,7 @@ def _scan_offsets(points, centers, scan_index: int, sigma: float, seed: int) -> 
 def _window_offsets(scans, lidar_poses, gt, window, sigma: float, seed: int) -> np.ndarray:
     start, count = window
     return rotate_into_window(lidar_poses, start, [
-        _scan_offsets(scans[k].points, gt.scan_truth(k)[1], k, sigma, seed)
+        _scan_offsets(scans[k].points, gt.scan_truth(k, scans[k].points)[1], k, sigma, seed)
         for k in range(start, start + count)
     ])
 
@@ -480,16 +483,17 @@ class OracleProvider(PredictionSource):
     """Prediction source backed by ground truth, with dial-in noise.
 
     ``gt`` is the generator's :class:`GroundTruth` or a dataset's
-    :class:`DatasetTruth`, asked for one scan at a time. Labels are the
-    ground-truth train ids and offsets point from each point to its
-    instance center; ``flip_prob`` corrupts labels and ``offset_sigma``
-    perturbs the offsets, each from its own ``noise_seed`` stream keyed by
-    the scan index, so a scan's inputs do not depend on the window asking.
+    :class:`DatasetTruth`, asked for one scan at a time. The provider holds
+    no scans: the caller passes each scan's decoded points, from which the
+    offsets are taken. Labels are the ground-truth train ids and offsets
+    point from each point to its instance center; ``flip_prob`` corrupts
+    labels and ``offset_sigma`` perturbs the offsets, each from its own
+    ``noise_seed`` stream keyed by the scan index, so a scan's inputs do not
+    depend on the window asking.
     """
 
     def __init__(
         self,
-        scans: list[PointCloudScan],
         lidar_poses: list[RigidTransform],
         gt: GroundTruth | DatasetTruth,
         class_map: ClassMap,
@@ -501,7 +505,6 @@ class OracleProvider(PredictionSource):
             raise ConfigError(f"flip_prob must lie in [0, 1], got {flip_prob}")
         if offset_sigma < 0:
             raise ConfigError(f"offset_sigma must be >= 0, got {offset_sigma}")
-        self.scans = scans
         self.lidar_poses = lidar_poses
         self.gt = gt
         self.class_map = class_map
@@ -509,18 +512,16 @@ class OracleProvider(PredictionSource):
         self.offset_sigma = offset_sigma
         self.noise_seed = noise_seed
 
-    def scan_inputs(self, scan_index: int) -> ScanInputs:
-        ids, centers = self.gt.scan_truth(scan_index)
+    def scan_inputs(self, scan_index: int, points: np.ndarray) -> ScanInputs:
+        ids, centers = self.gt.scan_truth(scan_index, points)
         if self.flip_prob > 0:
             rng = keyed_rng(self.noise_seed, _STREAM_SEMANTIC_NOISE, scan_index)
             ids = flip_labels(ids, self.flip_prob, rng, self.class_map.n_classes)
-        offsets = _scan_offsets(
-            self.scans[scan_index].points, centers, scan_index, self.offset_sigma, self.noise_seed
-        )
+        offsets = _scan_offsets(points, centers, scan_index, self.offset_sigma, self.noise_seed)
         return ScanInputs(ids, offsets)
 
-    def semantic_prior(self, scan_index: int) -> SemanticPrior:
-        return encode_one_hot(self.scan_inputs(scan_index).labels, self.class_map.n_classes)
+    def semantic_prior(self, scan_index: int, points: np.ndarray) -> SemanticPrior:
+        return encode_one_hot(self.scan_inputs(scan_index, points).labels, self.class_map.n_classes)
 
     def window_offsets(self, window: tuple[int, int], scan_offsets) -> np.ndarray:
         return rotate_into_window(self.lidar_poses, window[0], scan_offsets)

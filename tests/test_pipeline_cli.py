@@ -15,6 +15,7 @@ from panseg4d import pipeline_cli, sk_formats
 from panseg4d.errors import (
     ConfigError,
     CountMismatch,
+    FileTooShort,
     IdOutOfRange,
     LengthMismatch,
     NonFiniteValue,
@@ -205,6 +206,16 @@ class TestSegment:
         assert uncovered == stats.uncovered_thing_points
         log = (tmp_path / "out" / "00" / "run_log.txt").read_text().splitlines()
         assert log[: len(stats.window_rows)] == stats.window_rows
+
+    def test_run_log_closes_with_the_global_ids_used(self, small_dataset, tmp_path):
+        # Global ids are handed out from 1 and never reused, so the count
+        # used is the largest instance id written.
+        stats = segment_sequence(_oracle_config(small_dataset, tmp_path / "out"), "00")
+        predictions = _read_predictions(tmp_path / "out", small_dataset.scans)
+        largest = max(int(labels.instance_id.max()) for labels in predictions)
+        assert largest > 0
+        log = (tmp_path / "out" / "00" / "run_log.txt").read_text().splitlines()
+        assert log[-1] == f"global instance ids used: {largest} of 65535, {largest / stats.n_scans:.4g} per scan"
 
     def test_run_log_reports_end_to_end_then_core_rate(self, small_dataset, tmp_path):
         config = _oracle_config(small_dataset, tmp_path / "out")
@@ -513,11 +524,11 @@ class TestPriorsInWindowJobs:
         calls = Counter()
         scan_inputs = OracleProvider.scan_inputs
 
-        def slow_inputs(self, scan_index):
+        def slow_inputs(self, scan_index, points):
             with lock:
                 calls[scan_index] += 1
             time.sleep(0.02)  # lets windows sharing a scan run at once
-            return scan_inputs(self, scan_index)
+            return scan_inputs(self, scan_index, points)
 
         monkeypatch.setattr(OracleProvider, "scan_inputs", slow_inputs)
         # Three-scan windows at stride 1: scans 2 and 3 sit in three windows.
@@ -546,8 +557,8 @@ class TestPriorsInWindowJobs:
         scan_inputs = OracleProvider.scan_inputs
         stitch = pipeline_cli.stitch
 
-        def spy_inputs(self, scan_index):
-            inputs = scan_inputs(self, scan_index)
+        def spy_inputs(self, scan_index, points):
+            inputs = scan_inputs(self, scan_index, points)
             for array in inputs:
                 with lock:
                     alive.add((scan_index, id(array)))
@@ -568,11 +579,11 @@ class TestPriorsInWindowJobs:
     def test_failed_reduction_reaches_every_window_waiting_for_it(self, six_scan_dataset, tmp_path, monkeypatch):
         scan_inputs = OracleProvider.scan_inputs
 
-        def failing_inputs(self, scan_index):
+        def failing_inputs(self, scan_index, points):
             if scan_index == 1:
                 time.sleep(0.05)  # the second window is already waiting
                 raise ValueError("scan 1 inputs failed")
-            return scan_inputs(self, scan_index)
+            return scan_inputs(self, scan_index, points)
 
         monkeypatch.setattr(OracleProvider, "scan_inputs", failing_inputs)
         config = _oracle_config(six_scan_dataset, tmp_path / "out", window_n=3, stride=1, threads=2)
@@ -593,12 +604,12 @@ class TestPriorsInWindowJobs:
 
 
 class TestInputsReadOnce:
-    """Every label and offset file is read once per run, however many
-    windows hold its scan (the first window job holding it reads it)."""
+    """Every velodyne, label and offset file is read once per run, however
+    many windows hold its scan (the first window job holding it reads it)."""
 
     def _spy_reads(self, monkeypatch) -> Counter:
         reads, lock = Counter(), threading.Lock()
-        for name in ("read_labels", "read_offsets"):
+        for name in ("read_scan", "read_labels", "read_offsets"):
             def spy(path, *args, _read=getattr(sk_formats, name)):
                 with lock:
                     reads[Path(path)] += 1
@@ -613,8 +624,10 @@ class TestInputsReadOnce:
         # Three-scan windows at stride 1 hold scans 2 and 3 three times each.
         config = _oracle_config(six_scan_dataset, tmp_path / "out", window_n=3, stride=1, threads=threads)
         segment_sequence(config, "00")
-        labels_dir = six_scan_dataset.root / "00" / "labels"
-        assert reads == Counter({labels_dir / f"{k:06d}.label": 1 for k in range(6)})
+        seq_dir = six_scan_dataset.root / "00"
+        want = {seq_dir / "labels" / f"{k:06d}.label": 1 for k in range(6)}
+        want.update({seq_dir / "velodyne" / f"{k:06d}.bin": 1 for k in range(6)})
+        assert reads == Counter(want)
 
     @pytest.mark.parametrize("offset_frame", ["sensor", "window"])
     def test_files_read_each_label_and_offset_file_once(
@@ -636,22 +649,130 @@ class TestInputsReadOnce:
         segment_sequence(config, "00")
         want = {labels_dir / f"{k:06d}.label": 1 for k in range(6)}
         want.update({off_dir / f"{k:06d}.offset": 1 for k in range(6)})
+        want.update({six_scan_dataset.root / "00" / "velodyne" / f"{k:06d}.bin": 1 for k in range(6)})
         assert reads == Counter(want)
+
+    def test_load_sequence_decodes_no_scan(self, small_dataset, monkeypatch):
+        def no_read(*args):
+            raise AssertionError("load_sequence decoded a scan")
+
+        monkeypatch.setattr(sk_formats, "read_scan", no_read)
+        scans, lidar_poses, _ = pipeline_cli.load_sequence(small_dataset.root, "00")
+        assert [len(scan) for scan in scans] == [len(scan) for scan in small_dataset.scans]
+        assert len(lidar_poses) == len(scans)
+
+
+@pytest.fixture(scope="module")
+def twenty_and_forty_scans(tmp_path_factory, class_map):
+    """One small scene written at 20 and at 40 scans."""
+    datasets = {}
+    for n_scans in (20, 40):
+        scene = SceneConfig(
+            n_scans=n_scans, points_per_scan=1000, n_objects=2, object_classes=(0, 5),
+            plane_extent=8.0, n_boxes=2, seed=7,
+        )
+        root = tmp_path_factory.mktemp(f"scans_{n_scans}")
+        scans, poses, gt = generate(scene)
+        write_dataset(root, "00", scans, poses, gt, class_map)
+        scene.save(root / "scene.cfg")
+        datasets[n_scans] = SimpleNamespace(root=root, scene_path=root / "scene.cfg", scans=scans)
+    return datasets
+
+
+class TestLazyScans:
+    """Scans are decoded by the first window job holding them and dropped
+    with their inputs, so memory does not grow with the sequence."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("window_n", [2, 4])
+    def test_decoded_scans_alive_do_not_grow_with_sequence_length(
+        self, twenty_and_forty_scans, tmp_path, monkeypatch, window_n, threads
+    ):
+        lock = threading.Lock()
+        alive, peak = [0], [0]
+        read_scan = sk_formats.read_scan
+        stitch = pipeline_cli.stitch
+
+        def dropped():
+            with lock:
+                alive[0] -= 1
+
+        def spy_read(*args):
+            scan = read_scan(*args)
+            with lock:
+                alive[0] += 1
+                peak[0] = max(peak[0], alive[0])
+            weakref.finalize(scan, dropped)
+            return scan
+
+        def slow_stitch(*args):
+            time.sleep(0.005)  # lets the pool run up to its limit of windows
+            return stitch(*args)
+
+        monkeypatch.setattr(sk_formats, "read_scan", spy_read)
+        monkeypatch.setattr(pipeline_cli, "stitch", slow_stitch)
+        peaks = {}
+        for n_scans, dataset in twenty_and_forty_scans.items():
+            alive[0] = peak[0] = 0
+            config = _oracle_config(dataset, tmp_path / str(n_scans), window_n=window_n, threads=threads)
+            segment_sequence(config, "00")
+            assert alive[0] == 0
+            peaks[n_scans] = peak[0]
+        # One window's scans on one thread; on the pool, the scans of the
+        # window being stitched and of the windows handed out after it.
+        stride = window_n - 1
+        assert peaks[20] == peaks[40] == (window_n if threads == 1 else window_n + threads * stride)
+
+    def test_non_finite_coordinate_in_a_late_scan_exits_1_naming_file_and_point(
+        self, small_dataset, tmp_path, capsys
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(small_dataset.root / "00", data / "00")
+        bad = data / "00" / "velodyne" / "000004.bin"
+        records = np.fromfile(bad, dtype="<f4").reshape(-1, 4)
+        records[17, 1] = np.inf
+        records.tofile(bad)
+        code = main(
+            [
+                "segment", "--dataset-root", str(data), "--out", str(tmp_path / "out"),
+                "--source", "oracle", "--scene-config", str(small_dataset.scene_path),
+            ]
+        )
+        assert code == 1
+        assert f"{bad}: non-finite coordinate at point 17" in capsys.readouterr().err
+        # The windows before the first one holding scan 4 wrote their scans.
+        written = sorted(path.name for path in (tmp_path / "out" / "00" / "predictions").iterdir())
+        assert written == [f"{k:06d}.label" for k in range(4)]
+
+    def test_truncated_scan_fails_segment_before_any_window_and_evaluate_alike(
+        self, small_dataset, class_map, tmp_path
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(small_dataset.root / "00", data / "00")
+        bad = data / "00" / "velodyne" / "000003.bin"
+        bad.write_bytes(bad.read_bytes()[:-5])
+        message = f"{bad}: {16 * len(small_dataset.scans[3]) - 5} bytes is not a multiple of 16"
+        with pytest.raises(FileTooShort, match=message):
+            segment_sequence(_oracle_config(small_dataset, tmp_path / "out", dataset_root=data), "00")
+        assert not list((tmp_path / "out").rglob("*.label"))
+        with pytest.raises(FileTooShort, match=message):
+            evaluate_directories(data, data, ("00",), class_map, tmp_path / "rep")
+        assert not list((tmp_path / "rep").iterdir())
 
 
 class StubProvider(PredictionSource):
     """Road labels and zero offsets for every scan, except the inputs of
     one scan replaced by ``bad``."""
 
-    def __init__(self, sizes, bad_scan, bad):
-        self.sizes, self.bad_scan, self.bad = sizes, bad_scan, bad
+    def __init__(self, bad_scan, bad):
+        self.bad_scan, self.bad = bad_scan, bad
 
-    def scan_inputs(self, scan_index):
-        n = self.sizes[scan_index]
+    def scan_inputs(self, scan_index, points):
+        n = len(points)
         inputs = ScanInputs(np.full(n, 8, dtype=np.int64), np.zeros((n, 3)))
         return self.bad(inputs) if scan_index == self.bad_scan else inputs
 
-    def semantic_prior(self, scan_index):
+    def semantic_prior(self, scan_index, points):
         raise AssertionError("segment asks no prior matrix")
 
     def window_offsets(self, window, scan_offsets):
@@ -684,17 +805,13 @@ class TestProviderInputsChecked:
     def test_bad_provider_inputs_raise_naming_the_scan(
         self, six_scan_dataset, tmp_path, monkeypatch, bad, error, message
     ):
-        sizes = [len(scan) for scan in six_scan_dataset.scans]
-        monkeypatch.setattr(
-            pipeline_cli, "build_provider", lambda *args: StubProvider(sizes, 2, bad)
-        )
+        monkeypatch.setattr(pipeline_cli, "build_provider", lambda *args: StubProvider(2, bad))
         with pytest.raises(error, match=message):
             segment_sequence(_oracle_config(six_scan_dataset, tmp_path / "out"), "00")
 
     def test_stub_inputs_pass(self, six_scan_dataset, tmp_path, monkeypatch):
-        sizes = [len(scan) for scan in six_scan_dataset.scans]
         monkeypatch.setattr(
-            pipeline_cli, "build_provider", lambda *args: StubProvider(sizes, 2, lambda inputs: inputs)
+            pipeline_cli, "build_provider", lambda *args: StubProvider(2, lambda inputs: inputs)
         )
         stats = segment_sequence(_oracle_config(six_scan_dataset, tmp_path / "out"), "00")
         assert all("things=0 " in row for row in stats.window_rows)

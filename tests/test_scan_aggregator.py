@@ -7,6 +7,7 @@ from conftest import random_rigid, random_rotation
 from panseg4d.errors import LengthMismatch, WindowOutOfRange
 from panseg4d.scan_aggregator import (
     Aggregated4DCloud,
+    PoseTable,
     RigidTransform,
     aggregate,
     lidar_pose_from_camera_pose,
@@ -62,6 +63,21 @@ class TestRigidTransform:
         again = RigidTransform.from_matrix(rigid.as_matrix())
         assert np.array_equal(again.rotation, rigid.rotation)
         assert np.array_equal(again.translation, rigid.translation)
+
+
+class TestPoseTable:
+    def test_items_and_window_transforms_are_the_packed_poses_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        poses = [random_rigid(rng) for _ in range(7)]
+        table = PoseTable(np.array([p.rotation for p in poses]), np.array([p.translation for p in poses]))
+        assert len(table) == len(poses)
+        for got, want in zip(table, poses):
+            assert got.rotation.tobytes() == want.rotation.tobytes()
+            assert got.translation.tobytes() == want.translation.tobytes()
+        for reference, scan in [(0, 3), (2, 6), (5, 1)]:
+            got = window_relative_transform(table, reference, scan)
+            want = window_relative_transform(poses, reference, scan)
+            assert got.as_matrix().tobytes() == want.as_matrix().tobytes()
 
 
 class TestLidarPoseFromCameraPose:

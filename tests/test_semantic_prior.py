@@ -232,6 +232,11 @@ def _parent_window_offsets(offset_paths, sizes, lidar_poses, offset_frame, windo
     return np.concatenate(rows)
 
 
+def _points(n):
+    """Coordinates for an n-point scan; a file provider only counts them."""
+    return np.zeros((n, 3))
+
+
 class TestFileProvider:
     def _write_labels(self, path, raw, inst):
         sk_formats.write_labels(path, np.stack([raw, inst], axis=1))
@@ -244,7 +249,6 @@ class TestFileProvider:
             sk_formats.write_offsets(tmp_path / f"{k:06d}.offset", rng.normal(size=(n, 3)))
         return FileProvider(
             class_map=class_map,
-            scan_sizes=sizes,
             semantic_paths=[tmp_path / f"{k:06d}.label" for k in range(len(sizes))],
             offset_paths=[tmp_path / f"{k:06d}.offset" for k in range(len(sizes))],
             **kwargs,
@@ -255,11 +259,10 @@ class TestFileProvider:
         self._write_labels(tmp_path / "000000.label", raw, np.zeros(3, dtype=int))
         provider = FileProvider(
             class_map=class_map,
-            scan_sizes=[3],
             semantic_paths=[tmp_path / "000000.label"],
             offset_paths=[tmp_path / "000000.offset"],
         )
-        prior = provider.semantic_prior(0)
+        prior = provider.semantic_prior(0, _points(3))
         assert np.array_equal(prior.matrix, encode_one_hot([0, 5, 8], 19).matrix)
 
     def test_confidence_files_normalized(self, tmp_path, class_map):
@@ -267,11 +270,10 @@ class TestFileProvider:
         sk_formats.write_confidences(tmp_path / "000000.conf", scores)
         provider = FileProvider(
             class_map=class_map,
-            scan_sizes=[4],
             confidence_paths=[tmp_path / "000000.conf"],
             offset_paths=[tmp_path / "000000.offset"],
         )
-        prior = provider.semantic_prior(0)
+        prior = provider.semantic_prior(0, _points(4))
         assert np.abs(prior.matrix.sum(axis=1) - 1.0).max() < 1e-9
         assert np.array_equal(argmax_labels(prior.matrix), scores.argmax(axis=1))
 
@@ -294,17 +296,17 @@ class TestFileProvider:
             semantic = dict(confidence_paths=[tmp_path / "000000.conf"])
         sk_formats.write_offsets(tmp_path / "000000.offset", rng.normal(size=(n, 3)))
         provider = FileProvider(
-            class_map=class_map, scan_sizes=[n], offset_paths=[tmp_path / "000000.offset"], **semantic
+            class_map=class_map, offset_paths=[tmp_path / "000000.offset"], **semantic
         )
-        labels = provider.scan_inputs(0).labels
+        labels = provider.scan_inputs(0, _points(n)).labels
         assert labels.dtype == np.int64
-        assert np.array_equal(labels, argmax_labels(provider.semantic_prior(0).matrix))
+        assert np.array_equal(labels, argmax_labels(provider.semantic_prior(0, _points(n)).matrix))
         assert (labels == IGNORE).sum() > 50
 
     def test_window_offsets_concatenate(self, tmp_path, class_map):
         sizes = [3, 2]
         provider = self._offset_provider(tmp_path, class_map, sizes)
-        scan_offsets = [provider.scan_inputs(k).offsets for k in range(2)]
+        scan_offsets = [provider.scan_inputs(k, _points(n)).offsets for k, n in enumerate(sizes)]
         got = provider.window_offsets((0, 2), scan_offsets)
         assert np.array_equal(got, np.concatenate(scan_offsets))
 
@@ -317,7 +319,6 @@ class TestFileProvider:
         offsets = np.array([[1.0, 0.0, 0.0]])
         provider = FileProvider(
             class_map=class_map,
-            scan_sizes=[1, 1],
             semantic_paths=[tmp_path / "x.label"] * 2,
             offset_paths=[tmp_path / "x.offset"] * 2,
             lidar_poses=poses,
@@ -335,7 +336,7 @@ class TestFileProvider:
         poses = [random_rigid(rng) for _ in range(5)]
         sizes = [700, 500, 900, 600, 800]
         provider = self._offset_provider(tmp_path, class_map, sizes, lidar_poses=poses, offset_frame=offset_frame)
-        scan_offsets = [provider.scan_inputs(k).offsets for k in range(len(sizes))]
+        scan_offsets = [provider.scan_inputs(k, _points(n)).offsets for k, n in enumerate(sizes)]
         for start, n in [(0, 2), (1, 3), (2, 3)]:
             got = provider.window_offsets((start, n), scan_offsets[start : start + n])
             want = _parent_window_offsets(provider.offset_paths, sizes, poses, offset_frame, (start, n))
@@ -344,9 +345,9 @@ class TestFileProvider:
     def test_missing_offset_file_names_scan(self, tmp_path, class_map):
         provider = self._offset_provider(tmp_path, class_map, [2, 2])
         (tmp_path / "000001.offset").unlink()
-        provider.scan_inputs(0)
+        provider.scan_inputs(0, _points(2))
         with pytest.raises(FileNotFoundError, match="offset file for scan 1"):
-            provider.scan_inputs(1)
+            provider.scan_inputs(1, _points(2))
 
     def test_non_finite_offset_names_file_and_point(self, tmp_path, class_map):
         provider = self._offset_provider(tmp_path, class_map, [4])
@@ -354,14 +355,14 @@ class TestFileProvider:
         offsets[2, 1] = np.nan
         sk_formats.write_offsets(tmp_path / "000000.offset", offsets)
         with pytest.raises(NonFiniteValue, match=r"000000\.offset: non-finite offset at point 2"):
-            provider.scan_inputs(0)
+            provider.scan_inputs(0, _points(4))
 
     def test_requires_exactly_one_semantic_source(self, class_map):
         with pytest.raises(ConfigError):
-            FileProvider(class_map=class_map, scan_sizes=[1])
+            FileProvider(class_map=class_map)
         with pytest.raises(ConfigError):
             FileProvider(
-                class_map=class_map, scan_sizes=[1],
+                class_map=class_map,
                 semantic_paths=["a"], confidence_paths=["b"],
             )
 

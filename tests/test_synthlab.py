@@ -191,10 +191,9 @@ class TestOracleOffsets:
 def _noisy_priors(scans, poses, gt, flip_prob, seed):
     """Every scan's prior from an oracle provider corrupting labels at ``flip_prob``."""
     provider = OracleProvider(
-        scans=scans, lidar_poses=poses, gt=gt, class_map=ClassMap.semantic_kitti(),
-        flip_prob=flip_prob, noise_seed=seed,
+        lidar_poses=poses, gt=gt, class_map=ClassMap.semantic_kitti(), flip_prob=flip_prob, noise_seed=seed,
     )
-    return [provider.semantic_prior(k) for k in range(len(scans))]
+    return [provider.semantic_prior(k, scan.points) for k, scan in enumerate(scans)]
 
 
 class TestNoisySemantics:
@@ -304,7 +303,6 @@ class TestDatasetRoundTrip:
 class TestOracleProvider:
     def _provider(self, scene, **kwargs):
         return OracleProvider(
-            scans=scene.scans,
             lidar_poses=scene.poses,
             gt=scene.gt,
             class_map=ClassMap.semantic_kitti(),
@@ -313,7 +311,7 @@ class TestOracleProvider:
 
     def test_one_hot_prior_matches_ground_truth(self, small_scene):
         provider = self._provider(small_scene)
-        prior = provider.semantic_prior(0)
+        prior = provider.semantic_prior(0, small_scene.scans[0].points)
         assert np.array_equal(argmax_labels(prior.matrix), small_scene.gt.semantic[0])
 
     def test_window_offsets_match_module_functions(self, small_scene):
@@ -321,7 +319,7 @@ class TestOracleProvider:
         # of the per-window module function, noise included.
         for sigma in (0.0, 0.25):
             provider = self._provider(small_scene, offset_sigma=sigma, noise_seed=21)
-            scan_offsets = [provider.scan_inputs(k).offsets for k in range(len(small_scene.scans))]
+            scan_offsets = [provider.scan_inputs(k, scan.points).offsets for k, scan in enumerate(small_scene.scans)]
             for start, n in [(0, 2), (1, 2), (1, 3), (2, 3)]:
                 got = provider.window_offsets((start, n), scan_offsets[start : start + n])
                 want = noisy_offsets(
@@ -332,10 +330,10 @@ class TestOracleProvider:
     @pytest.mark.parametrize("flip_prob", [0.0, 0.3])
     def test_scan_input_labels_are_the_prior_reduced(self, small_scene, flip_prob):
         provider = self._provider(small_scene, flip_prob=flip_prob, noise_seed=22)
-        for k in range(len(small_scene.scans)):
-            labels = provider.scan_inputs(k).labels
+        for k, scan in enumerate(small_scene.scans):
+            labels = provider.scan_inputs(k, scan.points).labels
             assert labels.dtype == np.int64
-            assert np.array_equal(labels, argmax_labels(provider.semantic_prior(k).matrix))
+            assert np.array_equal(labels, argmax_labels(provider.semantic_prior(k, scan.points).matrix))
             assert (labels != small_scene.gt.semantic[k]).any() == (flip_prob > 0)
 
     def test_validation(self, small_scene):
@@ -397,9 +395,9 @@ class TestInstanceCenters:
 
 class TestDatasetTruth:
     def test_written_labels_give_the_generated_truth_bit_for_bit(self, small_dataset, class_map):
-        truth = DatasetTruth(small_dataset.root / "00", small_dataset.scans, class_map)
-        for k in range(len(small_dataset.scans)):
-            semantic, centers = truth.scan_truth(k)
+        truth = DatasetTruth(small_dataset.root / "00", class_map)
+        for k, scan in enumerate(small_dataset.scans):
+            semantic, centers = truth.scan_truth(k, scan.points)
             assert np.array_equal(semantic, small_dataset.gt.semantic[k])
             assert centers.tobytes() == small_dataset.gt.centers[k].tobytes()
         window = (1, 3)
