@@ -55,6 +55,6 @@ from .proposal_engine import (
     huber_center_loss,
     aggregation_diagnostics,
 )
-from .window_tracker import TrackState, WindowSegmentation, stitch
+from .window_tracker import TrackState, WindowSegmentation, shared_rows, stitch
 from .lstq_eval import LSTQReport, SequenceEvaluator, s_cls, s_assoc, lstq, evaluate_sequence
 from .synthlab import SceneConfig, GroundTruth, OracleProvider, generate, oracle_offsets

@@ -37,6 +37,10 @@ class LengthMismatch(PipelineError):
     """Aligned per-point sequences have different lengths."""
 
 
+class OverlapMismatch(PipelineError):
+    """Consecutive windows do not share whole scans, tail to head, row for row."""
+
+
 class IdOutOfRange(PipelineError):
     """Train id outside [0, n_classes)."""
 

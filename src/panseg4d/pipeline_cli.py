@@ -64,7 +64,7 @@ from .proposal_engine import (
 from .scan_aggregator import PoseTable, aggregate, lidar_pose_from_camera_pose
 from .semantic_prior import IGNORE, ClassMap, FileProvider, check_scan_inputs, remap
 from .synthlab import DatasetTruth, OracleProvider, SceneConfig, generate, write_dataset
-from .window_tracker import MAX_GLOBAL_ID, TrackState, WindowSegmentation, stitch
+from .window_tracker import MAX_GLOBAL_ID, TrackState, WindowSegmentation, shared_rows, stitch
 
 ENV_DATASET_ROOT = "PANSEG4D_DATA"
 
@@ -185,21 +185,6 @@ def plan_windows(n_scans: int, window_n: int, stride: int) -> list[tuple[int, in
     if starts[-1] + window_n < n_scans:
         starts.append(n_scans - window_n)
     return [(start, window_n) for start in starts]
-
-
-def overlap_origins_between(
-    prev_window: tuple[int, int], new_window: tuple[int, int], scan_sizes: list[int]
-) -> np.ndarray:
-    """(scan_index, point_index) pairs present in both windows."""
-    lo = max(prev_window[0], new_window[0])
-    hi = min(prev_window[0] + prev_window[1], new_window[0] + new_window[1])
-    rows = []
-    for scan_index in range(lo, hi):
-        origin = np.empty((scan_sizes[scan_index], 2), dtype=np.int64)
-        origin[:, 0] = scan_index
-        origin[:, 1] = np.arange(scan_sizes[scan_index])
-        rows.append(origin)
-    return np.concatenate(rows) if rows else np.zeros((0, 2), dtype=np.int64)
 
 
 def scan_files(seq_dir: Path) -> list[sk_formats.ScanFile]:
@@ -333,7 +318,7 @@ def _segment_window(config, window, scans, lidar_poses, labels, scan_offsets, pr
         "merge",
         lambda: merge_and_assign(centers, proposals, cluster_ids, cloud.prior, thing_mask),
     )
-    result = WindowSegmentation(segmentation=segmentation, origins=cloud.origin, window=window)
+    result = WindowSegmentation(segmentation=segmentation, scan_starts=cloud.scan_starts, window=window)
     counters = {
         "points": len(cloud),
         "things": len(thing),
@@ -385,7 +370,6 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
     scans, lidar_poses, _ = load_sequence(config.dataset_root, sequence)
     provider = build_provider(config, sequence, scans, lidar_poses, class_map)
     windows = plan_windows(len(scans), config.window_n, config.effective_stride)
-    scan_sizes = [len(scan) for scan in scans]
     out_seq = Path(config.out_dir) / sequence
     pred_dir = out_seq / "predictions"
     pred_dir.mkdir(parents=True, exist_ok=True)
@@ -434,12 +418,7 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
         tasks = map(hand_out, windows)
         results = _in_order(pool, job, tasks, config.threads + 1) if pool else map(job, tasks)
         for position, (window, (window_seg, timing, counters)) in enumerate(zip(windows, results)):
-            overlap = (
-                overlap_origins_between(previous.window, window, scan_sizes)
-                if previous is not None
-                else np.zeros((0, 2), dtype=np.int64)
-            )
-            state, previous = stitch(state, previous, window_seg, overlap)
+            state, previous = stitch(state, previous, window_seg, shared_rows(previous, window_seg))
             seg = previous.segmentation
             uncovered_total += seg.uncovered_thing_points
             core_time += timing["shift"] + timing["fps"] + timing["group"]
@@ -474,7 +453,7 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
     stats = SegmentStats(
         sequence=sequence,
         n_scans=len(scans),
-        total_points=int(sum(scan_sizes)),
+        total_points=sum(len(scan) for scan in scans),
         window_rows=window_rows,
         core_points_per_sec=rate,
         wall_time_s=time.perf_counter() - wall_start,

@@ -4,11 +4,16 @@ A window of N scans is expressed in the frame of the window's first scan
 (the reference). Keeping coordinates relative to the reference scan keeps
 them small and well-conditioned; all derived quantities used downstream are
 invariant under that frame choice.
+
+A window is a run of whole scans concatenated in scan order, so a point's
+(scan, index) origin follows from the window start and the row offsets at
+which each scan begins (``scan_starts``); no per-point back-reference is
+stored, and stitching pairs consecutive windows' shared scans by row slices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -77,31 +82,78 @@ class PoseTable(Sequence):
         return RigidTransform(self.rotations[index], self.translations[index])
 
 
+def check_scan_starts(scan_starts, n_rows: int, n_scans: int, where: str) -> np.ndarray:
+    """``scan_starts`` as int64 row offsets of ``n_scans`` runs tiling
+    ``n_rows`` rows: it must start at 0, never decrease, and end at
+    ``n_rows``; raises ``LengthMismatch`` naming ``where`` otherwise."""
+    starts = np.asarray(scan_starts, dtype=np.int64).reshape(-1)
+    if len(starts) != n_scans + 1:
+        raise LengthMismatch(
+            f"{where}: {len(starts)} scan starts for {n_scans} scans, expected {n_scans + 1}"
+        )
+    if starts[0] != 0 or starts[-1] != n_rows:
+        raise LengthMismatch(
+            f"{where}: scan starts run from {starts[0]} to {starts[-1]}, expected 0 to {n_rows}"
+        )
+    falls = np.flatnonzero(np.diff(starts) < 0)
+    if len(falls):
+        raise LengthMismatch(f"{where}: scan starts decrease after scan offset {falls[0]}")
+    return starts
+
+
 @dataclass(frozen=True)
 class Aggregated4DCloud:
-    """N scans fused in the reference frame with per-point scan offsets.
+    """A window of whole scans fused in the reference frame.
 
-    ``prior`` carries the per-point semantic prior as train ids (the argmax
-    of each point's semantic evidence row). ``origin`` holds (scan_index,
-    point_index) back-references into the input scans and is a bijection
-    onto them.
+    The window ``(start, n)`` is its scans concatenated in scan order, so
+    scan ``start + j`` holds rows ``scan_starts[j]:scan_starts[j + 1]`` and
+    a row's (scan, point) origin follows from those offsets. The cloud
+    stores 32 bytes per point (``positions`` and ``prior``, the per-point
+    train ids) plus ``n + 1`` offsets; ``feature``, ``time_index`` and
+    ``origin`` are derived when read and no pipeline stage reads them.
     """
 
     positions: np.ndarray  # (m, 3) float64, reference frame
-    feature: np.ndarray  # (m,)
     prior: np.ndarray  # (m,) int64 train ids
-    time_index: np.ndarray  # (m,) int64, scan offset in [0, n_scans)
-    origin: np.ndarray  # (m, 2) int64, (scan_index, point_index)
-    n_scans: int
+    scan_starts: np.ndarray  # (n + 1,) int64 row offsets
+    window: tuple[int, int]  # (start, n)
+    # Each scan's own feature array, referenced, not copied.
+    scan_features: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     def __post_init__(self):
-        m = len(self.positions)
-        for name in ("feature", "prior", "time_index", "origin"):
-            if len(getattr(self, name)) != m:
-                raise LengthMismatch(f"aggregated cloud: {name} has {len(getattr(self, name))} rows, expected {m}")
+        m, (start, n) = len(self.positions), self.window
+        where = f"aggregated window [{start}, {start + n})"
+        if len(self.prior) != m:
+            raise LengthMismatch(f"{where}: prior has {len(self.prior)} rows, expected {m}")
+        if len(self.scan_features) != n:
+            raise LengthMismatch(f"{where}: {len(self.scan_features)} feature arrays for {n} scans")
+        object.__setattr__(self, "scan_starts", check_scan_starts(self.scan_starts, m, n, where))
 
     def __len__(self) -> int:
         return len(self.positions)
+
+    @property
+    def n_scans(self) -> int:
+        return self.window[1]
+
+    @property
+    def feature(self) -> np.ndarray:
+        """(m,) per-point feature, concatenated from the window's scans."""
+        return np.concatenate(self.scan_features)
+
+    @property
+    def time_index(self) -> np.ndarray:
+        """(m,) int64 scan offset within the window."""
+        return np.repeat(np.arange(self.n_scans, dtype=np.int64), np.diff(self.scan_starts))
+
+    @property
+    def origin(self) -> np.ndarray:
+        """(m, 2) int64 (scan_index, point_index) back-references."""
+        offset = self.time_index
+        origin = np.empty((len(self), 2), dtype=np.int64)
+        origin[:, 0] = self.window[0] + offset
+        origin[:, 1] = np.arange(len(self)) - self.scan_starts[offset]
+        return origin
 
 
 def transform_points(points, transform: RigidTransform) -> np.ndarray:
@@ -140,8 +192,8 @@ def aggregate(
 
     ``scans``, ``lidar_poses`` and ``labels`` (per-point train ids) are
     aligned by scan index over the full sequence; ``window = (start, n)``
-    selects the slice to fuse. Labels are copied through unchanged;
-    time_index is the scan offset within the window.
+    selects the slice to fuse. The scans are concatenated whole, in scan
+    order; labels are copied through unchanged.
     """
     start, n = window
     if n < 1 or start < 0 or start + n > len(scans):
@@ -153,30 +205,29 @@ def aggregate(
             f"{len(scans)} scans vs {len(lidar_poses)} poses vs {len(labels)} label arrays"
         )
 
-    positions, features, label_rows, time_rows, origin_rows = [], [], [], [], []
-    for offset in range(n):
+    window_scans = scans[start: start + n]
+    scan_starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(scan) for scan in window_scans], out=scan_starts[1:])
+    positions = np.empty((scan_starts[-1], 3))
+    prior = np.empty(scan_starts[-1], dtype=np.int64)
+    for offset, scan in enumerate(window_scans):
         scan_index = start + offset
-        scan = scans[scan_index]
-        scan_labels = np.asarray(labels[scan_index], dtype=np.int64).reshape(-1)
+        scan_labels = np.asarray(labels[scan_index]).reshape(-1)
         if len(scan_labels) != len(scan):
             raise LengthMismatch(
                 f"scan {scan_index}: {len(scan_labels)} labels for {len(scan)} points"
             )
+        rows = slice(scan_starts[offset], scan_starts[offset + 1])
         to_reference = window_relative_transform(lidar_poses, start, scan_index)
-        positions.append(to_reference.apply(scan.points))
-        features.append(scan.feature)
-        label_rows.append(scan_labels)
-        time_rows.append(np.full(len(scan), offset, dtype=np.int64))
-        origin = np.empty((len(scan), 2), dtype=np.int64)
-        origin[:, 0] = scan_index
-        origin[:, 1] = np.arange(len(scan))
-        origin_rows.append(origin)
+        # to_reference.apply(scan.points), computed in place.
+        np.matmul(scan.points, to_reference.rotation.T, out=positions[rows])
+        positions[rows] += to_reference.translation
+        prior[rows] = scan_labels
 
     return Aggregated4DCloud(
-        positions=np.concatenate(positions) if positions else np.zeros((0, 3)),
-        feature=np.concatenate(features),
-        prior=np.concatenate(label_rows),
-        time_index=np.concatenate(time_rows),
-        origin=np.concatenate(origin_rows),
-        n_scans=n,
+        positions=positions,
+        prior=prior,
+        scan_starts=scan_starts,
+        window=window,
+        scan_features=tuple(scan.feature for scan in window_scans),
     )

@@ -27,7 +27,6 @@ from panseg4d.pipeline_cli import (
     evaluate_directories,
     inspect_path,
     main,
-    overlap_origins_between,
     plan_windows,
     reemit_fixture_scores,
     run_ablation,
@@ -49,11 +48,6 @@ class TestPlanWindows:
     def test_window_larger_than_sequence_rejected(self):
         with pytest.raises(ConfigError):
             plan_windows(3, 4, 1)
-
-    def test_overlap_origins(self):
-        origins = overlap_origins_between((0, 4), (2, 4), [5, 5, 5, 5, 5, 5])
-        assert origins.shape == (10, 2)
-        assert set(origins[:, 0].tolist()) == {2, 3}
 
 
 class TestConfigValidation:

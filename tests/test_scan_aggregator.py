@@ -1,5 +1,7 @@
 """Rigid geometry and window aggregation: oracles and invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,20 @@ class TestAggregate:
         spread = np.linalg.norm(stacked - stacked[0], axis=-1)
         assert spread.max() < 1e-6
 
+    def test_each_scan_is_a_run_of_its_transformed_points_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        sizes = [7, 0, 1200, 5]
+        poses = [random_rigid(rng) for _ in sizes]
+        scans = [_make_scan(rng.uniform(-60, 60, (n, 3)), k) for k, n in enumerate(sizes)]
+        labels = [rng.integers(0, 19, n) for n in sizes]
+        cloud = aggregate(scans, poses, labels, (1, 3))
+        assert cloud.scan_starts.tolist() == [0, 0, 1200, 1205]
+        for offset, k in enumerate(range(1, 4)):
+            rows = slice(cloud.scan_starts[offset], cloud.scan_starts[offset + 1])
+            want = window_relative_transform(poses, 1, k).apply(scans[k].points)
+            assert np.array_equal(cloud.positions[rows], want)
+            assert np.array_equal(cloud.prior[rows], labels[k])
+
     def test_prior_row_count_mismatch(self):
         scan = _make_scan(np.zeros((3, 3)), 0)
         with pytest.raises(LengthMismatch):
@@ -237,13 +253,59 @@ class TestAggregate:
 
 
 class TestCloudValidation:
+    @staticmethod
+    def _cloud(scan_starts, rows=5, prior_rows=None, window=(0, 2)):
+        return Aggregated4DCloud(
+            positions=np.zeros((rows, 3)),
+            prior=np.zeros(rows if prior_rows is None else prior_rows, dtype=np.int64),
+            scan_starts=np.asarray(scan_starts),
+            window=window,
+            scan_features=tuple(np.zeros(0) for _ in range(window[1])),
+        )
+
     def test_misaligned_columns_rejected(self):
-        with pytest.raises(LengthMismatch):
-            Aggregated4DCloud(
-                positions=np.zeros((3, 3)),
-                feature=np.zeros(2),
-                prior=np.zeros(3, dtype=np.int64),
-                time_index=np.zeros(3, dtype=np.int64),
-                origin=np.zeros((3, 2), dtype=np.int64),
-                n_scans=1,
-            )
+        with pytest.raises(LengthMismatch, match="prior has 4 rows, expected 5"):
+            self._cloud([0, 2, 5], prior_rows=4)
+
+    @pytest.mark.parametrize(
+        "scan_starts, n_scans, message",
+        [
+            ([1, 2, 5], 2, "scan starts run from 1 to 5, expected 0 to 5"),
+            ([0, 2, 4], 2, "scan starts run from 0 to 4, expected 0 to 5"),
+            ([0, 2, 6], 2, "scan starts run from 0 to 6, expected 0 to 5"),
+            ([0, 3, 2, 5], 3, "scan starts decrease after scan offset 1"),
+            ([0, 5], 2, "2 scan starts for 2 scans, expected 3"),
+        ],
+    )
+    def test_bad_scan_starts_rejected(self, scan_starts, n_scans, message):
+        with pytest.raises(LengthMismatch, match=rf"aggregated window \[4, {4 + n_scans}\): {message}$"):
+            self._cloud(scan_starts, window=(4, n_scans))
+
+    def test_empty_scans_are_empty_runs(self):
+        cloud = self._cloud([0, 0, 5], window=(3, 2))
+        assert cloud.time_index.tolist() == [1] * 5
+        assert cloud.origin.tolist() == [[4, i] for i in range(5)]
+
+
+class TestCloudMemory:
+    def test_cloud_stores_32_bytes_per_point(self):
+        # positions (24 bytes) and prior (8 bytes) per point, plus one
+        # offset per scan: no per-point column may come back.
+        rng = np.random.default_rng(12)
+        sizes = [3000, 5000, 4000]
+        poses = [random_rigid(rng) for _ in sizes]
+        scans = [_make_scan(rng.normal(size=(n, 3)), k) for k, n in enumerate(sizes)]
+        labels = [_labels(n, 3) for n in sizes]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cloud = aggregate(scans, poses, labels, (0, 3))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        m = sum(sizes)
+        stored = [value for value in vars(cloud).values() if isinstance(value, np.ndarray)]
+        assert sum(array.nbytes for array in stored) == 32 * m + 8 * (len(sizes) + 1)
+        # Everything aggregate leaves allocated: the arrays above plus
+        # object headers, a few hundred bytes per scan at most.
+        assert 32 * m <= held <= 32 * m + 1024 * len(sizes)
