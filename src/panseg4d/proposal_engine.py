@@ -15,7 +15,10 @@ at every input size, ((dx*dx + dy*dy) + dz*dz) on contiguous coordinate
 columns, so greedy selections and memberships are reproducible bit-for-bit
 against reference implementations using ``((a - b) ** 2).sum(axis=-1)``.
 Radius grouping finds its candidates through a sorted voxel grid, which
-narrows the points each query evaluates and changes no result. Farthest
+narrows the points each query evaluates and changes no result; when the
+seeds' bounding box grown by the radius leaves out at least half of the
+candidates, the grid indexes only those inside it, so a window's few thing
+seeds do not sort all its points. Farthest
 point sampling scans every sampled point per pick: it runs on a window's
 thing-labelled points only, a few thousand at most, and is asked for no
 more picks than a covering prefix can use. That bound counts the occupied
@@ -123,25 +126,47 @@ class _VoxelGrid:
     cell is one contiguous run of positions in which point indices ascend;
     ``keys`` holds the cell key at each position and ``x``, ``y``, ``z`` the
     coordinate columns in that order.
+
+    With ``within=(lo, hi)``, when at most half of the points lie inside
+    that closed box, the grid holds only those: their keys are sorted alone
+    and ``order`` still lists indices into ``points``. The box is tested
+    only when some point lies outside it, and only on the sides crossed.
     """
 
-    def __init__(self, points: np.ndarray, edge: float):
+    def __init__(self, points: np.ndarray, edge: float, within=None):
         n = len(points)
         columns = list(_columns(points))
-        self.origin = np.array([c.min() for c in columns])
-        extent = np.array([c.max() for c in columns]) - self.origin
+        lo = np.array([c.min() for c in columns])
+        hi = np.array([c.max() for c in columns])
+        rows = None
+        if within is not None and ((lo < within[0]).any() or (hi > within[1]).any()):
+            inside = np.ones(n, dtype=bool)
+            for c, c_lo, c_hi, box_lo, box_hi in zip(columns, lo, hi, *within):
+                if c_lo < box_lo:
+                    inside &= c >= box_lo
+                if c_hi > box_hi:
+                    inside &= c <= box_hi
+            # Gathering the kept rows pays only when the box leaves out many
+            # points; keeping nearly all, it measured slower than no box.
+            if 2 * np.count_nonzero(inside) <= n:
+                rows = np.flatnonzero(inside)
+                # Every kept point lies inside both boxes.
+                lo = np.maximum(lo, within[0])
+                hi = np.minimum(hi, within[1])
+        self.origin = lo
+        extent = np.maximum(hi - lo, 0.0)
         # Cap the cells per axis so that key * n + index stays inside int64.
         per_axis = int(np.cbrt(2.0**62 / n)) - 2
         self.edge = max(edge, float(extent.max()) / per_axis)
         self.dims = np.floor(extent / self.edge).astype(np.int64) + 1
-        keys = np.zeros(n, dtype=np.int64)
+        keys = np.zeros(n if rows is None else len(rows), dtype=np.int64)
         for c, o, d in zip(columns, self.origin, self.dims):
-            cell = c - o
+            cell = (c if rows is None else c[rows]) - o
             cell /= self.edge
             keys *= d
             keys += np.floor(cell, out=cell).astype(np.int64)
         keys *= n
-        keys += np.arange(n)
+        keys += np.arange(n) if rows is None else rows
         keys.sort()
         self.order = keys % n
         keys //= n
@@ -295,6 +320,10 @@ def radius_group(seed_points, candidate_points, radius: float) -> list[np.ndarra
 
     Returns one ascending int64 index array per seed. A candidate may join
     several groups at this stage; the merge step resolves multiple claims.
+    The voxel grid indexes only the candidates inside the seeds' bounding
+    box grown by the radius (and a hair, as rounding can put a member a few
+    ulps past the exact box) when that box leaves out at least half of
+    them, so a few seeds in a large window sort only what they can reach.
     """
     if radius <= 0:
         raise ValueError(f"grouping radius must be positive, got {radius}")
@@ -305,7 +334,10 @@ def radius_group(seed_points, candidate_points, radius: float) -> list[np.ndarra
     n = len(cands)
     if n == 0 or not len(seeds):
         return [np.empty(0, dtype=np.int64) for _ in seeds]
-    grid = _VoxelGrid(cands, radius * _GROUP_CELL_HAIR)
+    # Only candidates inside the seeds' bounding box grown by the radius can
+    # join a group; the hair keeps those that round to within the radius.
+    reach = radius * _GROUP_CELL_HAIR
+    grid = _VoxelGrid(cands, reach, within=(seeds.min(axis=0) - reach, seeds.max(axis=0) + reach))
     # Every candidate within the radius lies in the 3x3x3 cells around its
     # seed's cell: nine (x, y) columns, each a run of consecutive z keys.
     cell = grid.cells_of(seeds)

@@ -538,8 +538,86 @@ class TestRadiusGroup:
         s, c = 22.719961554617388, 23.625062696261235
         assert (c - s) ** 2 <= radius * radius
         assert np.floor((c - origin) / radius) - np.floor((s - origin) / radius) == 2
+        # The second seed keeps the candidate at ``origin`` inside the seeds'
+        # box, so it still sets the grid's origin.
         cands = np.array([[origin, 0.0, 0.0], [c, 0.0, 0.0]])
-        assert radius_group([[s, 0.0, 0.0]], cands, radius)[0].tolist() == [1]
+        groups = radius_group([[s, 0.0, 0.0], [origin, 0.0, 0.0]], cands, radius)
+        assert groups[0].tolist() == [1]
+        assert groups[1].tolist() == [0]
+
+    def test_members_a_few_ulps_past_the_seed_box_are_kept(self):
+        # A candidate 1-6 ulps past fl(s +- r) on one axis can still compute
+        # to within the radius; a box grown by the bare radius would drop it.
+        rng = np.random.default_rng(13)
+        hair_members = 0
+        for radius in (0.3, 0.6, 1.0, 1.7):
+            seeds = 10.0 ** rng.uniform(-2, 4, (150, 3)) * rng.choice([-1.0, 1.0], (150, 3))
+            cands = []
+            for seed in seeds:
+                for axis in range(3):
+                    for sign in (1.0, -1.0):
+                        c = seed[axis] + sign * radius
+                        for _ in range(6):
+                            c = np.nextafter(c, sign * np.inf)
+                            cand = seed.copy()
+                            cand[axis] = c
+                            cands.append(cand)
+            cands = np.array(cands)
+            for seed in seeds:
+                want = np.flatnonzero(((cands - seed) ** 2).sum(axis=-1) <= radius * radius)
+                assert np.array_equal(radius_group(seed[None], cands, radius)[0], want)
+                hair_members += len(want)
+        assert hair_members > 0
+
+    def test_no_candidate_in_the_seed_box_gives_empty_groups(self):
+        rng = np.random.default_rng(14)
+        cands = rng.uniform(-5.0, 5.0, (500, 3))
+        groups = radius_group([[20.0, 0.0, 0.0], [21.0, 3.0, -1.0], [0.0, 0.0, 5.7]], cands, 0.6)
+        assert len(groups) == 3
+        for group in groups:
+            assert group.dtype == np.int64 and group.size == 0
+
+    def test_all_in_box_and_partly_culled_candidates_match_bruteforce(self):
+        rng = np.random.default_rng(15)
+        radius = 0.8
+        cands = rng.uniform(-6.0, 6.0, (4000, 3))
+        # Seeds at the corners keep every candidate, a few clustered seeds a
+        # small share, and seeds left of x = 2 most but not all of them.
+        for seeds in (
+            np.array([[-6.0, -6.0, -6.0], [6.0, 6.0, 6.0], [0.0, 0.0, 0.0]]),
+            rng.uniform(1.0, 2.5, (5, 3)),
+            cands[cands[:, 0] < 2.0][:40],
+        ):
+            groups = radius_group(seeds, cands, radius)
+            for seed, group in zip(seeds, groups):
+                want = np.flatnonzero(((cands - seed) ** 2).sum(axis=-1) <= radius * radius)
+                assert group.dtype == np.int64
+                assert np.array_equal(group, want)
+
+    def test_grid_in_a_box_holds_only_the_points_inside_when_it_leaves_out_half(self):
+        rng = np.random.default_rng(16)
+        pts = rng.uniform(-4.0, 4.0, (3000, 3))
+        # Every side crossed; one side crossed, keeping under and over half
+        # of the points; no side crossed; none inside. A box keeping more
+        # than half leaves the grid holding every point.
+        for lo, hi in (
+            ([-1.0, -2.0, 0.5], [1.5, 0.0, 3.0]),
+            ([-9.0, -9.0, -9.0], [9.0, 9.0, -1.0]),
+            ([-9.0, -9.0, -9.0], [9.0, 9.0, 2.0]),
+            ([-9.0, -9.0, -9.0], [9.0, 9.0, 9.0]),
+            ([5.0, 5.0, 5.0], [6.0, 6.0, 6.0]),
+        ):
+            lo, hi = np.array(lo), np.array(hi)
+            grid = proposal_engine._VoxelGrid(pts, 0.7, within=(lo, hi))
+            inside = np.flatnonzero(((pts >= lo) & (pts <= hi)).all(axis=1))
+            held = inside if 2 * len(inside) <= len(pts) else np.arange(len(pts))
+            assert len(grid.keys) == len(held)
+            assert np.array_equal(np.sort(grid.order), held)
+            assert np.all(np.diff(grid.keys) >= 0)
+            same_cell = np.diff(grid.keys) == 0
+            assert np.all(np.diff(grid.order)[same_cell] > 0)
+            assert np.array_equal(grid.x, pts[grid.order, 0])
+            assert np.array_equal(grid.z, pts[grid.order, 2])
 
     def test_members_ascend_across_cells(self):
         rng = np.random.default_rng(12)
