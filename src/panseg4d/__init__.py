@@ -44,7 +44,6 @@ from .semantic_prior import (
     argmax_label,
 )
 from .proposal_engine import (
-    Proposal,
     InstanceSegmentation,
     shift_to_centers,
     farthest_point_sample,
@@ -53,7 +52,6 @@ from .proposal_engine import (
     dbscan,
     merge_and_assign,
     huber_center_loss,
-    aggregation_diagnostics,
 )
 from .window_tracker import TrackState, WindowSegmentation, shared_rows, stitch
 from .lstq_eval import LSTQReport, SequenceEvaluator, s_cls, s_assoc, lstq, evaluate_sequence

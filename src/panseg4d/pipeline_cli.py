@@ -93,7 +93,7 @@ class PipelineConfig:
     semantic_dir: str | None = None  # may contain {seq}
     confidence_dir: str | None = None
     offset_dir: str | None = None
-    offset_frame: str = "window"
+    offset_frame: str = "sensor"
     flip_prob: float = 0.0
     offset_sigma: float = 0.0
     noise_seed: int = 0
@@ -101,7 +101,6 @@ class PipelineConfig:
     group_radius_m: float = DEFAULT_GROUP_RADIUS_M
     dbscan_eps_m: float = DEFAULT_DBSCAN_EPS_M
     dbscan_min_pts: int = DEFAULT_DBSCAN_MIN_PTS
-    group_space: str = "shifted"  # "shifted" | "raw"
     threads: int = 1
 
     @property
@@ -124,8 +123,12 @@ class PipelineConfig:
                 raise ConfigError("source=files requires exactly one of semantic_dir, confidence_dir")
         if self.offset_frame not in ("window", "sensor"):
             raise ConfigError(f"offset_frame must be window or sensor, got {self.offset_frame!r}")
-        if self.group_space not in ("shifted", "raw"):
-            raise ConfigError(f"group_space must be shifted or raw, got {self.group_space!r}")
+        if self.source == "files" and self.offset_frame == "window" and self.effective_stride < self.window_n:
+            raise ConfigError(
+                "offset_frame=window needs windows that do not overlap (stride = window_n): a scan "
+                "in two windows has one offset file, which cannot be in both windows' frames; "
+                "write sensor-frame offsets and use offset_frame=sensor"
+            )
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ConfigError("flip_prob must lie in [0, 1]")
         if self.offset_sigma < 0:
@@ -156,7 +159,7 @@ _INT_KEYS = {"window_n", "stride", "noise_seed", "k_proposals", "dbscan_min_pts"
 _FLOAT_KEYS = {"flip_prob", "offset_sigma", "group_radius_m", "dbscan_eps_m"}
 _PATH_KEYS = {"dataset_root", "out_dir", "scene_config"}
 _STR_KEYS = {
-    "source", "offset_frame", "group_space", "semantic_dir", "confidence_dir", "offset_dir",
+    "source", "offset_frame", "semantic_dir", "confidence_dir", "offset_dir",
 }
 
 
@@ -256,7 +259,6 @@ class SegmentStats:
     n_scans: int
     total_points: int
     window_rows: list[str]
-    core_points_per_sec: float
     wall_time_s: float
     uncovered_thing_points: int
 
@@ -294,36 +296,22 @@ def _segment_window(config, window, scans, lidar_poses, labels, scan_offsets, pr
         return picks[: covering_prefix(centers[picks], config.group_radius_m)], len(picks)
 
     seed_indices, picks = clock("fps", sample_seeds)
-    group_candidates = centers if config.group_space == "shifted" else cloud.positions
-    groups = clock(
-        "group", lambda: radius_group(centers[seed_indices], group_candidates, config.group_radius_m)
-    )
-    if config.group_space == "raw":
-        # Grouping by raw positions around a shifted center need not reach
-        # the seed point itself; keep proposals nonempty and seed-owning.
-        groups = [
-            members if seed in members else np.union1d(members, [seed])
-            for seed, members in zip(seed_indices, groups)
-        ]
-    proposals = clock("refine", lambda: refine_proposal(cloud.positions, centers, groups, seed_indices))
+    # Each seed's own shifted center lies within the radius, so no group is empty.
+    groups = clock("group", lambda: radius_group(centers[seed_indices], centers, config.group_radius_m))
+    proposal_centers = clock("refine", lambda: refine_proposal(centers, groups))
     cluster_ids = clock(
-        "dbscan",
-        lambda: dbscan(
-            np.stack([p.embedding for p in proposals]) if proposals else np.zeros((0, 3)),
-            config.dbscan_eps_m,
-            config.dbscan_min_pts,
-        ),
+        "dbscan", lambda: dbscan(proposal_centers, config.dbscan_eps_m, config.dbscan_min_pts)
     )
     segmentation = clock(
         "merge",
-        lambda: merge_and_assign(centers, proposals, cluster_ids, cloud.prior, thing_mask),
+        lambda: merge_and_assign(centers, groups, proposal_centers, cluster_ids, cloud.prior, thing_mask),
     )
     result = WindowSegmentation(segmentation=segmentation, scan_starts=cloud.scan_starts, window=window)
     counters = {
         "points": len(cloud),
         "things": len(thing),
         "picks": picks,
-        "proposals": len(proposals),
+        "proposals": len(groups),
         "clusters": int(cluster_ids.max()) + 1 if len(cluster_ids) else 0,
         "noise": int((cluster_ids == NOISE).sum()),
         # Merge numbers kept instances 1..M and stitching maps them one to one.
@@ -408,8 +396,6 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
     previous: WindowSegmentation | None = None
     written = 0  # scans before this index have their prediction file
     window_rows: list[str] = []
-    core_time = 0.0
-    core_points = 0
     uncovered_total = 0
     # Results arrive lazily in window order; each window is stitched against
     # the previous one and its new scans written as it arrives. The pool runs
@@ -421,8 +407,6 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
             state, previous = stitch(state, previous, window_seg, shared_rows(previous, window_seg))
             seg = previous.segmentation
             uncovered_total += seg.uncovered_thing_points
-            core_time += timing["shift"] + timing["fps"] + timing["group"]
-            core_points += counters["points"]
             row = (
                 f"window start={window[0]} n={window[1]} "
                 + "".join(f"{name}={count} " for name, count in counters.items())
@@ -448,20 +432,17 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
             for scan_index in [k for k in inputs if k < next_start]:
                 del inputs[scan_index]
 
-    rate = core_points / core_time if core_time > 0 else float("inf")
     ids_used = state.next_global_id - 1
     stats = SegmentStats(
         sequence=sequence,
         n_scans=len(scans),
         total_points=sum(len(scan) for scan in scans),
         window_rows=window_rows,
-        core_points_per_sec=rate,
         wall_time_s=time.perf_counter() - wall_start,
         uncovered_thing_points=uncovered_total,
     )
     log_lines = window_rows + [
         f"end-to-end throughput: {stats.points_per_sec:,.0f} points/sec",
-        f"core shift+fps+group throughput: {rate:,.0f} points/sec",
         f"uncovered thing points: {uncovered_total}",
         f"wall time: {stats.wall_time_s:.2f} s",
         # Global ids are never reused, so ids per scan times a sequence's
@@ -471,7 +452,7 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
     ]
     with open(out_seq / "run_log.txt", "w") as log:
         log.writelines(f"{line}\n" for line in log_lines)
-    logger.info("%s: %s; %s", sequence, log_lines[-5], log_lines[-4])
+    logger.info("%s: %s", sequence, log_lines[-4])
     return stats
 
 
@@ -669,7 +650,6 @@ def _config_from_args(args) -> PipelineConfig:
         "group_radius_m": args.group_radius,
         "dbscan_eps_m": args.dbscan_eps,
         "dbscan_min_pts": args.dbscan_min_pts,
-        "group_space": args.group_space,
         "threads": args.threads,
     }
     if args.config:
@@ -687,7 +667,6 @@ def cmd_segment(args) -> int:
         print(
             f"{sequence}: {stats.n_scans} scans, {stats.total_points} points, "
             f"{stats.points_per_sec:,.0f} points/sec end to end, "
-            f"{stats.core_points_per_sec:,.0f} points/sec core, "
             f"{stats.wall_time_s:.2f} s wall"
         )
     return 0
@@ -755,7 +734,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--group-radius", type=float, default=None, dest="group_radius")
     parser.add_argument("--dbscan-eps", type=float, default=None, dest="dbscan_eps")
     parser.add_argument("--dbscan-min-pts", type=int, default=None, dest="dbscan_min_pts")
-    parser.add_argument("--group-space", choices=["shifted", "raw"], default=None, dest="group_space")
     parser.add_argument("--threads", type=int, default=None)
 
 

@@ -4,11 +4,11 @@ Points are shifted by their predicted offset toward an instance center;
 farthest point sampling seeds proposals in the shifted space, on the points
 the semantic prior labels as things, and keeps its picks only until one
 falls within the grouping radius of an earlier pick (the covering prefix);
-points of every class join a proposal within that fixed grouping radius;
-proposals are refined to a center, radius, and box extent by deterministic
-geometric estimators; DBSCAN over the proposal embeddings merges proposals
-that vote for the same object, and the merged clusters become per-point
-instance masks with a majority semantic label.
+points of every class join a proposal within that fixed grouping radius
+of its seed's shifted center; a proposal is its member group and its
+center, the mean of its members' shifted centers; DBSCAN over the proposal
+centers merges proposals that vote for the same object, and the merged
+clusters become per-point instance masks with a majority semantic label.
 
 Distance comparisons use squared Euclidean distances from one exact kernel
 at every input size, ((dx*dx + dy*dy) + dz*dz) on contiguous coordinate
@@ -25,7 +25,7 @@ more picks than a covering prefix can use. That bound counts the occupied
 cells of a grid whose cell diagonal is shorter than the grouping radius;
 picks do not depend on the count asked for, so the prefix is unchanged.
 Refinement takes all of a window's groups in one call and reduces their
-concatenated members with bincount and reduceat passes. DBSCAN builds its
+concatenated members with bincount passes. DBSCAN builds its
 neighbour lists once, in row blocks, and labels the core components by
 label propagation with pointer jumping. Merging handles the window's claims
 as one flat list: a fixed number of sort, reduceat and bincount passes
@@ -196,18 +196,6 @@ def _columns(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.ascontiguousarray(points[:, a]) for a in range(3))
 
 
-@dataclass(frozen=True)
-class Proposal:
-    """A seeded candidate instance with geometric refinements."""
-
-    seed_index: int
-    member_indices: np.ndarray  # (k,) int64 point indices
-    refined_center: np.ndarray  # (3,)
-    refined_radius: float
-    bbox: np.ndarray  # (3,) axis-aligned extents
-    embedding: np.ndarray  # vector used for merging
-
-
 @dataclass
 class InstanceSegmentation:
     """Per-point semantic train id and instance id (0 = none/stuff)."""
@@ -368,50 +356,32 @@ def radius_group(seed_points, candidate_points, radius: float) -> list[np.ndarra
     return groups
 
 
-def refine_proposal(positions, predicted_centers, groups, seed_indices) -> list[Proposal]:
-    """Geometric refinement of raw proposals, one per member group.
+def refine_proposal(predicted_centers, groups) -> np.ndarray:
+    """Centers of the proposals, one per member group, as a (k, 3) array.
 
-    Center = mean of the members' predicted centers; radius = max distance
-    from that center to the members' positions; bbox = axis-aligned extents
-    of the members' positions. The merging embedding is the refined center,
-    the smallest stand-in a learned embedding provider could replace. All
-    groups are refined together over their concatenated members, gathered
-    in chunks of bounded size; a center is summed from zero in member order
-    and divided by the count, exactly as ``np.mean`` computes it.
+    A center is the mean of its members' predicted centers. All groups are
+    refined together over their concatenated members, gathered in chunks of
+    bounded size; a center is summed from zero in member order and divided
+    by the count, exactly as ``np.mean`` computes it.
     """
-    pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     pred = np.asarray(predicted_centers, dtype=np.float64).reshape(-1, 3)
     members = [np.asarray(g, dtype=np.int64).reshape(-1) for g in groups]
-    seeds = np.asarray(seed_indices, dtype=np.int64).reshape(-1)
-    if len(seeds) != len(members):
-        raise LengthMismatch(f"{len(seeds)} seeds for {len(members)} member groups")
     sizes = np.array([len(m) for m in members], dtype=np.int64)
     if (sizes == 0).any():
         raise EmptyInput(f"proposal {int(np.argmin(sizes))} has no members")
     center = np.empty((len(members), 3))
-    radius = np.empty(len(members))
-    bbox = np.empty((len(members), 3))
-    for start, stop in _chunks(sizes, max(len(pos) // _GROUP_CHUNK_SHARE, 1)):
+    for start, stop in _chunks(sizes, max(len(pred) // _GROUP_CHUNK_SHARE, 1)):
         rows = np.concatenate(members[start:stop])
         counts = sizes[start:stop]
         owner = np.repeat(np.arange(stop - start), counts)
-        heads = np.cumsum(counts) - counts
         c = center[start:stop]
         for a in range(3):
             c[:, a] = np.bincount(owner, weights=pred[rows, a], minlength=stop - start)
         c /= counts[:, None]
-        p = pos[rows]
-        d2 = _sq_dist(p[:, 0], p[:, 1], p[:, 2], c[owner, 0], c[owner, 1], c[owner, 2])
-        radius[start:stop] = np.sqrt(np.maximum.reduceat(d2, heads))
-        for a in range(3):
-            bbox[start:stop, a] = np.maximum.reduceat(p[:, a], heads) - np.minimum.reduceat(p[:, a], heads)
-    return [
-        Proposal(seed, m, c, r, b, e)
-        for seed, m, c, r, b, e in zip(seeds.tolist(), members, center, radius.tolist(), bbox, center.copy())
-    ]
+    return center
 
 
-def dbscan(embeddings, eps: float, min_pts: int) -> np.ndarray:
+def dbscan(items, eps: float, min_pts: int) -> np.ndarray:
     """Density-based clustering; returns per-item cluster id or NOISE (-1).
 
     Core items have at least ``min_pts`` neighbors within ``eps``
@@ -419,7 +389,7 @@ def dbscan(embeddings, eps: float, min_pts: int) -> np.ndarray:
     items, numbered from 0 by their lowest core index; a border item joins
     the lowest-numbered cluster among its core neighbors, and an item with
     no core neighbor is NOISE. These are the ids a breadth-first expansion
-    under ascending-index iteration discovers. NaN or infinite embeddings
+    under ascending-index iteration discovers. NaN or infinite items
     raise ``NonFiniteValue``; a non-finite or non-positive eps raises
     ``ValueError``.
     """
@@ -429,10 +399,10 @@ def dbscan(embeddings, eps: float, min_pts: int) -> np.ndarray:
         raise ValueError(f"eps must be positive, got {eps}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
-    items = np.asarray(embeddings, dtype=np.float64)
+    items = np.asarray(items, dtype=np.float64)
     if items.ndim == 1:
         items = items.reshape(-1, 1)
-    _require_finite(items, "embedding")
+    _require_finite(items, "item")
     n = len(items)
     row, col = _neighbor_pairs(items, eps * eps)
     core = np.bincount(row, minlength=n) >= min_pts
@@ -508,36 +478,38 @@ def _run_heads(values: np.ndarray) -> np.ndarray:
 
 
 def _claims(
-    proposals: Sequence[Proposal], instance_of: np.ndarray, n_instances: int
+    groups: Sequence[np.ndarray], instance_of: np.ndarray, n_instances: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct (point, instance) claims of the proposals' members, grouped by
+    """Distinct (point, instance) claims of the groups' members, grouped by
     point with claimants in ascending instance order: keys point * I +
     instance, sorted in place, repeats dropped."""
-    sizes = np.array([len(p.member_indices) for p in proposals], dtype=np.int64)
+    sizes = np.array([len(g) for g in groups], dtype=np.int64)
     keys = np.repeat(instance_of, sizes)
     if keys.size:
-        keys += np.concatenate([p.member_indices for p in proposals]).astype(np.int64, copy=False) * n_instances
+        keys += np.concatenate(groups) * n_instances
     keys.sort()
     return np.divmod(keys[_run_heads(keys)], max(n_instances, 1))
 
 
 def merge_and_assign(
     predicted_centers,
-    proposals: Sequence[Proposal],
+    groups: Sequence,
+    proposal_centers,
     cluster_ids,
     point_labels,
     thing_mask,
 ) -> InstanceSegmentation:
     """Union clustered proposals into instances and emit per-point masks.
 
-    NOISE proposals each become singleton clusters after the real ones. A
-    point claimed by several instances goes to the instance whose center
-    (mean of its proposals' refined centers) is nearest to the point's
-    predicted center, ties to the lowest instance id. Instances whose
-    majority label is a stuff class, or whose points are all IGNORE, are
-    demoted to background: their points
-    keep instance id 0 and their own prior labels, matching the dataset
-    convention that stuff points never carry instance ids. Surviving
+    Proposal i is its member group ``groups[i]`` and its center
+    ``proposal_centers[i]``. NOISE proposals each become singleton clusters
+    after the real ones. A point claimed by several instances goes to the
+    instance whose center (mean of its proposals' centers) is nearest to
+    the point's predicted center, ties to the lowest instance id. Instances
+    whose majority label is a stuff class, or whose points are all IGNORE,
+    are demoted to background: their points keep instance id 0 and their
+    own prior labels, matching the dataset convention that stuff points
+    never carry instance ids. Surviving
     instances are renumbered 1..M in discovery order and all their points
     take the instance's majority label.
     """
@@ -547,27 +519,31 @@ def merge_and_assign(
     n = len(centers)
     if len(point_semantic) != n:
         raise LengthMismatch(f"{len(point_semantic)} prior labels for {n} points")
+    groups = [np.asarray(g, dtype=np.int64).reshape(-1) for g in groups]
+    proposal_centers = np.asarray(proposal_centers, dtype=np.float64).reshape(-1, 3)
     cluster_ids = np.asarray(cluster_ids, dtype=np.int64).reshape(-1)
-    if len(cluster_ids) != len(proposals):
-        raise LengthMismatch(f"{len(cluster_ids)} cluster ids for {len(proposals)} proposals")
+    if not len(groups) == len(proposal_centers) == len(cluster_ids):
+        raise LengthMismatch(
+            f"{len(groups)} member groups, {len(proposal_centers)} centers "
+            f"and {len(cluster_ids)} cluster ids"
+        )
 
     # Instance of each proposal: real clusters first in ascending id
     # (discovery order), then NOISE singletons in proposal order.
     noise = cluster_ids == NOISE
     real_ids, real_instance = np.unique(cluster_ids[~noise], return_inverse=True)
-    instance_of = np.empty(len(proposals), dtype=np.int64)
+    instance_of = np.empty(len(groups), dtype=np.int64)
     instance_of[~noise] = real_instance
     instance_of[noise] = len(real_ids) + np.arange(int(noise.sum()))
     n_instances = len(real_ids) + int(noise.sum())
 
-    # Instance centers: proposals' refined centers summed in proposal order
-    # from zero, then divided, exactly as np.mean sums them.
+    # Instance centers: proposals' centers summed in proposal order from
+    # zero, then divided, exactly as np.mean sums them.
     center_sum = np.zeros((n_instances, 3))
-    if proposals:
-        np.add.at(center_sum, instance_of, np.stack([p.refined_center for p in proposals]))
+    np.add.at(center_sum, instance_of, proposal_centers)
     instance_center = center_sum / np.bincount(instance_of, minlength=n_instances)[:, None]
 
-    point, instance = _claims(proposals, instance_of, n_instances)
+    point, instance = _claims(groups, instance_of, n_instances)
 
     # A point goes to its nearest claimant, ties to the lowest instance; a
     # claim at an infinite or NaN distance never wins.
@@ -643,61 +619,3 @@ def huber_center_loss(
     if masked.size == 0:
         return CenterLoss(0.0, 0)
     return CenterLoss(float(masked.mean()), int(masked.size))
-
-
-@dataclass(frozen=True)
-class ProposalDiagnostics:
-    """Per-proposal aggregation errors against the owning ground-truth instance."""
-
-    proposal_index: int
-    gt_instance_id: int
-    center_error: float
-    radius_error: float
-    bbox_error: float
-
-
-def aggregation_diagnostics(
-    positions,
-    proposals: Sequence[Proposal],
-    gt_instance_ids,
-) -> tuple[list[ProposalDiagnostics], list[int]]:
-    """Center/radius/bbox errors of each proposal vs its plurality GT owner.
-
-    A proposal is matched to the ground-truth instance owning the plurality
-    of its members (ties to the lowest id); proposals overlapping no
-    instance points are returned separately as unmatched indices.
-    """
-    pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-    gt = np.asarray(gt_instance_ids, dtype=np.int64).reshape(-1)
-    if len(pos) != len(gt):
-        raise LengthMismatch(f"{len(pos)} positions vs {len(gt)} instance ids")
-
-    stats: dict[int, tuple[np.ndarray, float, np.ndarray]] = {}
-    for gid in np.unique(gt[gt > 0]):
-        members = pos[gt == gid]
-        centroid = members.mean(axis=0)
-        max_radius = float(np.sqrt(np.max(_sq_dist_to(members, centroid))))
-        extents = members.max(axis=0) - members.min(axis=0)
-        stats[int(gid)] = (centroid, max_radius, extents)
-
-    diagnostics: list[ProposalDiagnostics] = []
-    unmatched: list[int] = []
-    for idx, proposal in enumerate(proposals):
-        member_gt = gt[proposal.member_indices]
-        member_gt = member_gt[member_gt > 0]
-        if member_gt.size == 0:
-            unmatched.append(idx)
-            continue
-        values, counts = np.unique(member_gt, return_counts=True)
-        owner = int(values[int(np.argmax(counts))])
-        centroid, max_radius, extents = stats[owner]
-        diagnostics.append(
-            ProposalDiagnostics(
-                proposal_index=idx,
-                gt_instance_id=owner,
-                center_error=float(np.linalg.norm(proposal.refined_center - centroid)),
-                radius_error=abs(proposal.refined_radius - max_radius),
-                bbox_error=float(np.abs(proposal.bbox - extents).sum()),
-            )
-        )
-    return diagnostics, unmatched

@@ -1,5 +1,6 @@
 """CLI workflows: synth, segment, evaluate, ablate, inspect, determinism."""
 
+import re
 import shutil
 import threading
 import time
@@ -87,6 +88,29 @@ class TestConfigValidation:
         assert config.confidence_dir == "conf/{seq}"
         assert config.sequences == ("00", "01")
         assert config.group_radius_m == 0.5
+
+    def test_window_frame_offsets_rejected_for_overlapping_windows(self):
+        # A scan held by two windows has one offset file, which cannot sit
+        # in both windows' frames.
+        def files(**kwargs):
+            return PipelineConfig(
+                dataset_root="/definitely/not/a/path", source="files", offset_dir="/missing/off",
+                semantic_dir="/missing/sem", **kwargs,
+            )
+
+        for window_n, stride in ((2, 0), (3, 1), (4, 3)):
+            with pytest.raises(ConfigError, match="offset_frame=window.*overlap"):
+                files(offset_frame="window", window_n=window_n, stride=stride).validate()
+            files(offset_frame="sensor", window_n=window_n, stride=stride).validate()
+        for window_n, stride in ((1, 0), (3, 3)):
+            files(offset_frame="window", window_n=window_n, stride=stride).validate()
+        assert files().offset_frame == "sensor"
+
+    def test_removed_group_space_key_names_file_and_line(self, tmp_path):
+        path = tmp_path / "old.cfg"
+        path.write_text("window_n: 2\ngroup_space: shifted\n")
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}:2: unknown config key 'group_space'"):
+            PipelineConfig.from_file(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -211,14 +235,13 @@ class TestSegment:
         log = (tmp_path / "out" / "00" / "run_log.txt").read_text().splitlines()
         assert log[-1] == f"global instance ids used: {largest} of 65535, {largest / stats.n_scans:.4g} per scan"
 
-    def test_run_log_reports_end_to_end_then_core_rate(self, small_dataset, tmp_path):
+    def test_run_log_reports_the_end_to_end_rate_only(self, small_dataset, tmp_path):
         config = _oracle_config(small_dataset, tmp_path / "out")
         stats = segment_sequence(config, "00")
         assert stats.points_per_sec == stats.total_points / stats.wall_time_s
         log = (tmp_path / "out" / "00" / "run_log.txt").read_text().splitlines()
-        end_to_end = log.index(f"end-to-end throughput: {stats.points_per_sec:,.0f} points/sec")
-        core = log.index(f"core shift+fps+group throughput: {stats.core_points_per_sec:,.0f} points/sec")
-        assert end_to_end < core
+        rates = [line for line in log if "points/sec" in line]
+        assert rates == [f"end-to-end throughput: {stats.points_per_sec:,.0f} points/sec"]
 
     def test_reference_lstq_floor_under_offset_noise(self, reference_dataset, class_map, tmp_path):
         # Seeds on thing points only, stopped at the grouping radius, keep
@@ -254,23 +277,6 @@ class TestSegment:
             a = (tmp_path / "bounded" / "00" / "predictions" / name).read_bytes()
             b = (tmp_path / "full" / "00" / "predictions" / name).read_bytes()
             assert a == b
-
-    def test_raw_group_space_runs(self, small_dataset, tmp_path):
-        # Grouping members by raw positions instead of shifted coordinates is
-        # the documented switch; it must run end to end.
-        config = _oracle_config(small_dataset, tmp_path / "out", group_space="raw")
-        stats = segment_sequence(config, "00")
-        assert stats.n_scans == len(small_dataset.scans)
-
-    def test_raw_group_space_survives_large_offsets(self, small_dataset, tmp_path):
-        # With heavy offset noise the grouped positions may sit far from the
-        # shifted seeds; proposals must stay nonempty rather than crash.
-        config = _oracle_config(
-            small_dataset, tmp_path / "out",
-            group_space="raw", offset_sigma=5.0, noise_seed=99,
-        )
-        stats = segment_sequence(config, "00")
-        assert stats.n_scans == len(small_dataset.scans)
 
     def test_file_source_with_sensor_frame_offsets(self, small_dataset, class_map, tmp_path):
         # Emit per-scan semantic labels and sensor-frame oracle offsets,
@@ -623,7 +629,9 @@ class TestInputsReadOnce:
         want.update({seq_dir / "velodyne" / f"{k:06d}.bin": 1 for k in range(6)})
         assert reads == Counter(want)
 
-    @pytest.mark.parametrize("offset_frame", ["sensor", "window"])
+    # Sensor-frame offsets only: window-frame ones cannot serve overlapping
+    # windows and are rejected before any file is read.
+    @pytest.mark.parametrize("offset_frame", ["sensor"])
     def test_files_read_each_label_and_offset_file_once(
         self, six_scan_dataset, tmp_path, monkeypatch, offset_frame
     ):
@@ -1100,7 +1108,7 @@ class TestMainEntry:
         )
         assert code == 0
         line = capsys.readouterr().out
-        assert line.index("points/sec end to end") < line.index("points/sec core")
+        assert "points/sec end to end" in line and "core" not in line
         assert main(
             [
                 "evaluate",

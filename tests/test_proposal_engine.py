@@ -1,7 +1,6 @@
 """Proposal stage oracles: FPS, grouping, refinement, DBSCAN, merging, losses."""
 
 from collections import deque
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +11,6 @@ from panseg4d.proposal_engine import (
     _GROUP_CELL_HAIR,
     _GROUP_CHUNK_SHARE,
     NOISE,
-    Proposal,
-    aggregation_diagnostics,
     covering_bound,
     covering_prefix,
     dbscan,
@@ -156,30 +153,21 @@ def dbscan_loop_oracle(embeddings, eps: float, min_pts: int) -> np.ndarray:
     return labels
 
 
-def refine_oracle(positions, predicted_centers, member_indices, seed_index: int) -> Proposal:
-    """One proposal at a time: mean of the members' predicted centers, max
-    distance from it to their positions, extents of their positions."""
+def refine_oracle(predicted_centers, member_indices) -> np.ndarray:
+    """One proposal at a time: the mean of its members' predicted centers."""
     members = np.asarray(member_indices, dtype=np.int64).reshape(-1)
     if members.size == 0:
         raise EmptyInput("proposal must have at least one member")
-    pos = np.asarray(positions, dtype=np.float64)[members]
-    center = np.asarray(predicted_centers, dtype=np.float64)[members].mean(axis=0)
-    radius = float(np.sqrt(np.max(((pos - center) ** 2).sum(axis=-1))))
-    bbox = pos.max(axis=0) - pos.min(axis=0)
-    return Proposal(int(seed_index), members, center, radius, bbox, center.copy())
+    return np.asarray(predicted_centers, dtype=np.float64)[members].mean(axis=0)
 
 
-def assert_proposals_identical(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert type(g.seed_index) is int and g.seed_index == w.seed_index
-        assert type(g.refined_radius) is float and g.refined_radius == w.refined_radius
-        for field in ("member_indices", "refined_center", "bbox", "embedding"):
-            a, b = getattr(g, field), getattr(w, field)
-            assert a.dtype == b.dtype and np.array_equal(a, b), field
+def assert_centers_identical(got, predicted_centers, groups):
+    want = np.array([refine_oracle(predicted_centers, g) for g in groups]).reshape(-1, 3)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
-def merge_oracle(predicted_centers, proposals, cluster_ids, point_labels, thing_mask):
+def merge_oracle(predicted_centers, groups, proposal_centers, cluster_ids, point_labels, thing_mask):
     """One pass over the window per instance: claims resolved instance by
     instance, then one majority vote per instance that kept points; an
     instance whose kept points are all IGNORE is demoted without a vote.
@@ -190,20 +178,20 @@ def merge_oracle(predicted_centers, proposals, cluster_ids, point_labels, thing_
     centers = np.asarray(predicted_centers, dtype=np.float64).reshape(-1, 3)
     point_semantic = np.asarray(point_labels, dtype=np.int64).reshape(-1)
     n = len(centers)
-    groups: dict[int, list[int]] = {}
+    clusters: dict[int, list[int]] = {}
     for idx, cid in enumerate(cluster_ids):
         if cid != NOISE:
-            groups.setdefault(int(cid), []).append(idx)
-    instances = [groups[cid] for cid in sorted(groups)]
+            clusters.setdefault(int(cid), []).append(idx)
+    instances = [clusters[cid] for cid in sorted(clusters)]
     instances.extend([idx] for idx, cid in enumerate(cluster_ids) if cid == NOISE)
 
     assigned = np.zeros(n, dtype=np.int64)
     best_d2 = np.full(n, np.inf)
     claims = np.zeros(n, dtype=np.int64)
     for instance_id, proposal_idxs in enumerate(instances, start=1):
-        rows = np.unique(np.concatenate([proposals[p].member_indices for p in proposal_idxs]))
+        rows = np.unique(np.concatenate([groups[p] for p in proposal_idxs]))
         claims[rows] += 1
-        center = np.mean([proposals[p].refined_center for p in proposal_idxs], axis=0)
+        center = np.mean([proposal_centers[p] for p in proposal_idxs], axis=0)
         d2 = ((centers[rows] - center) ** 2).sum(axis=-1)
         better = d2 < best_d2[rows]
         assigned[rows[better]] = instance_id
@@ -659,52 +647,39 @@ class TestRadiusGroup:
 class TestRefineProposal:
     def test_single_member(self):
         position = np.array([[1.0, 2.0, 3.0]])
-        (proposal,) = refine_proposal(position, position, [[0]], [0])
-        assert np.array_equal(proposal.refined_center, position[0])
-        assert proposal.refined_radius == 0.0
-        assert proposal.bbox.tolist() == [0.0, 0.0, 0.0]
+        centers = refine_proposal(position, [[0]])
+        assert np.array_equal(centers, position)
 
     def test_two_member_arithmetic(self):
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0]])
-        (proposal,) = refine_proposal(pts, pts, [[0, 1]], [0])
-        assert proposal.refined_center.tolist() == [1.0, 0.0, 0.0]
-        assert proposal.refined_radius == 1.0
-        assert proposal.bbox.tolist() == [2.0, 0.0, 0.0]
-        assert np.array_equal(proposal.embedding, proposal.refined_center)
+        centers = refine_proposal(pts, [[0, 1]])
+        assert centers.tolist() == [[1.0, 0.0, 0.0]]
 
     def test_random_members_match_mean_max_extent_oracle(self):
         rng = np.random.default_rng(11)
-        positions = rng.normal(size=(40, 3))
         shifted = rng.normal(size=(40, 3))
         members = rng.choice(40, size=15, replace=False)
-        (proposal,) = refine_proposal(positions, shifted, [members], [members[0]])
-        center = np.array([shifted[members][:, c].mean() for c in range(3)])
-        assert np.abs(proposal.refined_center - center).max() < 1e-12
-        radius = max(np.linalg.norm(positions[m] - proposal.refined_center) for m in members)
-        assert abs(proposal.refined_radius - radius) < 1e-12
-        extent = positions[members].max(axis=0) - positions[members].min(axis=0)
-        assert np.abs(proposal.bbox - extent).max() < 1e-12
+        (center,) = refine_proposal(shifted, [members])
+        want = np.array([shifted[members][:, c].mean() for c in range(3)])
+        assert np.abs(center - want).max() < 1e-12
 
     def test_empty_members_rejected(self):
         with pytest.raises(EmptyInput):
-            refine_proposal(np.zeros((2, 3)), np.zeros((2, 3)), [[]], [0])
+            refine_proposal(np.zeros((2, 3)), [[]])
 
     def test_empty_group_among_nonempty_rejected(self):
         with pytest.raises(EmptyInput, match="proposal 1"):
-            refine_proposal(np.zeros((3, 3)), np.zeros((3, 3)), [[0, 1], [], [2]], [0, 1, 2])
-
-    def test_seed_count_must_match_groups(self):
-        with pytest.raises(LengthMismatch):
-            refine_proposal(np.zeros((3, 3)), np.zeros((3, 3)), [[0], [1]], [0])
+            refine_proposal(np.zeros((3, 3)), [[0, 1], [], [2]])
 
     def test_no_groups_gives_no_proposals(self):
-        assert refine_proposal(np.zeros((3, 3)), np.zeros((3, 3)), [], []) == []
+        centers = refine_proposal(np.zeros((3, 3)), [])
+        assert centers.shape == (0, 3)
 
     def test_matches_per_proposal_oracle(self):
         # Windows with duplicate coordinates (lattice values), single-member
-        # and repeated-member groups, groups found by grouping in shifted and
-        # in raw space (seed added by union1d, as the pipeline does), and
-        # enough members that the chunked gather splits groups across chunks.
+        # and repeated-member groups, groups found by grouping in shifted
+        # space at small and large radii, as the pipeline does, and enough
+        # members that the chunked gather splits groups across chunks.
         rng = np.random.default_rng(31)
         chunked = 0
         for case in range(300):
@@ -718,17 +693,13 @@ class TestRefineProposal:
             seeds = rng.integers(0, n, int(rng.integers(1, 40)))
             if case % 3 == 0:
                 groups = radius_group(shifted[seeds], shifted, float(rng.uniform(0.3, 3.0)))
-                groups = [g if s in g else np.union1d(g, [s]) for s, g in zip(seeds, groups)]
             elif case % 3 == 1:
-                groups = radius_group(shifted[seeds], positions, float(rng.uniform(0.3, 3.0)))
-                groups = [g if s in g else np.union1d(g, [s]) for s, g in zip(seeds, groups)]
+                groups = radius_group(shifted[seeds], shifted, float(rng.uniform(3.0, 30.0)))
             else:
                 groups = [rng.integers(0, n, int(rng.integers(1, 2 * n + 2))) for _ in seeds]
             sizes = np.array([len(g) for g in groups])
             chunked += int(sizes.sum() > max(n // _GROUP_CHUNK_SHARE, 1) and len(groups) > 1)
-            got = refine_proposal(positions, shifted, groups, seeds)
-            want = [refine_oracle(positions, shifted, g, s) for s, g in zip(seeds, groups)]
-            assert_proposals_identical(got, want)
+            assert_centers_identical(refine_proposal(shifted, groups), shifted, groups)
         assert chunked > 100
 
     def test_large_group_center_sums_like_mean(self):
@@ -736,9 +707,7 @@ class TestRefineProposal:
         positions = rng.normal(0, 50, (20_000, 3))
         shifted = positions + rng.normal(0, 1, (20_000, 3))
         groups = [np.arange(20_000), rng.integers(0, 20_000, 7_000), np.array([5, 5, 5])]
-        got = refine_proposal(positions, shifted, groups, [0, 1, 5])
-        want = [refine_oracle(positions, shifted, g, s) for s, g in zip([0, 1, 5], groups)]
-        assert_proposals_identical(got, want)
+        assert_centers_identical(refine_proposal(shifted, groups), shifted, groups)
 
 
 class TestDbscan:
@@ -880,35 +849,36 @@ def _merge_case(rng, case):
         return rng.integers(-3, 4, (size, 3)).astype(float) if lattice else rng.normal(0, 2, (size, 3))
 
     centers = coords(n)
-    proposals = []
+    groups, proposal_centers = [], []
     for _ in range(int(rng.integers(0, 25))):
         members = rng.integers(0, n, int(rng.integers(1, max(2, n // 3) + 1)))
         if rng.random() < 0.7:
             members = np.unique(members)  # else repeats stay, as raw claims
-        center = coords(1)[0]
-        proposals.append(Proposal(int(members[0]), members, center, 0.0, np.zeros(3), center.copy()))
+        groups.append(members)
+        proposal_centers.append(coords(1)[0])
     pool = np.array([NOISE, -7, -3, 0, 2, 5, 40])
-    cluster_ids = rng.choice(pool[: int(rng.integers(1, len(pool) + 1))], len(proposals))
-    if case % 5 == 0 and proposals:
-        near = proposals[0]
-        far = near.refined_center + 100.0
-        proposals.append(Proposal(near.seed_index, near.member_indices[::2], far, 0.0, np.zeros(3), far))
+    cluster_ids = rng.choice(pool[: int(rng.integers(1, len(pool) + 1))], len(groups))
+    if case % 5 == 0 and groups:
+        groups.append(groups[0][::2])
+        proposal_centers.append(proposal_centers[0] + 100.0)
         cluster_ids = np.append(cluster_ids, 77)
+    proposal_centers = np.array(proposal_centers).reshape(-1, 3)
     if case % 7 == 3:
         # Squared distances overflow to inf; such claims never win.
         centers *= 1e160
         centers[rng.random(n) < 0.2] = np.inf
-        proposals = [replace(p, refined_center=p.refined_center * 1e160) for p in proposals]
-    if case % 7 == 5 and proposals:
+        proposal_centers *= 1e160
+    if case % 7 == 5 and groups:
         # An instance whose center averages +inf and -inf is NaN: its claims
         # never win, even against finite ones.
         for sign in (1.0, -1.0):
-            proposals.append(replace(proposals[0], refined_center=np.array([sign * np.inf, 0.0, 0.0])))
+            groups.append(groups[0])
+            proposal_centers = np.vstack([proposal_centers, [sign * np.inf, 0.0, 0.0]])
             cluster_ids = np.append(cluster_ids, 88)
     labels = rng.choice(rng.choice(np.arange(IGNORE, 19), int(rng.integers(1, 5)), replace=False), n)
     thing_mask = np.zeros(19, dtype=bool)
     thing_mask[:8] = True
-    return centers, proposals, cluster_ids, labels, thing_mask
+    return centers, groups, proposal_centers, cluster_ids, labels, thing_mask
 
 
 class TestMergeAndAssign:
@@ -927,11 +897,11 @@ class TestMergeAndAssign:
         shifted = shift_to_centers(positions, centers_true - positions)
         seeds = farthest_point_sample(shifted, 30)
         groups = radius_group(shifted[seeds], shifted, 0.6)
-        proposals = refine_proposal(positions, shifted, groups, seeds)
-        cluster_ids = dbscan(np.stack([p.embedding for p in proposals]), 1.0, 1)
+        proposal_centers = refine_proposal(shifted, groups)
+        cluster_ids = dbscan(proposal_centers, 1.0, 1)
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
-        seg = merge_and_assign(shifted, proposals, cluster_ids, semantic, thing_mask)
+        seg = merge_and_assign(shifted, groups, proposal_centers, cluster_ids, semantic, thing_mask)
         return seg, gt_instance, semantic
 
     def test_oracle_scene_recovers_instances_exactly(self):
@@ -949,8 +919,22 @@ class TestMergeAndAssign:
         labels = np.full(5, 8)
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
-        seg = merge_and_assign(np.zeros((5, 3)), [], np.zeros(0, dtype=int), labels, thing_mask)
+        no_centers, no_ids = np.zeros((0, 3)), np.zeros(0, dtype=int)
+        seg = merge_and_assign(np.zeros((5, 3)), [], no_centers, no_ids, labels, thing_mask)
         assert seg.instance.tolist() == [0] * 5
+
+    def test_per_proposal_lengths_must_match(self):
+        thing_mask = np.zeros(19, dtype=bool)
+        thing_mask[:8] = True
+        groups = [np.array([0, 1]), np.array([2])]
+        labels = np.zeros(3, dtype=int)
+        for proposal_centers, cluster_ids in (
+            (np.zeros((2, 3)), np.zeros(1, dtype=int)),
+            (np.zeros((1, 3)), np.zeros(2, dtype=int)),
+            (np.zeros((3, 3)), np.zeros(3, dtype=int)),
+        ):
+            with pytest.raises(LengthMismatch, match="2 member groups"):
+                merge_and_assign(np.zeros((3, 3)), groups, proposal_centers, cluster_ids, labels, thing_mask)
 
     def test_equidistant_claim_goes_to_lower_instance_id(self):
         positions = np.array([[0.0, 0, 0], [2.0, 0, 0], [1.0, 0, 0]])
@@ -958,9 +942,10 @@ class TestMergeAndAssign:
         labels = np.zeros(3, dtype=int)  # all "car"
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
-        proposals = refine_proposal(positions, shifted, [[0, 2], [1, 2]], [0, 1])
+        groups = [[0, 2], [1, 2]]
         cluster_ids = np.array([0, 1])  # two separate instances
-        seg = merge_and_assign(shifted, proposals, cluster_ids, labels, thing_mask)
+        proposal_centers = refine_proposal(shifted, groups)
+        seg = merge_and_assign(shifted, groups, proposal_centers, cluster_ids, labels, thing_mask)
         assert seg.instance[2] == seg.instance[0] == 1
         assert seg.instance[1] == 2
         assert seg.contested_points == 1
@@ -989,8 +974,8 @@ class TestMergeAndAssign:
         labels = np.array([0, 0, IGNORE, IGNORE])
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
-        proposals = refine_proposal(positions, positions, [[0, 1], [2, 3]], [0, 2])
-        args = (positions, proposals, np.array([0, 1]), labels, thing_mask)
+        groups = [[0, 1], [2, 3]]
+        args = (positions, groups, refine_proposal(positions, groups), np.array([0, 1]), labels, thing_mask)
         want = merge_oracle(*args)
         seg = merge_and_assign(*args)
         # The unlabelled pair stays IGNORE, carries no instance id and is not
@@ -1009,9 +994,9 @@ class TestMergeAndAssign:
         thing_mask[:8] = True
         seeds = farthest_point_sample(shifted, 10)
         groups = radius_group(shifted[seeds], shifted, 2.0)
-        proposals = refine_proposal(positions, shifted, groups, seeds)
-        cluster_ids = dbscan(np.stack([p.embedding for p in proposals]), 1.5, 1)
-        seg = merge_and_assign(shifted, proposals, cluster_ids, labels, thing_mask)
+        proposal_centers = refine_proposal(shifted, groups)
+        cluster_ids = dbscan(proposal_centers, 1.5, 1)
+        seg = merge_and_assign(shifted, groups, proposal_centers, cluster_ids, labels, thing_mask)
         used = np.unique(seg.instance[seg.instance > 0])
         assert np.array_equal(used, np.arange(1, len(used) + 1))
         assert len(seg.instance) == 120
@@ -1021,8 +1006,9 @@ class TestMergeAndAssign:
         labels = np.array([8, 8, 0])  # road, road, car
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
-        proposals = refine_proposal(positions, positions, [[0, 1, 2]], [0])
-        seg = merge_and_assign(positions, proposals, np.array([0]), labels, thing_mask)
+        groups = [[0, 1, 2]]
+        proposal_centers = refine_proposal(positions, groups)
+        seg = merge_and_assign(positions, groups, proposal_centers, np.array([0]), labels, thing_mask)
         assert seg.instance.tolist() == [0, 0, 0]
         assert seg.semantic.tolist() == [8, 8, 0]  # points keep their own argmax
         assert seg.uncovered_thing_points == 1
@@ -1033,8 +1019,9 @@ class TestMergeAndAssign:
         labels = np.zeros(2, dtype=int)
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
-        proposals = refine_proposal(positions, positions, [[0], [1]], [0, 1])
-        seg = merge_and_assign(positions, proposals, np.array([NOISE, NOISE]), labels, thing_mask)
+        groups = [[0], [1]]
+        proposal_centers = refine_proposal(positions, groups)
+        seg = merge_and_assign(positions, groups, proposal_centers, np.array([NOISE, NOISE]), labels, thing_mask)
         assert seg.instance.tolist() == [1, 2]
 
     def test_shared_instance_semantics(self):
@@ -1043,8 +1030,9 @@ class TestMergeAndAssign:
         labels = np.array([0, 0, 8])  # car, car, road
         thing_mask = np.zeros(19, dtype=bool)
         thing_mask[:8] = True
-        proposals = refine_proposal(positions, positions, [[0, 1, 2]], [0])
-        seg = merge_and_assign(positions, proposals, np.array([0]), labels, thing_mask)
+        groups = [[0, 1, 2]]
+        proposal_centers = refine_proposal(positions, groups)
+        seg = merge_and_assign(positions, groups, proposal_centers, np.array([0]), labels, thing_mask)
         assert seg.semantic.tolist() == [0, 0, 0]
         assert len(set(seg.instance.tolist())) == 1
 
@@ -1101,51 +1089,3 @@ class TestHuberCenterLoss:
         expected = sum(values) / len(values)
         got = huber_center_loss(pred, true, mask, delta=delta)
         assert abs(got.value - expected) < 1e-12
-
-
-class TestAggregationDiagnostics:
-    def test_exact_cover_has_tiny_errors(self):
-        rng = np.random.default_rng(19)
-        member_positions = rng.normal([3, 1, 0], 0.5, (50, 3))
-        positions = np.concatenate([member_positions, rng.normal([20, 0, 0], 0.5, (30, 3))])
-        gt = np.concatenate([np.full(50, 4), np.zeros(30, dtype=int)])
-        centroid = member_positions.mean(axis=0)
-        shifted = positions.copy()
-        shifted[:50] = centroid
-        (proposal,) = refine_proposal(positions, shifted, [np.arange(50)], [0])
-        diags, unmatched = aggregation_diagnostics(positions, [proposal], gt)
-        assert unmatched == []
-        assert diags[0].gt_instance_id == 4
-        assert diags[0].center_error < 1e-6
-        assert diags[0].radius_error < 1e-6
-        assert diags[0].bbox_error < 1e-6
-
-    def test_no_instance_overlap_reported_unmatched(self):
-        positions = np.zeros((4, 3))
-        gt = np.zeros(4, dtype=int)
-        (proposal,) = refine_proposal(positions, positions, [[0, 1]], [0])
-        diags, unmatched = aggregation_diagnostics(positions, [proposal], gt)
-        assert diags == []
-        assert unmatched == [0]
-
-    def test_shifted_center_error_is_one(self):
-        positions = np.random.default_rng(20).normal(size=(20, 3))
-        gt = np.ones(20, dtype=int)
-        centroid = positions.mean(axis=0)
-        proposal = Proposal(
-            seed_index=0,
-            member_indices=np.arange(20),
-            refined_center=centroid + np.array([1.0, 0.0, 0.0]),
-            refined_radius=0.0,
-            bbox=np.zeros(3),
-            embedding=centroid,
-        )
-        diags, _ = aggregation_diagnostics(positions, [proposal], gt)
-        assert abs(diags[0].center_error - 1.0) < 1e-12
-
-    def test_plurality_owner_ties_break_low(self):
-        positions = np.zeros((4, 3))
-        gt = np.array([1, 1, 2, 2])
-        (proposal,) = refine_proposal(positions, positions, [[0, 1, 2, 3]], [0])
-        diags, _ = aggregation_diagnostics(positions, [proposal], gt)
-        assert diags[0].gt_instance_id == 1
