@@ -13,7 +13,7 @@ Subcommands:
 ``threads > 1``, with at most ``threads + 1`` windows submitted and not yet
 stitched. Before the first window only poses, calibration and each
 velodyne file's size are read. The first window job holding a scan decodes
-it and reads its provider inputs (train ids and scan-frame offsets) once;
+it and reads its provider inputs (train ids and sensor-frame offsets) once;
 later windows holding it wait for that result, and each window only
 rotates its scans' offsets into its own frame. Each window is stitched and
 its new scans are written as soon as its result arrives; only the previous
@@ -93,7 +93,6 @@ class PipelineConfig:
     semantic_dir: str | None = None  # may contain {seq}
     confidence_dir: str | None = None
     offset_dir: str | None = None
-    offset_frame: str = "sensor"
     flip_prob: float = 0.0
     offset_sigma: float = 0.0
     noise_seed: int = 0
@@ -108,6 +107,8 @@ class PipelineConfig:
         return self.stride if self.stride > 0 else max(1, self.window_n - 1)
 
     def validate(self) -> None:
+        if not self.sequences:
+            raise ConfigError("sequences must name at least one sequence")
         if self.window_n < 1:
             raise ConfigError("window_n must be >= 1")
         if self.stride and not 1 <= self.stride <= self.window_n:
@@ -121,14 +122,6 @@ class PipelineConfig:
                 raise ConfigError("source=files requires offset_dir")
             if (self.semantic_dir is None) == (self.confidence_dir is None):
                 raise ConfigError("source=files requires exactly one of semantic_dir, confidence_dir")
-        if self.offset_frame not in ("window", "sensor"):
-            raise ConfigError(f"offset_frame must be window or sensor, got {self.offset_frame!r}")
-        if self.source == "files" and self.offset_frame == "window" and self.effective_stride < self.window_n:
-            raise ConfigError(
-                "offset_frame=window needs windows that do not overlap (stride = window_n): a scan "
-                "in two windows has one offset file, which cannot be in both windows' frames; "
-                "write sensor-frame offsets and use offset_frame=sensor"
-            )
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ConfigError("flip_prob must lie in [0, 1]")
         if self.offset_sigma < 0:
@@ -158,9 +151,7 @@ class PipelineConfig:
 _INT_KEYS = {"window_n", "stride", "noise_seed", "k_proposals", "dbscan_min_pts", "threads"}
 _FLOAT_KEYS = {"flip_prob", "offset_sigma", "group_radius_m", "dbscan_eps_m"}
 _PATH_KEYS = {"dataset_root", "out_dir", "scene_config"}
-_STR_KEYS = {
-    "source", "offset_frame", "semantic_dir", "confidence_dir", "offset_dir",
-}
+_STR_KEYS = {"source", "semantic_dir", "confidence_dir", "offset_dir"}
 
 
 def _parse_config_value(key: str, value: str, where: str):
@@ -249,7 +240,6 @@ def build_provider(config: PipelineConfig, sequence: str, scans, lidar_poses, cl
         confidence_paths=scan_paths(config.confidence_dir, ".conf"),
         offset_paths=scan_paths(config.offset_dir, ".offset"),
         lidar_poses=lidar_poses,
-        offset_frame=config.offset_frame,
     )
 
 
@@ -365,7 +355,7 @@ def segment_sequence(config: PipelineConfig, sequence: str) -> SegmentStats:
     raw_of = np.append(class_map.train_to_raw, 0)
 
     # Scan index -> its decoded scan and provider inputs (train ids and
-    # scan-frame offsets), a future set by the first window job that holds
+    # sensor-frame offsets), a future set by the first window job that holds
     # the scan, so each scan's files are read once. Filled on the main
     # thread, in window order, as each window is handed out.
     inputs: dict[int, Future] = {}
@@ -572,7 +562,8 @@ def inspect_path(path) -> str:
     if path.suffix in (".label", ".offset", ".conf"):
         size = path.stat().st_size
         if path.suffix == ".offset":
-            return f"{path}: {size // 12} offset rows"
+            # A partial record or a non-finite row raises, naming the file.
+            return f"{path}: {len(sk_formats.read_offsets(path, size // 12))} offset rows"
         if path.suffix == ".conf":
             return f"{path}: {size} bytes of confidence rows (row width depends on class count)"
         labels = sk_formats.read_labels(path, size // sk_formats.LABEL_RECORD_BYTES)
@@ -615,8 +606,8 @@ def cmd_synth(args) -> int:
     seq_dir = write_dataset(args.out, args.sequence, scans, poses, gt, class_map, scene_config=scene)
     if args.emit_offsets:
         # Sensor-frame oracle offsets, one file per scan; consume with
-        # source=files, offset_frame=sensor (the labels/ directory already
-        # serves as the semantic input).
+        # source=files (the labels/ directory already serves as the semantic
+        # input).
         offset_dir = seq_dir / "oracle_offsets"
         offset_dir.mkdir(exist_ok=True)
         for k, scan in enumerate(scans):
@@ -634,7 +625,7 @@ def _config_from_args(args) -> PipelineConfig:
     overrides = {
         "dataset_root": args.dataset_root,
         "out_dir": args.out,
-        "sequences": tuple(args.sequences.replace(",", " ").split()) if args.sequences else None,
+        "sequences": tuple(args.sequences.replace(",", " ").split()) if args.sequences is not None else None,
         "window_n": args.window_n,
         "stride": args.stride,
         "source": args.source,
@@ -642,7 +633,6 @@ def _config_from_args(args) -> PipelineConfig:
         "semantic_dir": args.semantic_dir,
         "confidence_dir": args.confidence_dir,
         "offset_dir": args.offset_dir,
-        "offset_frame": args.offset_frame,
         "flip_prob": args.flip_prob,
         "offset_sigma": args.offset_sigma,
         "noise_seed": args.noise_seed,
@@ -684,7 +674,9 @@ def cmd_evaluate(args) -> int:
     if args.pred_root is None:
         raise ConfigError("evaluate requires --pred-root (or --fixture)")
     class_map = ClassMap.semantic_kitti()
-    sequences = tuple(args.sequences.replace(",", " ").split()) if args.sequences else ("00",)
+    sequences = tuple(args.sequences.replace(",", " ").split()) if args.sequences is not None else ("00",)
+    if not sequences:
+        raise ConfigError("sequences must name at least one sequence")
     reports, overall = evaluate_directories(
         args.pred_root, args.dataset_root, sequences, class_map, out_dir
     )
@@ -726,7 +718,8 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--semantic-dir", default=None, dest="semantic_dir")
     parser.add_argument("--confidence-dir", default=None, dest="confidence_dir")
     parser.add_argument("--offset-dir", default=None, dest="offset_dir")
-    parser.add_argument("--offset-frame", choices=["window", "sensor"], default=None, dest="offset_frame")
+    # Read by nothing: goes once the benchmark contract (ROADMAP item 5) stops passing it.
+    parser.add_argument("--offset-frame", choices=["sensor"], default=None, dest="offset_frame")
     parser.add_argument("--flip-prob", type=float, default=None, dest="flip_prob")
     parser.add_argument("--offset-sigma", type=float, default=None, dest="offset_sigma")
     parser.add_argument("--noise-seed", type=int, default=None, dest="noise_seed")

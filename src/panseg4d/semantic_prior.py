@@ -2,12 +2,12 @@
 
 A provider hands the pipeline each scan's inputs once, through
 :meth:`PredictionSource.scan_inputs`: per-point train ids (IGNORE where
-unlabelled) and per-point offset vectors in the scan's stored frame. The
+unlabelled) and per-point offset vectors in the scan's sensor frame. The
 pipeline passes in the scan's decoded points, so providers hold no scans.
 Label sources give their remapped ids directly; confidence rows are
 normalized and reduced with :func:`argmax_labels`. Each window then only
 rotates its scans' offsets into its reference frame
-(:meth:`PredictionSource.window_offsets`).
+(:meth:`PredictionSource.window_offsets`, through :func:`rotate_into_window`).
 
 :meth:`PredictionSource.semantic_prior` gives the same evidence as a
 length-C row per point, one-hot for labels (IGNORE as the uniform row 1/C)
@@ -236,7 +236,7 @@ class ScanInputs(NamedTuple):
     """One scan's provider inputs, row-aligned with the scan's points."""
 
     labels: np.ndarray  # (n,) int64 train ids, IGNORE where unlabelled
-    offsets: np.ndarray  # (n, 3) float64, in the scan's stored frame
+    offsets: np.ndarray  # (n, 3) float64, in the scan's sensor frame
 
 
 def check_scan_inputs(inputs: ScanInputs, scan_index: int, n_points: int, n_classes: int) -> ScanInputs:
@@ -300,34 +300,26 @@ class FileProvider(PredictionSource):
 
     Semantic inputs are either ``.label``-format files (semantic field used,
     instance field ignored) or confidence files (N x C float32 rows). Offset
-    files hold N x 3 float32 rows per scan; ``offset_frame`` declares whether
-    the stored vectors are already in the consuming window's reference frame
-    ("window") or in each scan's own sensor frame ("sensor", rotated into the
-    window frame by :meth:`window_offsets` using the lidar poses). N is the
-    number of points the caller passes; no coordinate is read.
+    files hold N x 3 float32 rows per scan in the scan's sensor frame, which
+    :meth:`window_offsets` rotates into each window's frame using the lidar
+    poses. N is the number of points the caller passes; no coordinate is read.
     """
 
     def __init__(
         self,
         class_map: ClassMap,
+        lidar_poses: Sequence[RigidTransform],
         semantic_paths: Sequence | None = None,
         confidence_paths: Sequence | None = None,
         offset_paths: Sequence | None = None,
-        lidar_poses: Sequence[RigidTransform] | None = None,
-        offset_frame: str = "window",
     ):
         if (semantic_paths is None) == (confidence_paths is None):
             raise ConfigError("provide exactly one of semantic_paths / confidence_paths")
-        if offset_frame not in ("window", "sensor"):
-            raise ConfigError(f"offset_frame must be 'window' or 'sensor', got {offset_frame!r}")
-        if offset_frame == "sensor" and lidar_poses is None:
-            raise ConfigError("sensor-frame offsets require lidar_poses for rotation")
         self.class_map = class_map
         self.semantic_paths = list(semantic_paths) if semantic_paths is not None else None
         self.confidence_paths = list(confidence_paths) if confidence_paths is not None else None
         self.offset_paths = list(offset_paths) if offset_paths is not None else None
         self.lidar_poses = lidar_poses
-        self.offset_frame = offset_frame
 
     def _path_for(self, paths, scan_index: int, what: str):
         if paths is None or scan_index >= len(paths):
@@ -359,6 +351,4 @@ class FileProvider(PredictionSource):
         return encode_one_hot(self._labels(scan_index, len(points)), self.class_map.n_classes)
 
     def window_offsets(self, window: tuple[int, int], scan_offsets: Sequence[np.ndarray]) -> np.ndarray:
-        if self.offset_frame == "sensor":
-            return rotate_into_window(self.lidar_poses, window[0], scan_offsets)
-        return np.concatenate(scan_offsets) if len(scan_offsets) else np.zeros((0, 3))
+        return rotate_into_window(self.lidar_poses, window[0], scan_offsets)

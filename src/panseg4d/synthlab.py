@@ -424,28 +424,13 @@ def oracle_offsets(
     Stuff points get zero offsets. Offsets are computed per scan in the
     sensor frame and rotated with the same composed transform the
     aggregator applies, so predicted centers land on the aggregated
-    instance centroids to within rounding.
+    instance centroids to within rounding. The noise-free reference for
+    :class:`OracleProvider`'s offsets.
     """
-    return _window_offsets(scans, lidar_poses, gt, window, sigma=0.0, seed=0)
-
-
-def noisy_offsets(
-    scans: list[PointCloudScan],
-    lidar_poses: list[RigidTransform],
-    gt: GroundTruth,
-    window: tuple[int, int],
-    sigma: float,
-    seed: int,
-) -> np.ndarray:
-    """Oracle offsets plus isotropic zero-mean Gaussian noise per axis.
-
-    Noise is drawn per scan in the sensor frame (keyed by the scan index,
-    so a point's perturbation is identical whichever window consumes it)
-    and rotated together with the offset.
-    """
-    if sigma < 0:
-        raise ConfigError(f"sigma must be >= 0, got {sigma}")
-    return _window_offsets(scans, lidar_poses, gt, window, sigma=sigma, seed=seed)
+    start, count = window
+    return rotate_into_window(lidar_poses, start, [
+        gt.scan_truth(k, scans[k].points)[1] - scans[k].points for k in range(start, start + count)
+    ])
 
 
 def _scan_offsets(points, centers, scan_index: int, sigma: float, seed: int) -> np.ndarray:
@@ -455,14 +440,6 @@ def _scan_offsets(points, centers, scan_index: int, sigma: float, seed: int) -> 
         rng = keyed_rng(seed, _STREAM_OFFSET_NOISE, scan_index)
         delta = delta + rng.normal(0.0, sigma, delta.shape)
     return delta
-
-
-def _window_offsets(scans, lidar_poses, gt, window, sigma: float, seed: int) -> np.ndarray:
-    start, count = window
-    return rotate_into_window(lidar_poses, start, [
-        _scan_offsets(scans[k].points, gt.scan_truth(k, scans[k].points)[1], k, sigma, seed)
-        for k in range(start, start + count)
-    ])
 
 
 def flip_labels(train_ids: np.ndarray, flip_prob: float, rng: np.random.Generator, n_classes: int) -> np.ndarray:

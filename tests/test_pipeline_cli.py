@@ -6,6 +6,7 @@ import threading
 import time
 import weakref
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -89,28 +90,48 @@ class TestConfigValidation:
         assert config.sequences == ("00", "01")
         assert config.group_radius_m == 0.5
 
-    def test_window_frame_offsets_rejected_for_overlapping_windows(self):
-        # A scan held by two windows has one offset file, which cannot sit
-        # in both windows' frames.
-        def files(**kwargs):
-            return PipelineConfig(
-                dataset_root="/definitely/not/a/path", source="files", offset_dir="/missing/off",
-                semantic_dir="/missing/sem", **kwargs,
-            )
-
-        for window_n, stride in ((2, 0), (3, 1), (4, 3)):
-            with pytest.raises(ConfigError, match="offset_frame=window.*overlap"):
-                files(offset_frame="window", window_n=window_n, stride=stride).validate()
-            files(offset_frame="sensor", window_n=window_n, stride=stride).validate()
-        for window_n, stride in ((1, 0), (3, 3)):
-            files(offset_frame="window", window_n=window_n, stride=stride).validate()
-        assert files().offset_frame == "sensor"
-
     def test_removed_group_space_key_names_file_and_line(self, tmp_path):
         path = tmp_path / "old.cfg"
         path.write_text("window_n: 2\ngroup_space: shifted\n")
         with pytest.raises(ConfigError, match=f"{re.escape(str(path))}:2: unknown config key 'group_space'"):
             PipelineConfig.from_file(path)
+
+    def test_removed_offset_frame_key_names_file_and_line(self, tmp_path):
+        path = tmp_path / "old.cfg"
+        path.write_text("window_n: 2\noffset_frame: sensor\n")
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}:2: unknown config key 'offset_frame'"):
+            PipelineConfig.from_file(path)
+
+    def test_parse_entries_match_the_fields(self):
+        # A parse entry left behind by a deleted field, or a field with no
+        # parse entry, would otherwise fail only when a config file sets it.
+        parsed = (
+            pipeline_cli._INT_KEYS | pipeline_cli._FLOAT_KEYS | pipeline_cli._PATH_KEYS
+            | pipeline_cli._STR_KEYS | {"sequences"}
+        )
+        assert parsed == {spec.name for spec in fields(PipelineConfig)}
+
+    def test_empty_sequence_list_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="sequences"):
+            PipelineConfig(sequences=(), scene_config=tmp_path / "s.cfg").validate()
+        path = tmp_path / "run.cfg"
+        path.write_text("sequences:\n")
+        with pytest.raises(ConfigError, match="sequences"):
+            PipelineConfig.from_file(path, scene_config=tmp_path / "s.cfg").validate()
+
+    def test_readme_config_block_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration\n", 1)[1]
+        block = section.split("\n```\n", 2)[1]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        config = PipelineConfig.from_file(path)
+        config.validate()
+        assert config.dataset_root == Path("data") and config.out_dir == Path("runs/clean")
+        assert config.sequences == ("00",)
+        assert (config.window_n, config.stride, config.source) == (2, 1, "oracle")
+        assert config.offset_dir == "offs/{seq}" and config.semantic_dir == "preds/{seq}"
+        assert (config.group_radius_m, config.dbscan_eps_m, config.threads) == (0.6, 1.0, 1)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -301,7 +322,6 @@ class TestSegment:
             source="files",
             semantic_dir=str(sem_dir),
             offset_dir=str(off_dir),
-            offset_frame="sensor",
         )
         stats = segment_sequence(config, "00")
         assert stats.uncovered_thing_points == 0
@@ -327,7 +347,7 @@ class TestSegment:
             sk_formats.write_offsets(off_dir / f"{k:06d}.offset", delta)
         common = dict(
             dataset_root=small_dataset.root, sequences=("00",), window_n=2,
-            source="files", offset_dir=str(off_dir), offset_frame="sensor",
+            source="files", offset_dir=str(off_dir),
         )
         labels_dir = str(small_dataset.root / "{seq}" / "labels")
         by_labels = PipelineConfig(out_dir=tmp_path / "sem", semantic_dir=labels_dir, **common)
@@ -362,7 +382,7 @@ class TestSegment:
             sk_formats.write_offsets(off_dir / f"{k:06d}.offset", delta)
         config = PipelineConfig(
             dataset_root=small_dataset.root, out_dir=tmp_path / "out", sequences=("00",), window_n=2,
-            source="files", semantic_dir=str(sem_dir), offset_dir=str(off_dir), offset_frame="sensor",
+            source="files", semantic_dir=str(sem_dir), offset_dir=str(off_dir),
         )
         stats = segment_sequence(config, "00")
         empty = free_scans[0]  # the window starting at the first free scan
@@ -629,12 +649,7 @@ class TestInputsReadOnce:
         want.update({seq_dir / "velodyne" / f"{k:06d}.bin": 1 for k in range(6)})
         assert reads == Counter(want)
 
-    # Sensor-frame offsets only: window-frame ones cannot serve overlapping
-    # windows and are rejected before any file is read.
-    @pytest.mark.parametrize("offset_frame", ["sensor"])
-    def test_files_read_each_label_and_offset_file_once(
-        self, six_scan_dataset, tmp_path, monkeypatch, offset_frame
-    ):
+    def test_files_read_each_label_and_offset_file_once(self, six_scan_dataset, tmp_path, monkeypatch):
         labels_dir = six_scan_dataset.root / "00" / "labels"
         off_dir = tmp_path / "off"
         off_dir.mkdir()
@@ -646,7 +661,7 @@ class TestInputsReadOnce:
         config = PipelineConfig(
             dataset_root=six_scan_dataset.root, out_dir=tmp_path / "out", sequences=("00",),
             window_n=3, stride=1, source="files", semantic_dir=str(labels_dir),
-            offset_dir=str(off_dir), offset_frame=offset_frame, threads=2,
+            offset_dir=str(off_dir), threads=2,
         )
         segment_sequence(config, "00")
         want = {labels_dir / f"{k:06d}.label": 1 for k in range(6)}
@@ -835,7 +850,7 @@ class TestProviderInputsChecked:
             [
                 "segment", "--dataset-root", str(small_dataset.root), "--out", str(tmp_path / "out"),
                 "--source", "files", "--semantic-dir", str(small_dataset.root / "{seq}" / "labels"),
-                "--offset-dir", str(off_dir), "--offset-frame", "sensor",
+                "--offset-dir", str(off_dir),
             ]
         )
         assert code == 1
@@ -906,7 +921,7 @@ class TestUnlabelledPoints:
             sk_formats.write_offsets(off_dir / f"{k:06d}.offset", gt.centers[k] - scan.points)
         config = PipelineConfig(
             dataset_root=tmp_path / "data", out_dir=tmp_path / "out", sequences=("00",), window_n=2,
-            source="files", semantic_dir=str(sem_dir), offset_dir=str(off_dir), offset_frame="sensor",
+            source="files", semantic_dir=str(sem_dir), offset_dir=str(off_dir),
         )
         stats = segment_sequence(config, "00")
         for row in stats.window_rows:
@@ -1041,6 +1056,17 @@ class TestAblate:
 
 
 class TestInspect:
+    def test_truncated_or_non_finite_offset_file_exits_1_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "000000.offset"
+        path.write_bytes(np.zeros((7, 3), dtype="<f4").tobytes() + b"\x00" * 5)
+        assert main(["inspect", str(path)]) == 1
+        assert f"{path}: 89 bytes, expected 84" in capsys.readouterr().err
+        offsets = np.zeros((7, 3))
+        offsets[4, 0] = np.inf
+        sk_formats.write_offsets(path, offsets)
+        assert main(["inspect", str(path)]) == 1
+        assert f"{path}: non-finite offset at point 4" in capsys.readouterr().err
+
     def test_scan_summary(self, small_dataset):
         out = inspect_path(small_dataset.root / "00" / "velodyne" / "000000.bin")
         assert "points" in out
@@ -1147,6 +1173,23 @@ class TestMainEntry:
         )
         assert code == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["segment", "evaluate"])
+    def test_empty_sequence_list_exits_2(self, small_dataset, tmp_path, capsys, command):
+        source = ["--scene-config", str(small_dataset.scene_path)] if command == "segment" else [
+            "--pred-root", str(small_dataset.root)]
+        for sequences in (",", ""):
+            argv = [command, "--dataset-root", str(small_dataset.root), "--out", str(tmp_path / "out"),
+                    "--sequences", sequences, *source]
+            assert main(argv) == 2
+            assert "sequences" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    def test_window_offset_frame_flag_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["segment", "--out", str(tmp_path / "out"), "--offset-frame", "window"])
+        assert exit_info.value.code == 2
+        assert "--offset-frame" in capsys.readouterr().err
 
     def test_corrupted_prediction_file_exits_nonzero(self, small_dataset, tmp_path, capsys):
         pred_root = tmp_path / "pred"

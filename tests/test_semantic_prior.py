@@ -218,17 +218,15 @@ class TestSemanticPriorValidation:
             SemanticPrior(matrix=np.ones((2, 19)))
 
 
-def _parent_window_offsets(offset_paths, sizes, lidar_poses, offset_frame, window):
+def _parent_window_offsets(offset_paths, sizes, lidar_poses, window):
     """Reference: the per-window file read the provider used to make, each
     window reading and rotating every scan it holds."""
     start, n = window
     rows = []
     for scan_index in range(start, start + n):
         offsets = sk_formats.read_offsets(offset_paths[scan_index], sizes[scan_index])
-        if offset_frame == "sensor":
-            rotation = window_relative_transform(lidar_poses, start, scan_index).rotation
-            offsets = offsets @ rotation.T
-        rows.append(offsets)
+        rotation = window_relative_transform(lidar_poses, start, scan_index).rotation
+        rows.append(offsets @ rotation.T)
     return np.concatenate(rows)
 
 
@@ -237,11 +235,16 @@ def _points(n):
     return np.zeros((n, 3))
 
 
+def _identity_poses(n):
+    """Lidar poses for tests where rotating the offsets does not matter."""
+    return [RigidTransform.identity()] * n
+
+
 class TestFileProvider:
     def _write_labels(self, path, raw, inst):
         sk_formats.write_labels(path, np.stack([raw, inst], axis=1))
 
-    def _offset_provider(self, tmp_path, class_map, sizes, **kwargs):
+    def _offset_provider(self, tmp_path, class_map, sizes, lidar_poses=None):
         """Label and offset files for ``sizes`` scans, offsets random."""
         rng = np.random.default_rng(7)
         for k, n in enumerate(sizes):
@@ -249,9 +252,9 @@ class TestFileProvider:
             sk_formats.write_offsets(tmp_path / f"{k:06d}.offset", rng.normal(size=(n, 3)))
         return FileProvider(
             class_map=class_map,
+            lidar_poses=lidar_poses or _identity_poses(len(sizes)),
             semantic_paths=[tmp_path / f"{k:06d}.label" for k in range(len(sizes))],
             offset_paths=[tmp_path / f"{k:06d}.offset" for k in range(len(sizes))],
-            **kwargs,
         )
 
     def test_label_files_become_one_hot(self, tmp_path, class_map):
@@ -259,6 +262,7 @@ class TestFileProvider:
         self._write_labels(tmp_path / "000000.label", raw, np.zeros(3, dtype=int))
         provider = FileProvider(
             class_map=class_map,
+            lidar_poses=_identity_poses(1),
             semantic_paths=[tmp_path / "000000.label"],
             offset_paths=[tmp_path / "000000.offset"],
         )
@@ -270,6 +274,7 @@ class TestFileProvider:
         sk_formats.write_confidences(tmp_path / "000000.conf", scores)
         provider = FileProvider(
             class_map=class_map,
+            lidar_poses=_identity_poses(1),
             confidence_paths=[tmp_path / "000000.conf"],
             offset_paths=[tmp_path / "000000.offset"],
         )
@@ -296,19 +301,13 @@ class TestFileProvider:
             semantic = dict(confidence_paths=[tmp_path / "000000.conf"])
         sk_formats.write_offsets(tmp_path / "000000.offset", rng.normal(size=(n, 3)))
         provider = FileProvider(
-            class_map=class_map, offset_paths=[tmp_path / "000000.offset"], **semantic
+            class_map=class_map, lidar_poses=_identity_poses(1),
+            offset_paths=[tmp_path / "000000.offset"], **semantic
         )
         labels = provider.scan_inputs(0, _points(n)).labels
         assert labels.dtype == np.int64
         assert np.array_equal(labels, argmax_labels(provider.semantic_prior(0, _points(n)).matrix))
         assert (labels == IGNORE).sum() > 50
-
-    def test_window_offsets_concatenate(self, tmp_path, class_map):
-        sizes = [3, 2]
-        provider = self._offset_provider(tmp_path, class_map, sizes)
-        scan_offsets = [provider.scan_inputs(k, _points(n)).offsets for k, n in enumerate(sizes)]
-        got = provider.window_offsets((0, 2), scan_offsets)
-        assert np.array_equal(got, np.concatenate(scan_offsets))
 
     def test_sensor_frame_offsets_rotated(self, tmp_path, class_map):
         yaw = np.pi / 2
@@ -322,24 +321,22 @@ class TestFileProvider:
             semantic_paths=[tmp_path / "x.label"] * 2,
             offset_paths=[tmp_path / "x.offset"] * 2,
             lidar_poses=poses,
-            offset_frame="sensor",
         )
         got = provider.window_offsets((0, 2), [offsets, offsets])
         assert np.abs(got[0] - [1.0, 0.0, 0.0]).max() < 1e-12  # reference scan unrotated
         assert np.abs(got[1] - [0.0, 1.0, 0.0]).max() < 1e-12  # rotated by the relative yaw
 
-    @pytest.mark.parametrize("offset_frame", ["window", "sensor"])
-    def test_window_offsets_equal_the_per_window_file_read_bit_for_bit(self, tmp_path, class_map, offset_frame):
+    def test_window_offsets_equal_the_per_window_file_read_bit_for_bit(self, tmp_path, class_map):
         from conftest import random_rigid
 
         rng = np.random.default_rng(9)
         poses = [random_rigid(rng) for _ in range(5)]
         sizes = [700, 500, 900, 600, 800]
-        provider = self._offset_provider(tmp_path, class_map, sizes, lidar_poses=poses, offset_frame=offset_frame)
+        provider = self._offset_provider(tmp_path, class_map, sizes, lidar_poses=poses)
         scan_offsets = [provider.scan_inputs(k, _points(n)).offsets for k, n in enumerate(sizes)]
         for start, n in [(0, 2), (1, 3), (2, 3)]:
             got = provider.window_offsets((start, n), scan_offsets[start : start + n])
-            want = _parent_window_offsets(provider.offset_paths, sizes, poses, offset_frame, (start, n))
+            want = _parent_window_offsets(provider.offset_paths, sizes, poses, (start, n))
             assert got.tobytes() == want.tobytes()
 
     def test_missing_offset_file_names_scan(self, tmp_path, class_map):
@@ -359,10 +356,10 @@ class TestFileProvider:
 
     def test_requires_exactly_one_semantic_source(self, class_map):
         with pytest.raises(ConfigError):
-            FileProvider(class_map=class_map)
+            FileProvider(class_map=class_map, lidar_poses=_identity_poses(1))
         with pytest.raises(ConfigError):
             FileProvider(
-                class_map=class_map,
+                class_map=class_map, lidar_poses=_identity_poses(1),
                 semantic_paths=["a"], confidence_paths=["b"],
             )
 

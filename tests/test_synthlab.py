@@ -6,10 +6,11 @@ import pytest
 from panseg4d import sk_formats
 from panseg4d.errors import ConfigError, InfeasibleLayout
 from panseg4d.proposal_engine import huber_center_loss
-from panseg4d.scan_aggregator import aggregate
+from panseg4d.scan_aggregator import aggregate, window_relative_transform
 from panseg4d.errors import LengthMismatch
 from panseg4d.semantic_prior import IGNORE, ClassMap, argmax_labels
 from panseg4d.synthlab import (
+    _STREAM_OFFSET_NOISE,
     DEFAULT_CALIB,
     DatasetTruth,
     GroundTruth,
@@ -19,7 +20,6 @@ from panseg4d.synthlab import (
     generate,
     instance_centers,
     keyed_rng,
-    noisy_offsets,
     oracle_offsets,
     write_dataset,
 )
@@ -238,11 +238,20 @@ class TestFlipLabels:
         assert np.array_equal(flipped[ids != IGNORE], relabelled[ids != IGNORE])
 
 
+def provider_window_offsets(scans, poses, gt, window, sigma, seed):
+    """The window's offsets as ``segment`` gets them from an oracle provider:
+    each scan's inputs, then the window's rotation of their offsets."""
+    provider = OracleProvider(poses, gt, ClassMap.semantic_kitti(), offset_sigma=sigma, noise_seed=seed)
+    start, n = window
+    scan_offsets = [provider.scan_inputs(k, scans[k].points).offsets for k in range(start, start + n)]
+    return provider.window_offsets(window, scan_offsets)
+
+
 class TestNoisyOffsets:
     def test_sigma_zero_equals_oracle(self, small_scene):
         window = (1, 3)
         clean = oracle_offsets(small_scene.scans, small_scene.poses, small_scene.gt, window)
-        noisy = noisy_offsets(small_scene.scans, small_scene.poses, small_scene.gt, window, 0.0, 5)
+        noisy = provider_window_offsets(small_scene.scans, small_scene.poses, small_scene.gt, window, 0.0, 5)
         assert np.array_equal(clean, noisy)
 
     def test_noise_standard_deviation(self):
@@ -250,7 +259,7 @@ class TestNoisyOffsets:
         scans, poses, gt = generate(config)
         window = (0, 5)
         clean = oracle_offsets(scans, poses, gt, window)
-        noisy = noisy_offsets(scans, poses, gt, window, 0.1, seed=15)
+        noisy = provider_window_offsets(scans, poses, gt, window, 0.1, seed=15)
         residual = noisy - clean
         for axis in range(3):
             assert abs(residual[:, axis].std() - 0.1) < 0.005
@@ -262,7 +271,7 @@ class TestNoisyOffsets:
         true_centers = cloud.positions + oracle_offsets(
             small_scene.scans, small_scene.poses, small_scene.gt, window
         )
-        noisy = cloud.positions + noisy_offsets(
+        noisy = cloud.positions + provider_window_offsets(
             small_scene.scans, small_scene.poses, small_scene.gt, window, 0.2, seed=16
         )
         clean_loss = huber_center_loss(true_centers, true_centers, thing)
@@ -315,17 +324,30 @@ class TestOracleProvider:
         assert np.array_equal(argmax_labels(prior.matrix), small_scene.gt.semantic[0])
 
     def test_window_offsets_match_module_functions(self, small_scene):
-        # Scan-frame offsets read once and rotated per window are the bits
-        # of the per-window module function, noise included.
-        for sigma in (0.0, 0.25):
-            provider = self._provider(small_scene, offset_sigma=sigma, noise_seed=21)
-            scan_offsets = [provider.scan_inputs(k, scan.points).offsets for k, scan in enumerate(small_scene.scans)]
-            for start, n in [(0, 2), (1, 2), (1, 3), (2, 3)]:
-                got = provider.window_offsets((start, n), scan_offsets[start : start + n])
-                want = noisy_offsets(
-                    small_scene.scans, small_scene.poses, small_scene.gt, (start, n), sigma, seed=21
-                )
-                assert got.tobytes() == want.tobytes()
+        # Sensor-frame offsets read once and rotated per window are the bits
+        # of the exact oracle at sigma 0, and of the oracle plus each scan's
+        # keyed noise, rotated by the window's relative pose, at sigma 0.25.
+        scans, poses, gt = small_scene.scans, small_scene.poses, small_scene.gt
+        windows = [(0, 2), (1, 2), (1, 3), (2, 3)]
+        provider = self._provider(small_scene, noise_seed=21)
+        scan_offsets = [provider.scan_inputs(k, scan.points).offsets for k, scan in enumerate(scans)]
+        for start, n in windows:
+            got = provider.window_offsets((start, n), scan_offsets[start : start + n])
+            assert got.tobytes() == oracle_offsets(scans, poses, gt, (start, n)).tobytes()
+
+        sigma = 0.25
+        provider = self._provider(small_scene, offset_sigma=sigma, noise_seed=21)
+        scan_offsets = [provider.scan_inputs(k, scan.points).offsets for k, scan in enumerate(scans)]
+        noisy = [
+            gt.centers[k] - scan.points + keyed_rng(21, _STREAM_OFFSET_NOISE, k).normal(0.0, sigma, scan.points.shape)
+            for k, scan in enumerate(scans)
+        ]
+        for start, n in windows:
+            got = provider.window_offsets((start, n), scan_offsets[start : start + n])
+            want = np.concatenate([
+                noisy[k] @ window_relative_transform(poses, start, k).rotation.T for k in range(start, start + n)
+            ])
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("flip_prob", [0.0, 0.3])
     def test_scan_input_labels_are_the_prior_reduced(self, small_scene, flip_prob):
@@ -402,6 +424,6 @@ class TestDatasetTruth:
             assert centers.tobytes() == small_dataset.gt.centers[k].tobytes()
         window = (1, 3)
         assert np.array_equal(
-            noisy_offsets(small_dataset.scans, small_dataset.poses, truth, window, 0.2, seed=4),
-            noisy_offsets(small_dataset.scans, small_dataset.poses, small_dataset.gt, window, 0.2, seed=4),
+            provider_window_offsets(small_dataset.scans, small_dataset.poses, truth, window, 0.2, seed=4),
+            provider_window_offsets(small_dataset.scans, small_dataset.poses, small_dataset.gt, window, 0.2, seed=4),
         )
