@@ -15,7 +15,6 @@ from .sk_formats import (
     PointCloudScan,
     LabelRecord,
     LabelArray,
-    PoseRecord,
     CalibRecord,
     read_scan,
     read_labels,
@@ -26,7 +25,7 @@ from .sk_formats import (
 from .scan_aggregator import (
     RigidTransform,
     Aggregated4DCloud,
-    lidar_pose_from_camera_pose,
+    lidar_poses_from_camera_poses,
     transform_points,
     aggregate,
 )

@@ -61,7 +61,7 @@ from .proposal_engine import (
     refine_proposal,
     shift_to_centers,
 )
-from .scan_aggregator import PoseTable, aggregate, lidar_pose_from_camera_pose
+from .scan_aggregator import aggregate, lidar_poses_from_camera_poses
 from .semantic_prior import IGNORE, ClassMap, FileProvider, check_scan_inputs, remap
 from .synthlab import DatasetTruth, OracleProvider, SceneConfig, generate, write_dataset
 from .window_tracker import MAX_GLOBAL_ID, TrackState, WindowSegmentation, shared_rows, stitch
@@ -107,8 +107,7 @@ class PipelineConfig:
         return self.stride if self.stride > 0 else max(1, self.window_n - 1)
 
     def validate(self) -> None:
-        if not self.sequences:
-            raise ConfigError("sequences must name at least one sequence")
+        check_sequences(self.sequences)
         if self.window_n < 1:
             raise ConfigError("window_n must be >= 1")
         if self.stride and not 1 <= self.stride <= self.window_n:
@@ -148,6 +147,16 @@ class PipelineConfig:
         return cls(**values)
 
 
+def check_sequences(sequences) -> None:
+    """A run names at least one sequence, and none twice: two runs of one
+    sequence would write over the same output directory."""
+    if not sequences:
+        raise ConfigError("sequences must name at least one sequence")
+    repeated = [sequence for k, sequence in enumerate(sequences) if sequence in sequences[:k]]
+    if repeated:
+        raise ConfigError(f"sequence {repeated[0]} is listed more than once")
+
+
 _INT_KEYS = {"window_n", "stride", "noise_seed", "k_proposals", "dbscan_min_pts", "threads"}
 _FLOAT_KEYS = {"flip_prob", "offset_sigma", "group_radius_m", "dbscan_eps_m"}
 _PATH_KEYS = {"dataset_root", "out_dir", "scene_config"}
@@ -183,12 +192,19 @@ def plan_windows(n_scans: int, window_n: int, stride: int) -> list[tuple[int, in
 
 def scan_files(seq_dir: Path) -> list[sk_formats.ScanFile]:
     """One undecoded handle per velodyne file of a sequence, in name order
-    (list position is the scan index); a file that is not whole point
-    records raises ``FileTooShort``."""
-    paths = sorted((seq_dir / "velodyne").glob("*.bin"))
-    if not paths:
-        raise ConfigError(f"no scans under {seq_dir / 'velodyne'}")
-    return [sk_formats.scan_file(path) for path in paths]
+    (list position is the scan index), sized from one directory listing; a
+    file that is not whole point records raises ``FileTooShort``."""
+    velodyne = seq_dir / "velodyne"
+    try:
+        with os.scandir(velodyne) as entries:
+            files = sorted(
+                (entry.path, entry.stat().st_size) for entry in entries if entry.name.endswith(".bin")
+            )
+    except FileNotFoundError:
+        files = []
+    if not files:
+        raise ConfigError(f"no scans under {velodyne}")
+    return [sk_formats.scan_file(path, n_bytes) for path, n_bytes in files]
 
 
 def load_sequence(dataset_root, sequence: str):
@@ -197,17 +213,10 @@ def load_sequence(dataset_root, sequence: str):
     seq_dir = Path(dataset_root) / sequence
     scans = scan_files(seq_dir)
     calib = sk_formats.read_calib(seq_dir / "calib.txt")
-    camera_poses = sk_formats.read_poses(seq_dir / "poses.txt")
-    if len(camera_poses) != len(scans):
-        raise CountMismatch(
-            f"{seq_dir}: {len(camera_poses)} poses for {len(scans)} scans"
-        )
-    # Packed one pose at a time, never held as a list of transforms.
-    lidar_poses = PoseTable(np.empty((len(scans), 3, 3)), np.empty((len(scans), 3)))
-    for k, pose in enumerate(camera_poses):
-        lidar = lidar_pose_from_camera_pose(pose, calib)
-        lidar_poses.rotations[k], lidar_poses.translations[k] = lidar.rotation, lidar.translation
-    return scans, lidar_poses, seq_dir
+    rotations, translations = sk_formats.read_poses(seq_dir / "poses.txt")
+    if len(rotations) != len(scans):
+        raise CountMismatch(f"{seq_dir}: {len(rotations)} poses for {len(scans)} scans")
+    return scans, lidar_poses_from_camera_poses(rotations, translations, calib), seq_dir
 
 
 def build_provider(config: PipelineConfig, sequence: str, scans, lidar_poses, class_map: ClassMap):
@@ -228,11 +237,11 @@ def build_provider(config: PipelineConfig, sequence: str, scans, lidar_poses, cl
             noise_seed=config.noise_seed,
         )
 
-    def scan_paths(template: str | None, extension: str) -> list[Path] | None:
+    def scan_paths(template: str | None, extension: str) -> list[str] | None:
         if template is None:
             return None
-        directory = Path(template.format(seq=sequence))
-        return [directory / f"{k:06d}{extension}" for k in range(len(scans))]
+        directory = template.format(seq=sequence)
+        return [os.path.join(directory, f"{k:06d}{extension}") for k in range(len(scans))]
 
     return FileProvider(
         class_map=class_map,
@@ -565,7 +574,9 @@ def inspect_path(path) -> str:
             # A partial record or a non-finite row raises, naming the file.
             return f"{path}: {len(sk_formats.read_offsets(path, size // 12))} offset rows"
         if path.suffix == ".conf":
-            return f"{path}: {size} bytes of confidence rows (row width depends on class count)"
+            n_classes = ClassMap.semantic_kitti().n_classes
+            rows = sk_formats.read_confidences(path, size // (4 * n_classes), n_classes)
+            return f"{path}: {len(rows)} confidence rows of {n_classes} classes"
         labels = sk_formats.read_labels(path, size // sk_formats.LABEL_RECORD_BYTES)
         raw_values, raw_counts = np.unique(labels.semantic_raw, return_counts=True)
         top = sorted(zip(raw_counts, raw_values), reverse=True)[:8]
@@ -576,11 +587,11 @@ def inspect_path(path) -> str:
             f"  raw id histogram (top): {histogram}"
         )
     if path.name == "poses.txt":
-        poses = sk_formats.read_poses(path)
-        if not poses:
+        _, translations = sk_formats.read_poses(path)
+        if not len(translations):
             return f"{path}: 0 poses"
-        travel = float(np.linalg.norm(poses[-1].translation - poses[0].translation))
-        return f"{path}: {len(poses)} camera-frame poses, net travel {travel:.2f} m"
+        travel = float(np.linalg.norm(translations[-1] - translations[0]))
+        return f"{path}: {len(translations)} camera-frame poses, net travel {travel:.2f} m"
     if path.name == "calib.txt":
         calib = sk_formats.read_calib(path)
         return f"{path}: Tr rotation\n{calib.rotation}\n  translation {calib.translation}"
@@ -675,8 +686,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate requires --pred-root (or --fixture)")
     class_map = ClassMap.semantic_kitti()
     sequences = tuple(args.sequences.replace(",", " ").split()) if args.sequences is not None else ("00",)
-    if not sequences:
-        raise ConfigError("sequences must name at least one sequence")
+    check_sequences(sequences)
     reports, overall = evaluate_directories(
         args.pred_root, args.dataset_root, sequences, class_map, out_dir
     )

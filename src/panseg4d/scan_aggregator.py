@@ -1,5 +1,10 @@
 """Rigid-body geometry and spatio-temporal fusion of consecutive scans.
 
+A sequence's poses are packed in a :class:`PoseTable`, one rotation and one
+translation array; :func:`lidar_poses_from_camera_poses` chains a whole
+file's camera-frame poses into the LiDAR frame in four stacked matrix
+products, with no object per pose.
+
 A window of N scans is expressed in the frame of the window's first scan
 (the reference). Keeping coordinates relative to the reference scan keeps
 them small and well-conditioned; all derived quantities used downstream are
@@ -19,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LengthMismatch, WindowOutOfRange
-from .sk_formats import CalibRecord, PointCloudScan, PoseRecord
+from .sk_formats import CalibRecord, PointCloudScan
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,16 @@ class PoseTable(Sequence):
 
     def __getitem__(self, index: int) -> RigidTransform:
         return RigidTransform(self.rotations[index], self.translations[index])
+
+    def chained(self, left: RigidTransform, right: RigidTransform) -> "PoseTable":
+        """``left . T_k . right`` for every pose ``T_k``, in stacked products
+        run in the order of ``left.compose(T_k).compose(right)``, whose bits
+        they give."""
+        rotations = np.matmul(left.rotation, self.rotations)
+        translations = np.matmul(left.rotation, self.translations[:, :, None])[:, :, 0] + left.translation
+        return PoseTable(
+            np.matmul(rotations, right.rotation), np.matmul(rotations, right.translation) + translations
+        )
 
 
 def check_scan_starts(scan_starts, n_rows: int, n_scans: int, where: str) -> np.ndarray:
@@ -161,18 +176,17 @@ def transform_points(points, transform: RigidTransform) -> np.ndarray:
     return transform.apply(points)
 
 
-def lidar_pose_from_camera_pose(pose: PoseRecord, calib: CalibRecord) -> RigidTransform:
-    """Chain a camera-frame pose into the LiDAR world frame.
+def lidar_poses_from_camera_poses(
+    rotations: np.ndarray, translations: np.ndarray, calib: CalibRecord
+) -> PoseTable:
+    """Chain (n, 3, 3) / (n, 3) camera-frame poses into the LiDAR world frame.
 
     KITTI odometry poses move camera-frame points of scan k into the world
     camera frame; with Tr the lidar-to-camera calibration the LiDAR-frame
     pose is Tr^-1 . T_cam . Tr.
     """
-    if pose.frame != "camera":
-        raise ValueError(f"expected a camera-frame pose, got frame={pose.frame!r}")
     tr = RigidTransform(calib.rotation, calib.translation)
-    cam = RigidTransform(pose.rotation, pose.translation)
-    return tr.inverse().compose(cam).compose(tr)
+    return PoseTable(rotations, translations).chained(tr.inverse(), tr)
 
 
 def window_relative_transform(

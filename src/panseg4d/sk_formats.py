@@ -9,7 +9,9 @@ Formats handled here:
   uint32; the lower 16 bits hold the raw semantic id, the upper 16 bits the
   instance id. Instance id 0 means "no instance / stuff point".
 * poses file ``<seq>/poses.txt`` -- one 3x4 row-major matrix per nonempty
-  line, camera frame.
+  line, camera frame. :func:`read_poses` returns the whole file packed as an
+  (n, 3, 3) rotation and an (n, 3) translation array, parsed and checked in
+  a fixed number of array passes with no object per pose.
 * calib file ``<seq>/calib.txt`` -- the line starting with ``Tr:`` holds the
   lidar-to-camera rigid transform as 12 row-major numbers.
 * prediction files -- same packing as label files, written one per scan.
@@ -24,8 +26,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,19 +124,6 @@ class LabelArray:
 
 
 @dataclass(frozen=True)
-class PoseRecord:
-    """Rigid pose (rotation + translation) tagged with its frame."""
-
-    rotation: np.ndarray  # (3, 3)
-    translation: np.ndarray  # (3,)
-    frame: str = "camera"  # "camera" | "lidar"
-
-    def __post_init__(self):
-        object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=np.float64).reshape(3, 3))
-        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64).reshape(3))
-
-
-@dataclass(frozen=True)
 class CalibRecord:
     """Lidar-to-camera rigid transform from the calibration file."""
 
@@ -150,7 +140,7 @@ def _scan_index_from_name(path: Path) -> int:
     return int(stem) if stem.isdigit() else 0
 
 
-def _point_count(path: Path, n_bytes: int) -> int:
+def _point_count(path, n_bytes: int) -> int:
     """Points in a velodyne file of ``n_bytes``; it must hold whole records."""
     if n_bytes % POINT_RECORD_BYTES != 0:
         raise FileTooShort(f"{path}: {n_bytes} bytes is not a multiple of {POINT_RECORD_BYTES}")
@@ -173,10 +163,9 @@ class ScanFile:
         return self.n_points
 
 
-def scan_file(path) -> ScanFile:
-    """Handle on a velodyne ``.bin`` file, sized without reading it."""
-    path = Path(path)
-    return ScanFile(str(path), _point_count(path, path.stat().st_size))
+def scan_file(path: str, n_bytes: int) -> ScanFile:
+    """Handle on a velodyne ``.bin`` file of ``n_bytes``, sized without reading it."""
+    return ScanFile(path, _point_count(path, n_bytes))
 
 
 def read_scan(path, scan_index: int | None = None) -> PointCloudScan:
@@ -256,46 +245,61 @@ def write_predictions(path, labels) -> None:
 write_labels = write_predictions
 
 
-def _parse_row_major_3x4(tokens: Sequence[str], where: str) -> tuple[np.ndarray, np.ndarray]:
-    if len(tokens) != 12:
-        raise MalformedLine(f"{where}: expected 12 numbers, got {len(tokens)}")
+def _parse_rows_3x4(rows: list[tuple[int, list[str]]], path) -> np.ndarray:
+    """(n, 3, 4) float64 matrices from ``(line number, tokens)`` rows, each
+    value bit-identical to ``float(token)``. A row without exactly 12 tokens
+    or with one that does not parse raises ``MalformedLine``, and a NaN or
+    inf ``NonFiniteValue``, naming ``path:line``."""
+    for lineno, tokens in rows:
+        if len(tokens) != 12:
+            raise MalformedLine(f"{path}:{lineno}: expected 12 numbers, got {len(tokens)}")
     try:
-        values = np.array([float(t) for t in tokens], dtype=np.float64)
-    except ValueError as exc:
-        raise MalformedLine(f"{where}: {exc}") from None
-    mat = values.reshape(3, 4)
-    return mat[:, :3], mat[:, 3]
+        values = np.array(list(chain.from_iterable(tokens for _, tokens in rows)), dtype=np.float64)
+    except ValueError:
+        for lineno, tokens in rows:
+            try:
+                np.array(tokens, dtype=np.float64)
+            except ValueError as exc:
+                raise MalformedLine(f"{path}:{lineno}: {exc}") from None
+        raise
+    values = values.reshape(-1, 12)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise NonFiniteValue(f"{path}:{rows[int(np.argmin(finite))][0]}: non-finite value")
+    return values.reshape(-1, 3, 4)
 
 
-def _orthonormality_defect(rotation: np.ndarray) -> float:
-    gram = rotation.T @ rotation
-    return float(max(np.abs(gram - np.eye(3)).max(), abs(np.linalg.det(rotation) - 1.0)))
+def _warn_non_orthonormal(rotations: np.ndarray, rows, path, what: str) -> None:
+    """One ``NonOrthonormalRotationWarning`` per rotation whose Gram matrix or
+    determinant is off by more than 1e-3, naming its line."""
+    gram = np.matmul(np.swapaxes(rotations, 1, 2), rotations)
+    defect = np.maximum(
+        np.abs(gram - np.eye(3)).max(axis=(1, 2)), np.abs(np.linalg.det(rotations) - 1.0)
+    )
+    for index in np.flatnonzero(defect > 1e-3):
+        warnings.warn(
+            f"{path}:{rows[index][0]}: {what} is not orthonormal within 1e-3",
+            NonOrthonormalRotationWarning,
+            stacklevel=3,
+        )
 
 
-def read_poses(path) -> list[PoseRecord]:
-    """Parse a KITTI odometry ``poses.txt``: one camera-frame 3x4 per line."""
+def read_poses(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a KITTI odometry ``poses.txt``: one camera-frame 3x4 per nonempty
+    line, returned as (n, 3, 3) rotations and (n, 3) translations."""
     path = Path(path)
-    poses = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        rotation, translation = _parse_row_major_3x4(line.split(), f"{path}:{lineno}")
-        if _orthonormality_defect(rotation) > 1e-3:
-            warnings.warn(
-                f"{path}:{lineno}: rotation block is not orthonormal within 1e-3",
-                NonOrthonormalRotationWarning,
-                stacklevel=2,
-            )
-        poses.append(PoseRecord(rotation=rotation, translation=translation, frame="camera"))
-    return poses
+    lines = map(str.split, path.read_text().splitlines())
+    rows = [(lineno, tokens) for lineno, tokens in enumerate(lines, start=1) if tokens]
+    matrices = _parse_rows_3x4(rows, path)
+    rotations = matrices[:, :, :3]
+    _warn_non_orthonormal(rotations, rows, path, "rotation block")
+    return rotations, matrices[:, :, 3]
 
 
-def write_poses(path, poses: Iterable[PoseRecord]) -> None:
+def write_poses(path, rotations: np.ndarray, translations: np.ndarray) -> None:
     """Write poses as 3x4 row-major lines at full float64 precision."""
-    lines = []
-    for pose in poses:
-        mat = np.hstack([pose.rotation, pose.translation.reshape(3, 1)])
-        lines.append(" ".join(f"{v:.17g}" for v in mat.reshape(-1)))
+    matrices = np.concatenate([rotations, translations[:, :, None]], axis=2).reshape(-1, 12)
+    lines = [" ".join(f"{v:.17g}" for v in row) for row in matrices.tolist()]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -304,16 +308,10 @@ def read_calib(path) -> CalibRecord:
     path = Path(path)
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if line.startswith("Tr:"):
-            rotation, translation = _parse_row_major_3x4(
-                line[len("Tr:"):].split(), f"{path}:{lineno}"
-            )
-            if _orthonormality_defect(rotation) > 1e-3:
-                warnings.warn(
-                    f"{path}:{lineno}: Tr rotation block is not orthonormal within 1e-3",
-                    NonOrthonormalRotationWarning,
-                    stacklevel=2,
-                )
-            return CalibRecord(rotation=rotation, translation=translation)
+            rows = [(lineno, line[len("Tr:"):].split())]
+            matrix = _parse_rows_3x4(rows, path)
+            _warn_non_orthonormal(matrix[:, :, :3], rows, path, "Tr rotation block")
+            return CalibRecord(rotation=matrix[0, :, :3], translation=matrix[0, :, 3])
     raise MissingTrLine(f"{path}: no line starting with 'Tr:'")
 
 

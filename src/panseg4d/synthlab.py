@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleLayout, LengthMismatch
 from . import sk_formats
-from .sk_formats import CalibRecord, PointCloudScan, PoseRecord
-from .scan_aggregator import RigidTransform
+from .sk_formats import CalibRecord, PointCloudScan
+from .scan_aggregator import PoseTable, RigidTransform
 from .semantic_prior import (
     IGNORE,
     ClassMap,
@@ -523,8 +523,6 @@ def write_dataset(
     seq_dir = Path(out_root) / sequence
     (seq_dir / "velodyne").mkdir(parents=True, exist_ok=True)
     (seq_dir / "labels").mkdir(parents=True, exist_ok=True)
-    tr = RigidTransform(calib.rotation, calib.translation)
-    camera_poses = []
     for k, scan in enumerate(scans):
         sk_formats.write_scan(seq_dir / "velodyne" / f"{k:06d}.bin", scan)
         raw = class_map.train_to_raw[gt.semantic[k]]
@@ -532,9 +530,13 @@ def write_dataset(
             seq_dir / "labels" / f"{k:06d}.label",
             np.stack([raw, gt.instance[k]], axis=1),
         )
-        cam = tr.compose(lidar_poses[k]).compose(tr.inverse())
-        camera_poses.append(PoseRecord(rotation=cam.rotation, translation=cam.translation))
-    sk_formats.write_poses(seq_dir / "poses.txt", camera_poses)
+    tr = RigidTransform(calib.rotation, calib.translation)
+    lidar = PoseTable(
+        np.stack([pose.rotation for pose in lidar_poses]),
+        np.stack([pose.translation for pose in lidar_poses]),
+    )
+    camera = lidar.chained(tr, tr.inverse())
+    sk_formats.write_poses(seq_dir / "poses.txt", camera.rotations, camera.translations)
     sk_formats.write_calib(seq_dir / "calib.txt", calib)
     if scene_config is not None:
         scene_config.save(seq_dir / "scene.cfg")

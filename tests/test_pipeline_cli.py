@@ -34,6 +34,7 @@ from panseg4d.pipeline_cli import (
     run_ablation,
     segment_sequence,
 )
+from panseg4d.scan_aggregator import RigidTransform
 from panseg4d.semantic_prior import PredictionSource, ScanInputs
 from panseg4d.synthlab import OracleProvider, SceneConfig, generate, instance_centers, write_dataset
 
@@ -117,6 +118,14 @@ class TestConfigValidation:
         path = tmp_path / "run.cfg"
         path.write_text("sequences:\n")
         with pytest.raises(ConfigError, match="sequences"):
+            PipelineConfig.from_file(path, scene_config=tmp_path / "s.cfg").validate()
+
+    def test_repeated_sequence_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="sequence 00 is listed more than once"):
+            PipelineConfig(sequences=("00", "01", "00"), scene_config=tmp_path / "s.cfg").validate()
+        path = tmp_path / "run.cfg"
+        path.write_text("sequences: 03, 04 03\n")
+        with pytest.raises(ConfigError, match="sequence 03 is listed more than once"):
             PipelineConfig.from_file(path, scene_config=tmp_path / "s.cfg").validate()
 
     def test_readme_config_block_loads(self, tmp_path):
@@ -678,6 +687,55 @@ class TestInputsReadOnce:
         assert [len(scan) for scan in scans] == [len(scan) for scan in small_dataset.scans]
         assert len(lidar_poses) == len(scans)
 
+    def test_load_sequence_builds_no_transform_per_pose(self, small_dataset, twenty_and_forty_scans, monkeypatch):
+        built = Counter()
+        post_init = RigidTransform.__post_init__
+
+        def counting(self):
+            built["transforms"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(RigidTransform, "__post_init__", counting)
+        counts = []
+        for root in (small_dataset.root, twenty_and_forty_scans[40].root):
+            built.clear()
+            scans, lidar_poses, _ = pipeline_cli.load_sequence(root, "00")
+            counts.append(built["transforms"])
+        assert len(scans) == len(lidar_poses) == 40
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("layout", ["missing", "empty"])
+    def test_sequence_without_scans_exits_2(self, small_dataset, tmp_path, capsys, layout):
+        data = tmp_path / "data"
+        shutil.copytree(small_dataset.root / "00", data / "00")
+        shutil.rmtree(data / "00" / "velodyne")
+        if layout == "empty":
+            (data / "00" / "velodyne").mkdir()
+        argv = ["segment", "--dataset-root", str(data), "--out", str(tmp_path / "out"),
+                "--scene-config", str(small_dataset.scene_path)]
+        assert main(argv) == 2
+        assert f"no scans under {data / '00' / 'velodyne'}" in capsys.readouterr().err
+        argv = ["evaluate", "--dataset-root", str(data), "--pred-root", str(data),
+                "--out", str(tmp_path / "rep")]
+        assert main(argv) == 2
+        assert f"no scans under {data / '00' / 'velodyne'}" in capsys.readouterr().err
+
+    def test_non_finite_pose_exits_1_naming_file_and_line(self, small_dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(small_dataset.root / "00", data / "00")
+        poses = data / "00" / "poses.txt"
+        lines = poses.read_text().splitlines()
+        tokens = lines[2].split()
+        tokens[7] = "nan"
+        lines[2] = " ".join(tokens)
+        poses.write_text("\n".join(lines) + "\n")
+        argv = ["segment", "--dataset-root", str(data), "--out", str(tmp_path / "out"),
+                "--scene-config", str(small_dataset.scene_path)]
+        assert main(argv) == 1
+        assert f"error: {poses}:3: non-finite value" in capsys.readouterr().err
+        assert not list((tmp_path / "out").rglob("*.label"))
+        assert main(["inspect", str(poses)]) == 1
+
 
 @pytest.fixture(scope="module")
 def twenty_and_forty_scans(tmp_path_factory, class_map):
@@ -1086,6 +1144,14 @@ class TestInspect:
         with pytest.raises(ConfigError):
             inspect_path(path)
 
+    def test_confidence_file_rows_and_partial_row(self, tmp_path, capsys):
+        path = tmp_path / "000000.conf"
+        sk_formats.write_confidences(path, np.full((7, 19), 0.5))
+        assert inspect_path(path) == f"{path}: 7 confidence rows of 19 classes"
+        path.write_bytes(b"\x00" * 5)
+        assert main(["inspect", str(path)]) == 1
+        assert f"{path}: 5 bytes, expected 0" in capsys.readouterr().err
+
 
 class TestMainEntry:
     def test_synth_then_self_evaluate_round_trip(self, tmp_path, capsys):
@@ -1190,6 +1256,16 @@ class TestMainEntry:
             main(["segment", "--out", str(tmp_path / "out"), "--offset-frame", "window"])
         assert exit_info.value.code == 2
         assert "--offset-frame" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["segment", "evaluate"])
+    def test_repeated_sequence_exits_2(self, small_dataset, tmp_path, capsys, command):
+        source = ["--scene-config", str(small_dataset.scene_path)] if command == "segment" else [
+            "--pred-root", str(small_dataset.root)]
+        argv = [command, "--dataset-root", str(small_dataset.root), "--out", str(tmp_path / "out"),
+                "--sequences", "00,00", *source]
+        assert main(argv) == 2
+        assert "sequence 00 is listed more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_corrupted_prediction_file_exits_nonzero(self, small_dataset, tmp_path, capsys):
         pred_root = tmp_path / "pred"

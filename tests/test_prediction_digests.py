@@ -3,14 +3,18 @@
 Each digest is the sha256 over every prediction file's name and bytes in
 scan order, the same digest the benchmark prints for a workload. A change
 that moves any predicted label or instance id changes it; a change meant
-to keep predictions must leave every digest here as it is.
+to keep predictions must leave every digest here as it is. Beside them,
+the synthesised ``poses.txt`` bytes are pinned, so the camera-pose chain
+and its text keep every bit.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from panseg4d.pipeline_cli import PipelineConfig, segment_sequence
+from panseg4d.synthlab import generate, write_dataset
 
 CLEAN = {"flip_prob": 0.0, "offset_sigma": 0.0, "noise_seed": 0}
 NOISY = {"flip_prob": 0.1, "offset_sigma": 0.3, "noise_seed": 7}
@@ -53,3 +57,18 @@ def test_reference_scene_predictions_are_pinned(reference_dataset, tmp_path, noi
     segment_sequence(config, "00")
     got = prediction_digest(tmp_path / "00" / "predictions", reference_dataset.config.n_scans)
     assert got == expected
+
+
+# sha256 of the synthesised poses.txt: the reference scene, and the same
+# scene driven along a turning path, whose poses rotate.
+POSES_DIGEST = "3a9bd8625ac8c95bef8d68dd9961e11ade0b949f59c9f4792609241f4b452922"
+TURNING_POSES_DIGEST = "14474b1b2d315c806b2f8782dc054dbcd9fa7fb026e5203596b7b74a491c8e43"
+TURNING_PATH = ((0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (2.0, 2.0, 0.0), (0.0, 2.0, 0.0))
+
+
+def test_reference_scene_poses_file_is_pinned(reference_dataset, reference_scene, class_map, tmp_path):
+    poses = reference_dataset.root / "00" / "poses.txt"
+    assert hashlib.sha256(poses.read_bytes()).hexdigest() == POSES_DIGEST
+    turning = replace(reference_scene, ego_waypoints=TURNING_PATH)
+    seq_dir = write_dataset(tmp_path, "00", *generate(turning), class_map)
+    assert hashlib.sha256((seq_dir / "poses.txt").read_bytes()).hexdigest() == TURNING_POSES_DIGEST

@@ -12,11 +12,11 @@ from panseg4d.scan_aggregator import (
     PoseTable,
     RigidTransform,
     aggregate,
-    lidar_pose_from_camera_pose,
+    lidar_poses_from_camera_poses,
     transform_points,
     window_relative_transform,
 )
-from panseg4d.sk_formats import CalibRecord, PointCloudScan, PoseRecord
+from panseg4d.sk_formats import CalibRecord, PointCloudScan
 
 
 def _labels(n, fill=0):
@@ -82,18 +82,21 @@ class TestPoseTable:
             assert got.as_matrix().tobytes() == want.as_matrix().tobytes()
 
 
+def _one_pose(rotation, translation):
+    return np.asarray(rotation, dtype=np.float64)[None], np.asarray(translation, dtype=np.float64)[None]
+
+
 class TestLidarPoseFromCameraPose:
     def test_identity_pose_identity_calib(self):
-        pose = PoseRecord(np.eye(3), np.zeros(3), frame="camera")
         calib = CalibRecord(np.eye(3), np.zeros(3))
-        lidar = lidar_pose_from_camera_pose(pose, calib)
-        assert np.abs(lidar.as_matrix() - np.eye(4)).max() < 1e-12
+        lidar = lidar_poses_from_camera_poses(*_one_pose(np.eye(3), np.zeros(3)), calib)
+        assert isinstance(lidar, PoseTable) and len(lidar) == 1
+        assert np.abs(lidar[0].as_matrix() - np.eye(4)).max() < 1e-12
 
     def test_pure_camera_translation_identity_calib(self):
-        pose = PoseRecord(np.eye(3), np.array([5.0, 0.0, 0.0]), frame="camera")
         calib = CalibRecord(np.eye(3), np.zeros(3))
-        lidar = lidar_pose_from_camera_pose(pose, calib)
-        assert np.abs(lidar.translation - [5.0, 0.0, 0.0]).max() < 1e-12
+        lidar = lidar_poses_from_camera_poses(*_one_pose(np.eye(3), [5.0, 0.0, 0.0]), calib)
+        assert np.abs(lidar.translations[0] - [5.0, 0.0, 0.0]).max() < 1e-12
 
     def test_rotation_pose_with_nontrivial_calib_matches_matrix_oracle(self):
         # Homogeneous 4x4 product oracle: T = Tr^-1 @ T_cam @ Tr.
@@ -102,24 +105,39 @@ class TestLidarPoseFromCameraPose:
         cam_rotation = np.array(
             [[np.cos(yaw), -np.sin(yaw), 0.0], [np.sin(yaw), np.cos(yaw), 0.0], [0.0, 0.0, 1.0]]
         )
-        pose = PoseRecord(cam_rotation, np.array([1.0, -2.0, 0.5]), frame="camera")
+        cam_translation = np.array([1.0, -2.0, 0.5])
         calib = CalibRecord(random_rotation(rng), rng.uniform(-0.5, 0.5, 3))
 
         tr = np.eye(4)
         tr[:3, :3] = calib.rotation
         tr[:3, 3] = calib.translation
         cam = np.eye(4)
-        cam[:3, :3] = pose.rotation
-        cam[:3, 3] = pose.translation
+        cam[:3, :3] = cam_rotation
+        cam[:3, 3] = cam_translation
         expected = np.linalg.inv(tr) @ cam @ tr
 
-        lidar = lidar_pose_from_camera_pose(pose, calib)
-        assert np.abs(lidar.as_matrix() - expected).max() < 1e-9
+        lidar = lidar_poses_from_camera_poses(*_one_pose(cam_rotation, cam_translation), calib)
+        assert np.abs(lidar[0].as_matrix() - expected).max() < 1e-9
 
-    def test_rejects_lidar_frame_pose(self):
-        pose = PoseRecord(np.eye(3), np.zeros(3), frame="lidar")
-        with pytest.raises(ValueError):
-            lidar_pose_from_camera_pose(pose, CalibRecord(np.eye(3), np.zeros(3)))
+    def test_stack_matches_the_per_pose_chain_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        cameras = [random_rigid(rng) for _ in range(600)]
+        tr = random_rigid(rng, translation_scale=0.5)
+        # A 3x4 row-major block, as read_poses returns it: strided views.
+        matrices = np.stack([np.hstack([c.rotation, c.translation[:, None]]) for c in cameras])
+        table = lidar_poses_from_camera_poses(
+            matrices[:, :, :3], matrices[:, :, 3], CalibRecord(tr.rotation, tr.translation)
+        )
+        # synth's chain back to the camera frame, Tr . T_lidar . Tr^-1.
+        back = table.chained(tr, tr.inverse())
+        assert len(table) == len(back) == len(cameras)
+        for got, got_back, camera in zip(table, back, cameras):
+            want = tr.inverse().compose(camera).compose(tr)
+            assert got.rotation.tobytes() == want.rotation.tobytes()
+            assert got.translation.tobytes() == want.translation.tobytes()
+            want_back = tr.compose(want).compose(tr.inverse())
+            assert got_back.rotation.tobytes() == want_back.rotation.tobytes()
+            assert got_back.translation.tobytes() == want_back.translation.tobytes()
 
 
 def _make_scan(points, index):

@@ -132,60 +132,98 @@ class TestPoses:
     def test_identity_line(self, tmp_path):
         path = tmp_path / "poses.txt"
         path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n")
-        poses = sk_formats.read_poses(path)
-        assert len(poses) == 1
-        assert np.array_equal(poses[0].rotation, np.eye(3))
-        assert np.array_equal(poses[0].translation, np.zeros(3))
-        assert poses[0].frame == "camera"
+        rotations, translations = sk_formats.read_poses(path)
+        assert rotations.shape == (1, 3, 3) and translations.shape == (1, 3)
+        assert rotations.dtype == translations.dtype == np.float64
+        assert np.array_equal(rotations[0], np.eye(3))
+        assert np.array_equal(translations[0], np.zeros(3))
 
     def test_translation_column(self, tmp_path):
         path = tmp_path / "poses.txt"
         path.write_text("1 0 0 5 0 1 0 0 0 0 1 0\n")
-        assert sk_formats.read_poses(path)[0].translation.tolist() == [5.0, 0.0, 0.0]
+        assert sk_formats.read_poses(path)[1].tolist() == [[5.0, 0.0, 0.0]]
 
     def test_wrong_token_count_names_line(self, tmp_path):
         path = tmp_path / "poses.txt"
-        path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n1 0 0 0 0 1 0 0 0 0 1\n")
-        with pytest.raises(MalformedLine, match=":2"):
+        identity = "1 0 0 0 0 1 0 0 0 0 1 0\n"
+        path.write_text(identity * 2 + "1 0 0 0 0 1 0 0 0 0 1\n" + identity)
+        with pytest.raises(MalformedLine, match=f"{path}:3: expected 12 numbers, got 11"):
             sk_formats.read_poses(path)
 
     def test_unparseable_number(self, tmp_path):
         path = tmp_path / "poses.txt"
-        path.write_text("1 0 0 zero 0 1 0 0 0 0 1 0\n")
-        with pytest.raises(MalformedLine):
+        identity = "1 0 0 0 0 1 0 0 0 0 1 0\n"
+        path.write_text(identity * 2 + "1 0 0 zero 0 1 0 0 0 0 1 0\n" + identity)
+        with pytest.raises(MalformedLine, match=f"{path}:3: .*zero"):
             sk_formats.read_poses(path)
 
     def test_period_decimal_parsing(self, tmp_path):
         path = tmp_path / "poses.txt"
         path.write_text("1 0 0 1.5 0 1 0 -2.25e-1 0 0 1 0\n")
-        pose = sk_formats.read_poses(path)[0]
-        assert pose.translation.tolist() == [1.5, -0.225, 0.0]
+        assert sk_formats.read_poses(path)[1][0].tolist() == [1.5, -0.225, 0.0]
 
     def test_non_orthonormal_rotation_warns(self, tmp_path):
         path = tmp_path / "poses.txt"
-        path.write_text("2 0 0 0 0 1 0 0 0 0 1 0\n")
-        with pytest.warns(NonOrthonormalRotationWarning):
+        identity = "1 0 0 0 0 1 0 0 0 0 1 0\n"
+        path.write_text(identity + "2 0 0 0 0 1 0 0 0 0 1 0\n" + identity + "1 0 0 0 0 1 0 0 0 0 -1 0\n")
+        with pytest.warns(NonOrthonormalRotationWarning) as caught:
             sk_formats.read_poses(path)
+        assert [str(w.message).split(": ")[0] for w in caught] == [f"{path}:2", f"{path}:4"]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "poses.txt"
+        path.write_text("\n1 0 0 0 0 1 0 0 0 0 1 0\n  \n1 0 0 0 0 1 0 0 0 0 1 0\n\n1 0 0 0 0 1 0\n")
+        with pytest.raises(MalformedLine, match=f"{path}:6:"):
+            sk_formats.read_poses(path)
         path.write_text("\n1 0 0 0 0 1 0 0 0 0 1 0\n\n")
-        assert len(sk_formats.read_poses(path)) == 1
+        assert len(sk_formats.read_poses(path)[0]) == 1
+
+    def test_empty_file_gives_zero_poses(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        sk_formats.write_poses(path, np.zeros((0, 3, 3)), np.zeros((0, 3)))
+        assert path.read_bytes() == b""
+        rotations, translations = sk_formats.read_poses(path)
+        assert rotations.shape == (0, 3, 3) and translations.shape == (0, 3)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_value_names_line(self, tmp_path, token):
+        path = tmp_path / "poses.txt"
+        identity = "1 0 0 0 0 1 0 0 0 0 1 0\n"
+        path.write_text(identity * 2 + f"1 0 0 0 0 1 0 {token} 0 0 1 0\n" + identity)
+        with pytest.raises(NonFiniteValue, match=f"^{path}:3: non-finite value$"):
+            sk_formats.read_poses(path)
+
+    def test_values_are_the_float_of_each_token(self, tmp_path):
+        rng = np.random.default_rng(12)
+        values = np.concatenate([rng.normal(scale=10.0 ** rng.integers(-8, 8, 1200)), [0.1, -0.0, 1e-300]])
+        values = np.resize(values, (len(values) // 12 + 1) * 12)
+        # %.17g as write_poses gives them, Python's shortest repr, and spellings
+        # float() accepts that neither writer emits.
+        tokens = [f"{v:.17g}" for v in values] + [repr(v) for v in values[:24].tolist()]
+        tokens[5:8] = ["1_0", "+.5", "7."]
+        tokens = tokens[: len(tokens) // 12 * 12]
+        path = tmp_path / "poses.txt"
+        path.write_text("\n".join(" ".join(tokens[i: i + 12]) for i in range(0, len(tokens), 12)))
+        with pytest.warns(NonOrthonormalRotationWarning):
+            rotations, translations = sk_formats.read_poses(path)
+        got = np.concatenate([rotations, translations[:, :, None]], axis=2).reshape(-1)
+        assert got.tobytes() == np.array([float(t) for t in tokens]).tobytes()
 
     def test_write_read_round_trip(self, tmp_path):
-        rng = np.random.default_rng(11)
         from conftest import random_rigid
 
-        records = []
-        for _ in range(5):
-            rigid = random_rigid(rng)
-            records.append(sk_formats.PoseRecord(rigid.rotation, rigid.translation))
+        rng = np.random.default_rng(11)
+        rigids = [random_rigid(rng) for _ in range(50)]
+        rotations = np.stack([rigid.rotation for rigid in rigids])
+        translations = np.stack([rigid.translation for rigid in rigids])
         path = tmp_path / "poses.txt"
-        sk_formats.write_poses(path, records)
-        back = sk_formats.read_poses(path)
-        for a, b in zip(records, back):
-            assert np.array_equal(a.rotation, b.rotation)
-            assert np.array_equal(a.translation, b.translation)
+        sk_formats.write_poses(path, rotations, translations)
+        back_rotations, back_translations = sk_formats.read_poses(path)
+        assert back_rotations.tobytes() == rotations.tobytes()
+        assert back_translations.tobytes() == translations.tobytes()
+        # Each line is the %.17g text of one pose's row-major 3x4.
+        first = np.hstack([rotations[0], translations[0][:, None]]).reshape(-1)
+        assert path.read_text().splitlines()[0] == " ".join(f"{v:.17g}" for v in first)
 
 
 class TestCalib:
@@ -205,6 +243,18 @@ class TestCalib:
         path = tmp_path / "calib.txt"
         path.write_text("Tr: 1 0 0 0 0 1 0 0 0 0\n")
         with pytest.raises(MalformedLine):
+            sk_formats.read_calib(path)
+
+    def test_non_finite_value_names_line(self, tmp_path):
+        path = tmp_path / "calib.txt"
+        path.write_text("P0: 1 2 3\nTr: 1 0 0 0 0 1 0 nan 0 0 1 0\n")
+        with pytest.raises(NonFiniteValue, match=f"^{path}:2: non-finite value$"):
+            sk_formats.read_calib(path)
+
+    def test_non_orthonormal_rotation_warns_naming_line(self, tmp_path):
+        path = tmp_path / "calib.txt"
+        path.write_text("P0: 1 2 3\nTr: 1 0 0 0 0 2 0 0 0 0 1 0\n")
+        with pytest.warns(NonOrthonormalRotationWarning, match=f"{path}:2: Tr rotation block"):
             sk_formats.read_calib(path)
 
 

@@ -293,15 +293,15 @@ class TestDatasetRoundTrip:
             assert np.array_equal(labels.semantic_raw, raw)
 
     def test_poses_chain_back_to_lidar_frame(self, small_dataset):
-        from panseg4d.scan_aggregator import lidar_pose_from_camera_pose
+        from panseg4d.scan_aggregator import lidar_poses_from_camera_poses
 
         seq_dir = small_dataset.root / "00"
         calib = sk_formats.read_calib(seq_dir / "calib.txt")
-        camera_poses = sk_formats.read_poses(seq_dir / "poses.txt")
-        for camera_pose, lidar_pose in zip(camera_poses, small_dataset.poses):
-            recovered = lidar_pose_from_camera_pose(camera_pose, calib)
-            assert np.abs(recovered.rotation - lidar_pose.rotation).max() < 1e-9
-            assert np.abs(recovered.translation - lidar_pose.translation).max() < 1e-9
+        recovered = lidar_poses_from_camera_poses(*sk_formats.read_poses(seq_dir / "poses.txt"), calib)
+        assert len(recovered) == len(small_dataset.poses)
+        for got, lidar_pose in zip(recovered, small_dataset.poses):
+            assert np.abs(got.rotation - lidar_pose.rotation).max() < 1e-9
+            assert np.abs(got.translation - lidar_pose.translation).max() < 1e-9
 
     def test_default_calib_is_proper_rotation(self):
         rotation = DEFAULT_CALIB.rotation
