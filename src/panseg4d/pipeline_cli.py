@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import sk_formats, synthlab
+from . import sk_formats
 from .errors import ConfigError, CountMismatch, PipelineError
 from .lstq_eval import LSTQReport, SequenceEvaluator, lstq, pool_reports
 from .proposal_engine import (
@@ -132,17 +132,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path, **overrides) -> "PipelineConfig":
-        values: dict = {}
-        known = {spec.name: spec for spec in fields(cls)}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition(":")
-            key = key.strip()
-            if not sep or key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_config_value(key, value.strip(), f"{path}:{lineno}")
+        values = sk_formats.read_fields(cls, path, "config")
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
 
@@ -155,29 +145,6 @@ def check_sequences(sequences) -> None:
     repeated = [sequence for k, sequence in enumerate(sequences) if sequence in sequences[:k]]
     if repeated:
         raise ConfigError(f"sequence {repeated[0]} is listed more than once")
-
-
-_INT_KEYS = {"window_n", "stride", "noise_seed", "k_proposals", "dbscan_min_pts", "threads"}
-_FLOAT_KEYS = {"flip_prob", "offset_sigma", "group_radius_m", "dbscan_eps_m"}
-_PATH_KEYS = {"dataset_root", "out_dir", "scene_config"}
-_STR_KEYS = {"source", "semantic_dir", "confidence_dir", "offset_dir"}
-
-
-def _parse_config_value(key: str, value: str, where: str):
-    try:
-        if key == "sequences":
-            return tuple(tok for tok in value.replace(",", " ").split() if tok)
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _PATH_KEYS:
-            return Path(value)
-        if key in _STR_KEYS:
-            return value
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    raise ConfigError(f"{where}: unhandled config key {key!r}")
 
 
 def plan_windows(n_scans: int, window_n: int, stride: int) -> list[tuple[int, int]]:
@@ -511,15 +478,15 @@ def reemit_fixture_scores(fixture_path, out_path=None) -> list[tuple[str, float,
     '#'. Returns (name, s_assoc, s_cls, computed, expected) rows.
     """
     rows = []
-    for lineno, line in enumerate(Path(fixture_path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) not in (3, 4):
-            raise ConfigError(f"{fixture_path}:{lineno}: expected 3 or 4 columns")
-        name, assoc_pct, cls_pct = parts[0], float(parts[1]), float(parts[2])
-        expected = float(parts[3]) if len(parts) == 4 else None
+    for where, line in sk_formats.config_lines(fixture_path):
+        name, *numbers = line.split()
+        if len(numbers) not in (2, 3):
+            raise ConfigError(f"{where}: expected 3 or 4 columns")
+        try:
+            assoc_pct, cls_pct, *published = map(float, numbers)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        expected = published[0] if published else None
         computed = 100.0 * lstq(cls_pct / 100.0, assoc_pct / 100.0)
         rows.append((name, assoc_pct, cls_pct, computed, expected))
     if out_path is not None:
@@ -633,26 +600,7 @@ def cmd_synth(args) -> int:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    overrides = {
-        "dataset_root": args.dataset_root,
-        "out_dir": args.out,
-        "sequences": tuple(args.sequences.replace(",", " ").split()) if args.sequences is not None else None,
-        "window_n": args.window_n,
-        "stride": args.stride,
-        "source": args.source,
-        "scene_config": args.scene_config,
-        "semantic_dir": args.semantic_dir,
-        "confidence_dir": args.confidence_dir,
-        "offset_dir": args.offset_dir,
-        "flip_prob": args.flip_prob,
-        "offset_sigma": args.offset_sigma,
-        "noise_seed": args.noise_seed,
-        "k_proposals": args.k_proposals,
-        "group_radius_m": args.group_radius,
-        "dbscan_eps_m": args.dbscan_eps,
-        "dbscan_min_pts": args.dbscan_min_pts,
-        "threads": args.threads,
-    }
+    overrides = {spec.name: getattr(args, spec.name) for spec in fields(PipelineConfig)}
     if args.config:
         config = PipelineConfig.from_file(args.config, **overrides)
     else:
@@ -685,10 +633,9 @@ def cmd_evaluate(args) -> int:
     if args.pred_root is None:
         raise ConfigError("evaluate requires --pred-root (or --fixture)")
     class_map = ClassMap.semantic_kitti()
-    sequences = tuple(args.sequences.replace(",", " ").split()) if args.sequences is not None else ("00",)
-    check_sequences(sequences)
+    check_sequences(args.sequences)
     reports, overall = evaluate_directories(
-        args.pred_root, args.dataset_root, sequences, class_map, out_dir
+        args.pred_root, args.dataset_root, args.sequences, class_map, out_dir
     )
     for sequence, report in reports.items():
         print(f"sequence {sequence}:")
@@ -701,7 +648,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _config_from_args(args)
-    flip_grid = [float(tok) for tok in args.flip_grid.replace(",", " ").split()] if args.flip_grid else []
+    flip_grid = [float(tok) for tok in sk_formats.split_items(args.flip_grid)] if args.flip_grid else []
     table = run_ablation(config, flip_grid)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -717,27 +664,28 @@ def cmd_inspect(args) -> int:
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
+    # Each flag's dest is the PipelineConfig field it overrides.
     parser.add_argument("--config", type=Path, help="key-value pipeline config file")
-    parser.add_argument("--dataset-root", type=Path, default=None)
-    parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument("--sequences", default=None, help="comma or space separated")
-    parser.add_argument("--window-n", type=int, default=None, dest="window_n")
-    parser.add_argument("--stride", type=int, default=None)
-    parser.add_argument("--source", choices=["oracle", "files"], default=None)
-    parser.add_argument("--scene-config", type=Path, default=None, dest="scene_config")
-    parser.add_argument("--semantic-dir", default=None, dest="semantic_dir")
-    parser.add_argument("--confidence-dir", default=None, dest="confidence_dir")
-    parser.add_argument("--offset-dir", default=None, dest="offset_dir")
+    parser.add_argument("--dataset-root", type=Path)
+    parser.add_argument("--out", type=Path, dest="out_dir")
+    parser.add_argument("--sequences", type=sk_formats.split_items, help="comma or space separated")
+    parser.add_argument("--window-n", type=int)
+    parser.add_argument("--stride", type=int)
+    parser.add_argument("--source", choices=["oracle", "files"])
+    parser.add_argument("--scene-config", type=Path)
+    parser.add_argument("--semantic-dir")
+    parser.add_argument("--confidence-dir")
+    parser.add_argument("--offset-dir")
     # Read by nothing: goes once the benchmark contract (ROADMAP item 5) stops passing it.
-    parser.add_argument("--offset-frame", choices=["sensor"], default=None, dest="offset_frame")
-    parser.add_argument("--flip-prob", type=float, default=None, dest="flip_prob")
-    parser.add_argument("--offset-sigma", type=float, default=None, dest="offset_sigma")
-    parser.add_argument("--noise-seed", type=int, default=None, dest="noise_seed")
-    parser.add_argument("--k-proposals", type=int, default=None, dest="k_proposals")
-    parser.add_argument("--group-radius", type=float, default=None, dest="group_radius")
-    parser.add_argument("--dbscan-eps", type=float, default=None, dest="dbscan_eps")
-    parser.add_argument("--dbscan-min-pts", type=int, default=None, dest="dbscan_min_pts")
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--offset-frame", choices=["sensor"])
+    parser.add_argument("--flip-prob", type=float)
+    parser.add_argument("--offset-sigma", type=float)
+    parser.add_argument("--noise-seed", type=int)
+    parser.add_argument("--k-proposals", type=int)
+    parser.add_argument("--group-radius", type=float, dest="group_radius_m")
+    parser.add_argument("--dbscan-eps", type=float, dest="dbscan_eps_m")
+    parser.add_argument("--dbscan-min-pts", type=int)
+    parser.add_argument("--threads", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -764,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("evaluate", help="score predictions against labels")
     evaluate.add_argument("--pred-root", type=Path, default=None, dest="pred_root")
     evaluate.add_argument("--dataset-root", type=Path, default=Path(os.environ.get(ENV_DATASET_ROOT, ".")))
-    evaluate.add_argument("--sequences", default=None)
+    evaluate.add_argument("--sequences", type=sk_formats.split_items, default=("00",))
     evaluate.add_argument("--out", type=Path, required=True)
     evaluate.add_argument("--fixture", type=Path, default=None,
                           help="re-emit combined scores from (s_assoc, s_cls) pairs")

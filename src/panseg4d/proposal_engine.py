@@ -95,11 +95,6 @@ def _sq_dist(
     return d
 
 
-def _sq_dist_to(points: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Squared distances from every row of (n, 3) ``points`` to ``target``."""
-    return _sq_dist(points[:, 0], points[:, 1], points[:, 2], target[0], target[1], target[2])
-
-
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenation of arange(s, s + c) over paired starts and counts."""
     ends = np.cumsum(counts)
@@ -254,7 +249,7 @@ def farthest_point_sample(points, count: int) -> np.ndarray:
     m = min(count, n)
     x, y, z = _columns(pts)
     selected = np.empty(m, dtype=np.int64)
-    selected[0] = int(np.argmax(_sq_dist_to(pts, pts.mean(axis=0))))
+    selected[0] = int(np.argmax(_sq_dist(x, y, z, *pts.mean(axis=0))))
     min_d2 = _sq_dist(x, y, z, *pts[selected[0]])
     min_d2[selected[0]] = -np.inf  # selected points never win the argmax again
     for i in range(1, m):
@@ -382,16 +377,17 @@ def refine_proposal(predicted_centers, groups) -> np.ndarray:
 
 
 def dbscan(items, eps: float, min_pts: int) -> np.ndarray:
-    """Density-based clustering; returns per-item cluster id or NOISE (-1).
+    """Density-based clustering of (n, 3) items; returns per-item cluster id
+    or NOISE (-1).
 
     Core items have at least ``min_pts`` neighbors within ``eps``
     (inclusive, self counted). Clusters are connected components of core
     items, numbered from 0 by their lowest core index; a border item joins
     the lowest-numbered cluster among its core neighbors, and an item with
     no core neighbor is NOISE. These are the ids a breadth-first expansion
-    under ascending-index iteration discovers. NaN or infinite items
-    raise ``NonFiniteValue``; a non-finite or non-positive eps raises
-    ``ValueError``.
+    under ascending-index iteration discovers. Items of any other shape
+    raise ``LengthMismatch``, NaN or infinite items ``NonFiniteValue``; a
+    non-finite or non-positive eps raises ``ValueError``.
     """
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
@@ -400,8 +396,8 @@ def dbscan(items, eps: float, min_pts: int) -> np.ndarray:
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
     items = np.asarray(items, dtype=np.float64)
-    if items.ndim == 1:
-        items = items.reshape(-1, 1)
+    if items.ndim != 2 or items.shape[1] != 3:
+        raise LengthMismatch(f"dbscan items must be (n, 3), got shape {items.shape}")
     _require_finite(items, "item")
     n = len(items)
     row, col = _neighbor_pairs(items, eps * eps)
@@ -422,21 +418,16 @@ def dbscan(items, eps: float, min_pts: int) -> np.ndarray:
 
 
 def _neighbor_pairs(items: np.ndarray, eps2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (i, j) whose squared distance is at most ``eps2``, sorted by i
-    then j. Squared coordinate differences are summed column by column from
-    the left, as ``((items[j] - items[i]) ** 2).sum()`` sums them for fewer
-    than eight columns (for three, the module's one kernel); rows go in
+    """Pairs (i, j) of (n, 3) ``items`` whose squared distance by the
+    module's one kernel is at most ``eps2``, sorted by i then j; rows go in
     blocks of at most ``_PAIR_BLOCK`` pairs."""
-    n, dims = items.shape
+    n = len(items)
+    x, y, z = _columns(items)
     step = max(1, _PAIR_BLOCK // max(n, 1))
     rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for start in range(0, n, step):
-        block = items[start : start + step]
-        d2 = np.zeros((len(block), n))
-        for a in range(dims):
-            diff = items[:, a] - block[:, a, None]
-            diff *= diff
-            d2 += diff
+        block = slice(start, start + step)
+        d2 = _sq_dist(x, y, z, x[block, None], y[block, None], z[block, None])
         r, c = np.nonzero(d2 <= eps2)
         rows.append(r + start)
         cols.append(c)
@@ -612,8 +603,7 @@ def huber_center_loss(
     mask = np.asarray(thing_point_mask, dtype=bool).reshape(-1)
     if not (len(pred) == len(true) == len(mask)):
         raise LengthMismatch(f"{len(pred)} predictions vs {len(true)} targets vs {len(mask)} mask entries")
-    diff = pred - true
-    a = np.sqrt((diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]) + diff[:, 2] * diff[:, 2])
+    a = np.sqrt(_sq_dist(*pred.T, *true.T))
     h = np.where(a <= delta, 0.5 * a * a, delta * (a - 0.5 * delta))
     masked = h[mask]
     if masked.size == 0:

@@ -80,10 +80,7 @@ class ClassMap:
         names: dict[int, str] = {}
         remap_pairs: dict[int, int] = {}
         canonical: dict[int, int] = {}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for where, line in sk_formats.config_lines(path):
             key, _, value = line.partition(":")
             key_parts = key.split()
             value = value.strip()
@@ -100,9 +97,9 @@ class ClassMap:
                 elif key_parts[0] == "canonical":
                     canonical[int(key_parts[1])] = int(value)
                 else:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key_parts[0]!r}")
+                    raise ConfigError(f"{where}: unknown key {key_parts[0]!r}")
             except (ValueError, IndexError) as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+                raise ConfigError(f"{where}: {exc}") from None
         if n_classes is None:
             raise ConfigError(f"{path}: missing 'classes:' line")
         if sorted(canonical) != list(range(n_classes)):

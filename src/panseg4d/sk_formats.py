@@ -17,6 +17,11 @@ Formats handled here:
 * prediction files -- same packing as label files, written one per scan.
 * offset files -- N x 12 bytes, little-endian float32 triples (dx, dy, dz).
 * confidence files -- N x (4*C) bytes, little-endian float32 rows.
+* config files (pipeline runs, synthetic scenes, the class map, score
+  fixtures) -- text lines, ``#`` starting a comment (:func:`config_lines`).
+  In pipeline and scene configs each line is ``key: value`` and
+  :func:`read_fields` parses the value by the type its dataclass field
+  declares, naming ``path:line`` on an unknown key or a bad value.
 
 All binary I/O is little-endian regardless of host byte order: the dataset
 ships x86-native files and the explicit dtype keeps readers portable.
@@ -25,7 +30,7 @@ ships x86-native files and the explicit dtype keeps readers portable.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -33,6 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    ConfigError,
     CountMismatch,
     FileTooShort,
     IdOverflow,
@@ -357,3 +363,74 @@ def write_confidences(path, scores: np.ndarray) -> None:
     if arr.ndim != 2:
         raise LengthMismatch(f"{path}: confidence array must be 2-D, got shape {arr.shape}")
     Path(path).write_bytes(arr.astype(_F32LE).tobytes())
+
+
+def config_lines(path):
+    """``("path:line", text)`` for each line of a config file that is not
+    blank once its ``#`` comment is cut."""
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        text = line.split("#", 1)[0].strip()
+        if text:
+            yield f"{path}:{lineno}", text
+
+
+def split_items(text: str) -> tuple[str, ...]:
+    """The items of a comma or space separated list."""
+    return tuple(text.replace(",", " ").split())
+
+
+def _nonempty(text: str) -> str:
+    if not text:
+        raise ValueError("empty value")
+    return text
+
+
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in _BOOL_WORDS:
+        raise ValueError(f"expected one of 1/0/true/false/yes/no, got {text!r}")
+    return _BOOL_WORDS[text.lower()]
+
+
+def _parse_triples(text: str) -> tuple[tuple[float, float, float], ...]:
+    """``x,y,z`` triples separated by ``;``."""
+    triples = tuple(tuple(float(c) for c in item.split(",")) for item in text.split(";") if item.strip())
+    for triple in triples:
+        if len(triple) != 3:
+            raise ValueError(f"expected 3 coordinates per waypoint, got {len(triple)}")
+    return triples
+
+
+# Value parsers by declared field type; ``X | None`` parses as ``X``.
+_FIELD_PARSERS = {
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "str": _nonempty,
+    "Path": lambda text: Path(_nonempty(text)),
+    "tuple[str, ...]": split_items,
+    "tuple[int, ...]": lambda text: tuple(int(v) for v in text.split()),
+    "tuple[tuple[float, float, float], ...]": _parse_triples,
+}
+
+
+def read_fields(cls, path, what: str) -> dict:
+    """The fields of dataclass ``cls`` that a ``key: value`` config file
+    sets, each value parsed by its field's declared type. An unknown key
+    raises ``ConfigError("path:line: unknown <what> key ...")``, a bad value
+    ``ConfigError("path:line: ...")``. A field whose type has no parser
+    fails every load."""
+    parsers = {spec.name: _FIELD_PARSERS[spec.type.removesuffix(" | None")] for spec in fields(cls)}
+    values = {}
+    for where, text in config_lines(path):
+        key, sep, value = text.partition(":")
+        key = key.strip()
+        if not sep or key not in parsers:
+            raise ConfigError(f"{where}: unknown {what} key {key!r}")
+        try:
+            values[key] = parsers[key](value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    return values

@@ -19,7 +19,7 @@ Key test vector: ``Philox(key=[42, 0]).random_raw(4)`` ==
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +114,8 @@ class SceneConfig:
             )
         if len(self.ego_waypoints) < 1:
             raise ConfigError("ego_waypoints must hold at least one waypoint")
+        if any(len(waypoint) != 3 for waypoint in self.ego_waypoints):
+            raise ConfigError("every ego waypoint needs exactly 3 coordinates")
 
     def save(self, path) -> None:
         lines = []
@@ -128,33 +130,7 @@ class SceneConfig:
 
     @classmethod
     def load(cls, path) -> "SceneConfig":
-        values: dict = {}
-        known = {spec.name: spec for spec in fields(cls)}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition(":")
-            key = key.strip()
-            if not sep or key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown scene key {key!r}")
-            value = value.strip()
-            try:
-                if key == "ego_waypoints":
-                    values[key] = tuple(
-                        tuple(float(c) for c in wp.split(",")) for wp in value.split(";") if wp.strip()
-                    )
-                elif key == "object_classes":
-                    values[key] = tuple(int(v) for v in value.split())
-                elif key == "enforce_separability":
-                    values[key] = value.lower() in ("1", "true", "yes")
-                elif known[key].type in ("int", int):
-                    values[key] = int(value)
-                else:
-                    values[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-        config = cls(**values)
+        config = cls(**sk_formats.read_fields(cls, path, "scene"))
         config.validate()
         return config
 
@@ -238,7 +214,7 @@ def instance_centers(points, instance_ids) -> np.ndarray:
 
 def _ego_poses(config: SceneConfig) -> list[RigidTransform]:
     """Sensor poses along the waypoint polyline, yaw following the heading."""
-    waypoints = np.asarray(config.ego_waypoints, dtype=np.float64).reshape(-1, 3)
+    waypoints = np.asarray(config.ego_waypoints, dtype=np.float64)
     if len(waypoints) == 1 or config.n_scans == 1:
         positions = np.repeat(waypoints[:1], config.n_scans, axis=0)
     else:

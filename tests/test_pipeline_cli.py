@@ -38,6 +38,30 @@ from panseg4d.scan_aggregator import RigidTransform
 from panseg4d.semantic_prior import PredictionSource, ScanInputs
 from panseg4d.synthlab import OracleProvider, SceneConfig, generate, instance_centers, write_dataset
 
+# Every PipelineConfig field, a value other than its default as config
+# file text, and the flag that sets it.
+EVERY_FIELD = {
+    "dataset_root": ("/data/skitti", "--dataset-root"),
+    "out_dir": ("runs/x", "--out"),
+    "sequences": ("03, 05 07", "--sequences"),
+    "window_n": ("4", "--window-n"),
+    "stride": ("3", "--stride"),
+    "source": ("files", "--source"),
+    "scene_config": ("scenes/a.cfg", "--scene-config"),
+    "semantic_dir": ("sem/{seq}", "--semantic-dir"),
+    "confidence_dir": ("conf/{seq}", "--confidence-dir"),
+    "offset_dir": ("off/{seq}", "--offset-dir"),
+    "flip_prob": ("0.25", "--flip-prob"),
+    "offset_sigma": ("0.125", "--offset-sigma"),
+    "noise_seed": ("11", "--noise-seed"),
+    "k_proposals": ("50", "--k-proposals"),
+    "group_radius_m": ("0.75", "--group-radius"),
+    "dbscan_eps_m": ("1.25", "--dbscan-eps"),
+    "dbscan_min_pts": ("3", "--dbscan-min-pts"),
+    "threads": ("2", "--threads"),
+}
+
+
 class TestPlanWindows:
     def test_unit_stride_covers_every_scan(self):
         assert plan_windows(6, 2, 1) == [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2)]
@@ -103,14 +127,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{re.escape(str(path))}:2: unknown config key 'offset_frame'"):
             PipelineConfig.from_file(path)
 
-    def test_parse_entries_match_the_fields(self):
-        # A parse entry left behind by a deleted field, or a field with no
-        # parse entry, would otherwise fail only when a config file sets it.
-        parsed = (
-            pipeline_cli._INT_KEYS | pipeline_cli._FLOAT_KEYS | pipeline_cli._PATH_KEYS
-            | pipeline_cli._STR_KEYS | {"sequences"}
-        )
-        assert parsed == {spec.name for spec in fields(PipelineConfig)}
+    def test_every_field_reads_the_same_from_a_file_and_from_its_flag(self, tmp_path, monkeypatch):
+        assert set(EVERY_FIELD) == {spec.name for spec in fields(PipelineConfig)}
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{name}: {text}\n" for name, (text, _) in EVERY_FIELD.items()))
+        from_file = PipelineConfig.from_file(path)
+        # Both semantic input kinds are set, which validate() refuses.
+        monkeypatch.setattr(PipelineConfig, "validate", lambda self: None)
+        argv = ["segment"] + [token for text, flag in EVERY_FIELD.values() for token in (flag, text)]
+        from_flags = pipeline_cli._config_from_args(pipeline_cli.build_parser().parse_args(argv))
+        assert repr(from_flags) == repr(from_file)
+        default = PipelineConfig()
+        assert [spec.name for spec in fields(PipelineConfig)
+                if getattr(from_file, spec.name) == getattr(default, spec.name)] == []
+        assert from_file.sequences == ("03", "05", "07")
+        assert (from_file.out_dir, from_file.scene_config) == (Path("runs/x"), Path("scenes/a.cfg"))
+        assert (from_file.group_radius_m, from_file.dbscan_eps_m) == (0.75, 1.25)
+
+    def test_empty_path_or_string_value_names_file_and_line(self, tmp_path):
+        for key in ("dataset_root", "out_dir", "scene_config", "source", "semantic_dir",
+                    "confidence_dir", "offset_dir"):
+            path = tmp_path / "run.cfg"
+            path.write_text(f"window_n: 2\n{key}:   # nothing\n")
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: empty value$"):
+                PipelineConfig.from_file(path)
 
     def test_empty_sequence_list_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="sequences"):
@@ -141,6 +181,13 @@ class TestConfigValidation:
         assert (config.window_n, config.stride, config.source) == (2, 1, "oracle")
         assert config.offset_dir == "offs/{seq}" and config.semantic_dir == "preds/{seq}"
         assert (config.group_radius_m, config.dbscan_eps_m, config.threads) == (0.6, 1.0, 1)
+        expected = PipelineConfig(
+            dataset_root=Path("data"), out_dir=Path("runs/clean"), sequences=("00",), window_n=2,
+            stride=1, source="oracle", scene_config=Path("data/00/scene.cfg"), semantic_dir="preds/{seq}",
+            confidence_dir=None, offset_dir="offs/{seq}", flip_prob=0.0, offset_sigma=0.0, noise_seed=0,
+            k_proposals=0, group_radius_m=0.6, dbscan_eps_m=1.0, dbscan_min_pts=1, threads=1,
+        )
+        assert repr(config) == repr(expected)  # types too: 0.0 is not 0
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -1294,6 +1341,32 @@ class TestMainEntry:
         assert code == 0
         out = capsys.readouterr().out
         assert "baseline_n2" in out and "58.01" in out
+
+    def test_fixture_with_a_bad_number_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        fixture = tmp_path / "scores.txt"
+        fixture.write_text("# name s_assoc s_cls\na 60 50\nb x 60\n")
+        assert main(["evaluate", "--fixture", str(fixture), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {fixture}:3: could not convert string to float: 'x'" in err
+
+    @pytest.mark.parametrize(
+        "command, key, text, message",
+        [
+            ("synth", "enforce_separability", "ture", "expected one of 1/0/true/false/yes/no, got 'ture'"),
+            ("synth", "ego_waypoints", "0,0 ; 8,0 ; 1,1", "expected 3 coordinates per waypoint, got 2"),
+            ("segment", "dataset_root", "", "empty value"),
+            ("segment", "semantic_dir", "", "empty value"),
+        ],
+    )
+    def test_malformed_config_value_exits_2_naming_file_and_line(
+        self, tmp_path, capsys, command, key, text, message
+    ):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# {key} set wrong on the line below\n{key}: {text}\n")
+        flag = "--scene-config" if command == "synth" else "--config"
+        assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {path}:2: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_inspect_entry(self, small_dataset, capsys):
         code = main(["inspect", str(small_dataset.root / "00" / "calib.txt")])

@@ -1,5 +1,6 @@
 """Proposal stage oracles: FPS, grouping, refinement, DBSCAN, merging, losses."""
 
+import re
 from collections import deque
 
 import numpy as np
@@ -85,6 +86,13 @@ def prefix_cloud(rng: np.random.Generator, case: int, radius: float) -> np.ndarr
     pts = rng.uniform(-3, 3, (n, 3))
     pts[rng.choice(n, n // 2, replace=False)] = pts[0]
     return pts
+
+
+def on_x_axis(xs) -> np.ndarray:
+    """1- or 2-column items as the (n, 3) items dbscan takes: zero columns
+    added at the right leave every squared distance the same bits."""
+    items = np.asarray(xs, dtype=np.float64).reshape(len(xs), -1)
+    return np.pad(items, ((0, 0), (0, 3 - items.shape[1])))
 
 
 def dbscan_oracle(items: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -732,7 +740,7 @@ class TestDbscan:
     def test_shared_border_joins_first_discovered_cluster(self):
         # b at 0 is within eps of the cores at -0.5 and +0.5 but has only 3
         # neighbors itself (min_pts=4): a genuine shared border point.
-        xs = np.array([-1.0, -0.9, -0.5, 0.0, 0.5, 0.9, 1.0]).reshape(-1, 1)
+        xs = on_x_axis([-1.0, -0.9, -0.5, 0.0, 0.5, 0.9, 1.0])
         labels = dbscan(xs, eps=0.5, min_pts=4)
         assert labels[2] == 0 and labels[4] == 1
         assert labels[3] == 0  # joins the cluster discovered first
@@ -771,25 +779,31 @@ class TestDbscan:
             with pytest.raises(NonFiniteValue, match="row 2"):
                 dbscan(items, eps=1.0, min_pts=1)
         with pytest.raises(NonFiniteValue, match="row 0"):
-            dbscan(np.array([np.nan, 0.0]), eps=1.0, min_pts=1)
+            dbscan(on_x_axis([np.nan, 0.0]), eps=1.0, min_pts=1)
 
     def test_empty_input(self):
-        for items in (np.zeros((0, 3)), np.zeros(0)):
-            labels = dbscan(items, eps=1.0, min_pts=2)
-            assert labels.dtype == np.int64 and labels.shape == (0,)
+        labels = dbscan(np.zeros((0, 3)), eps=1.0, min_pts=2)
+        assert labels.dtype == np.int64 and labels.shape == (0,)
+
+    def test_items_other_than_3_columns_rejected(self):
+        # A flat array whose length divides by 3 is not read as rows of 3.
+        for items in (np.zeros(6), np.zeros(0), np.zeros((4, 2)), np.zeros((2, 4)), np.zeros((2, 3, 1))):
+            with pytest.raises(LengthMismatch, match=re.escape(f"got shape {items.shape}")):
+                dbscan(items, eps=1.0, min_pts=1)
 
     def test_matches_loop_oracle_ids(self):
-        # Exact ids, not just partitions: 1-, 2- and 3-column items, lattice
-        # items exactly eps apart, and densities from all-core to sparse.
+        # Exact ids, not just partitions: items on a line, in a plane and in
+        # space, lattice items exactly eps apart, and densities from
+        # all-core to sparse.
         rng = np.random.default_rng(33)
         for case in range(600):
             n = int(rng.integers(1, 120))
             dims = 1 + case % 3
             if case % 2:
-                items = rng.integers(-4, 5, (n, dims)).astype(float)
+                items = on_x_axis(rng.integers(-4, 5, (n, dims)).astype(float))
                 eps = float(rng.choice([1.0, 2.0, np.sqrt(2.0)]))
             else:
-                items = rng.uniform(-3, 3, (n, dims))
+                items = on_x_axis(rng.uniform(-3, 3, (n, dims)))
                 eps = float(rng.uniform(0.2, 1.5))
             min_pts = int(rng.integers(1, 7))
             got = dbscan(items, eps, min_pts)
@@ -809,14 +823,14 @@ class TestDbscan:
             (border + run_b + run_a, [0, 0, 0, 0, 0, 1, 1, 1, 1]),
             (run_a + run_b + border, [0, 0, 0, 0, 1, 1, 1, 1, 0]),
         ):
-            labels = dbscan(np.array(xs), eps=1.0, min_pts=4)
+            labels = dbscan(on_x_axis(xs), eps=1.0, min_pts=4)
             assert labels.tolist() == expected
-            assert np.array_equal(labels, dbscan_loop_oracle(np.array(xs), 1.0, 4))
+            assert np.array_equal(labels, dbscan_loop_oracle(on_x_axis(xs), 1.0, 4))
 
     def test_noise_item_adopted_by_later_cluster(self):
         # Item 0 has too few neighbours when first visited and is marked
         # NOISE; the cluster found from item 1 reaches it later.
-        xs = np.array([0.0, 1.9, 1.0, 1.5, 1.2, 9.0]).reshape(-1, 1)
+        xs = on_x_axis([0.0, 1.9, 1.0, 1.5, 1.2, 9.0])
         labels = dbscan(xs, eps=1.0, min_pts=4)
         assert np.array_equal(labels, dbscan_loop_oracle(xs, 1.0, 4))
         assert labels.tolist() == [0, 0, 0, 0, 0, NOISE]
@@ -827,12 +841,11 @@ class TestDbscan:
         # graph.
         rng = np.random.default_rng(34)
         order = rng.permutation(2000)
-        for dims in (1, 3):
-            items = np.zeros((2000, dims))
-            items[order, 0] = np.arange(2000) * 0.999
-            labels = dbscan(items, eps=1.0, min_pts=2)
-            assert np.array_equal(labels, np.zeros(2000, dtype=np.int64))
-            assert np.array_equal(labels, dbscan_loop_oracle(items, 1.0, 2))
+        items = np.zeros((2000, 3))
+        items[order, 0] = np.arange(2000) * 0.999
+        labels = dbscan(items, eps=1.0, min_pts=2)
+        assert np.array_equal(labels, np.zeros(2000, dtype=np.int64))
+        assert np.array_equal(labels, dbscan_loop_oracle(items, 1.0, 2))
 
 
 def _merge_case(rng, case):

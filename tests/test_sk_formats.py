@@ -1,6 +1,9 @@
 """File-format readers and writers: decoding rules, errors, round trips."""
 
+import re
 import struct
+from dataclasses import field, make_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from panseg4d import sk_formats
 from panseg4d.errors import (
+    ConfigError,
     CountMismatch,
     FileTooShort,
     IdOverflow,
@@ -287,3 +291,51 @@ class TestAuxiliaryFormats:
         assert np.array_equal(sk_formats.read_confidences(path, 9, 19), scores)
         with pytest.raises(CountMismatch):
             sk_formats.read_confidences(path, 9, 18)
+
+
+class TestConfigFiles:
+    def test_lines_name_path_and_line_without_comments_or_blanks(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# header\n\na: 1  # one\n   \n  b:2\n#c: 3\n")
+        assert list(sk_formats.config_lines(path)) == [(f"{path}:3", "a: 1"), (f"{path}:5", "b:2")]
+
+    def test_fields_parse_by_declared_type(self, tmp_path):
+        spec = make_dataclass("Spec", [
+            ("n", "int", field(default=0)),
+            ("x", "float", field(default=0.0)),
+            ("on", "bool", field(default=False)),
+            ("name", "str | None", field(default=None)),
+            ("root", "Path", field(default=None)),
+            ("ids", "tuple[str, ...]", field(default=())),
+            ("classes", "tuple[int, ...]", field(default=())),
+            ("path", "tuple[tuple[float, float, float], ...]", field(default=())),
+        ])
+        path = tmp_path / "spec.cfg"
+        path.write_text(
+            "n: 3\nx: 2.5\non: yes\nname: a b\nroot: r/s\nids: 01, 02 03\nclasses: 4 5\n"
+            "path: 1,2,3 ; 4, 5, 6\n"
+        )
+        assert sk_formats.read_fields(spec, path, "spec") == {
+            "n": 3, "x": 2.5, "on": True, "name": "a b", "root": Path("r/s"),
+            "ids": ("01", "02", "03"), "classes": (4, 5), "path": ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)),
+        }
+
+    def test_unknown_key_and_bad_value_name_path_and_line(self, tmp_path):
+        spec = make_dataclass("Spec", [("n", "int", field(default=0))])
+        path = tmp_path / "spec.cfg"
+        path.write_text("n: 1\nm: 2\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: unknown spec key 'm'$"):
+            sk_formats.read_fields(spec, path, "spec")
+        path.write_text("n: 1\nno colon\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: unknown spec key 'no colon'$"):
+            sk_formats.read_fields(spec, path, "spec")
+        path.write_text("\nn: 1.5\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: invalid literal for int"):
+            sk_formats.read_fields(spec, path, "spec")
+
+    def test_field_type_without_a_parser_fails_every_load(self, tmp_path):
+        spec = make_dataclass("Spec", [("n", "int", field(default=0)), ("xs", "list[int]", field(default=None))])
+        path = tmp_path / "spec.cfg"
+        path.write_text("n: 1\n")
+        with pytest.raises(KeyError, match="list"):
+            sk_formats.read_fields(spec, path, "spec")

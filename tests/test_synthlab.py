@@ -1,5 +1,9 @@
 """Scene generator determinism, ground-truth exactness, and noise dials."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -151,6 +155,56 @@ class TestSceneConfigFile:
         path.write_text("n_scans: 2\nwarp_factor: 9\n")
         with pytest.raises(ConfigError):
             SceneConfig.load(path)
+
+    def test_save_load_round_trips_every_field(self, tmp_path):
+        config = SceneConfig(
+            n_scans=3, points_per_scan=1234, n_objects=2, object_classes=(5, 1, 7),
+            speed_min=0.25, speed_max=0.75, radius_min=0.2, radius_max=0.4, min_gap=3.5,
+            object_z_min=1.5, object_z_max=2.5, plane_extent=9.0, n_boxes=1, box_height_max=0.5,
+            box_fraction=0.3, points_per_m2=40.0,
+            ego_waypoints=((0.1, -0.2, 0.3), (4.0, 1.0 / 3.0, 0.0), (7.5, 2.0, 1e-9)),
+            scan_period_s=0.05, seed=99, enforce_separability=False,
+        )
+        default = SceneConfig()
+        assert [spec.name for spec in fields(SceneConfig)
+                if getattr(config, spec.name) == getattr(default, spec.name)] == []
+        path = tmp_path / "scene.cfg"
+        config.save(path)
+        assert repr(SceneConfig.load(path)) == repr(config)
+
+    def test_bundled_reference_scene_loads_pinned_values(self):
+        loaded = SceneConfig.load(Path(sk_formats.__file__).parent / "data" / "reference_scene.cfg")
+        expected = SceneConfig(
+            n_scans=6, points_per_scan=20000, n_objects=6, object_classes=(0, 3, 4, 5, 6, 7),
+            speed_min=0.5, speed_max=1.5, radius_min=0.3, radius_max=0.6, min_gap=2.0,
+            object_z_min=4.0, object_z_max=5.0, plane_extent=12.0, n_boxes=4, box_height_max=1.0,
+            box_fraction=0.2, points_per_m2=60.0, ego_waypoints=((0.0, 0.0, 0.0), (8.0, 0.0, 0.0)),
+            scan_period_s=0.1, seed=20240831, enforce_separability=True,
+        )
+        assert repr(loaded) == repr(expected)  # types too: 2.0 is not 2
+
+    def test_separability_reads_only_yes_and_no_words(self, tmp_path):
+        path = tmp_path / "scene.cfg"
+        for word, value in (("1", True), ("TRUE", True), ("yes", True), ("0", False), ("False", False),
+                            ("no", False)):
+            path.write_text(f"enforce_separability: {word}\n")
+            assert SceneConfig.load(path).enforce_separability is value
+        for word in ("ture", "on", "2", ""):
+            path.write_text(f"n_scans: 2\nenforce_separability: {word}\n")
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: expected one of 1/0/true"):
+                SceneConfig.load(path)
+
+    def test_waypoint_without_three_coordinates_rejected(self, tmp_path):
+        path = tmp_path / "scene.cfg"
+        for text, got in (("0,0 ; 8,0 ; 1,1", 2), ("0,0,0 ; 8,0,0,1", 4), ("0,0,0 ; 5", 1)):
+            path.write_text(f"ego_waypoints: {text}\n")
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:1: expected 3 coordinates per "
+                                                  f"waypoint, got {got}$"):
+                SceneConfig.load(path)
+        # A scene built in code is held to the same rule.
+        for waypoints in (((0.0, 0.0), (8.0, 0.0)), ((0.0, 0.0, 0.0), (8.0, 0.0, 0.0, 1.0))):
+            with pytest.raises(ConfigError, match="exactly 3 coordinates"):
+                SceneConfig(ego_waypoints=waypoints).validate()
 
 
 class TestOracleOffsets:
