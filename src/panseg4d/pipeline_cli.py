@@ -132,9 +132,9 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path, **overrides) -> "PipelineConfig":
-        values = sk_formats.read_fields(cls, path, "config")
-        values.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**values)
+        """The file's config with the non-None ``overrides`` applied,
+        validated; errors name ``path``."""
+        return sk_formats.read_config(cls, path, "config", **overrides)
 
 
 def check_sequences(sequences) -> None:
@@ -581,20 +581,13 @@ def cmd_synth(args) -> int:
         scene.validate()
     class_map = ClassMap.semantic_kitti()
     scans, poses, gt = generate(scene)
-    seq_dir = write_dataset(args.out, args.sequence, scans, poses, gt, class_map, scene_config=scene)
-    if args.emit_offsets:
-        # Sensor-frame oracle offsets, one file per scan; consume with
-        # source=files (the labels/ directory already serves as the semantic
-        # input).
-        offset_dir = seq_dir / "oracle_offsets"
-        offset_dir.mkdir(exist_ok=True)
-        for k, scan in enumerate(scans):
-            sk_formats.write_offsets(
-                offset_dir / f"{k:06d}.offset", gt.centers[k] - scan.points
-            )
-    total = sum(len(scan) for scan in scans)
+    seq_dir = write_dataset(
+        args.out, args.sequence, scans, poses, gt, class_map,
+        scene_config=scene, emit_offsets=args.emit_offsets,
+    )
     print(
-        f"wrote {len(scans)} scans ({total} points, {scene.n_objects} objects) to {seq_dir}"
+        f"wrote {len(scans)} scans ({len(scans) * scene.points_per_scan} points, "
+        f"{scene.n_objects} objects) to {seq_dir}"
     )
     return 0
 
@@ -602,9 +595,8 @@ def cmd_synth(args) -> int:
 def _config_from_args(args) -> PipelineConfig:
     overrides = {spec.name: getattr(args, spec.name) for spec in fields(PipelineConfig)}
     if args.config:
-        config = PipelineConfig.from_file(args.config, **overrides)
-    else:
-        config = PipelineConfig(**{k: v for k, v in overrides.items() if v is not None})
+        return PipelineConfig.from_file(args.config, **overrides)
+    config = PipelineConfig(**{k: v for k, v in overrides.items() if v is not None})
     config.validate()
     return config
 
@@ -648,7 +640,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _config_from_args(args)
-    flip_grid = [float(tok) for tok in sk_formats.split_items(args.flip_grid)] if args.flip_grid else []
+    try:
+        flip_grid = [float(tok) for tok in sk_formats.split_items(args.flip_grid or "")]
+    except ValueError as exc:
+        raise ConfigError(f"--flip-grid: {exc}") from None
     table = run_ablation(config, flip_grid)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

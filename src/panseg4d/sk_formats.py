@@ -21,7 +21,8 @@ Formats handled here:
   fixtures) -- text lines, ``#`` starting a comment (:func:`config_lines`).
   In pipeline and scene configs each line is ``key: value`` and
   :func:`read_fields` parses the value by the type its dataclass field
-  declares, naming ``path:line`` on an unknown key or a bad value.
+  declares, naming ``path:line`` on an unknown key, a repeated key or a bad
+  value.
 
 All binary I/O is little-endian regardless of host byte order: the dataset
 ships x86-native files and the explicit dtype keeps readers portable.
@@ -230,21 +231,27 @@ def _label_columns(labels) -> tuple[np.ndarray, np.ndarray]:
     return arr[:, 0], arr[:, 1]
 
 
-def write_predictions(path, labels) -> None:
-    """Write (semantic_raw, instance_id) pairs in the ``.label`` packing.
+def label_bytes(labels, where) -> bytes:
+    """(semantic_raw, instance_id) pairs packed as ``.label`` records.
 
     Byte-exact inverse of :func:`read_labels`. ``labels`` may be a
-    :class:`LabelArray`, an (n, 2) array, or an iterable of pairs.
+    :class:`LabelArray`, an (n, 2) array, or an iterable of pairs. An id
+    outside 16 bits raises ``IdOverflow`` naming ``where``.
     """
     sem, inst = _label_columns(labels)
     if sem.size and (sem.min() < 0 or sem.max() > MAX_ID):
         bad = int(np.argmax((sem < 0) | (sem > MAX_ID)))
-        raise IdOverflow(f"{path}: semantic id {int(sem[bad])} at record {bad} exceeds 16 bits")
+        raise IdOverflow(f"{where}: semantic id {int(sem[bad])} at record {bad} exceeds 16 bits")
     if inst.size and (inst.min() < 0 or inst.max() > MAX_ID):
         bad = int(np.argmax((inst < 0) | (inst > MAX_ID)))
-        raise IdOverflow(f"{path}: instance id {int(inst[bad])} at record {bad} exceeds 16 bits")
-    words = ((inst.astype(np.uint32) << np.uint32(16)) | sem.astype(np.uint32)).astype(_U32LE)
-    Path(path).write_bytes(words.tobytes())
+        raise IdOverflow(f"{where}: instance id {int(inst[bad])} at record {bad} exceeds 16 bits")
+    return ((inst.astype(np.uint32) << np.uint32(16)) | sem.astype(np.uint32)).astype(_U32LE).tobytes()
+
+
+def write_predictions(path, labels) -> None:
+    """Write (semantic_raw, instance_id) pairs in the ``.label`` packing
+    (:func:`label_bytes`)."""
+    Path(path).write_bytes(label_bytes(labels, path))
 
 
 # Predictions and ground-truth labels share one packing.
@@ -419,18 +426,35 @@ _FIELD_PARSERS = {
 def read_fields(cls, path, what: str) -> dict:
     """The fields of dataclass ``cls`` that a ``key: value`` config file
     sets, each value parsed by its field's declared type. An unknown key
-    raises ``ConfigError("path:line: unknown <what> key ...")``, a bad value
-    ``ConfigError("path:line: ...")``. A field whose type has no parser
-    fails every load."""
+    raises ``ConfigError("path:line: unknown <what> key ...")``, a key set
+    twice one naming both lines, a bad value ``ConfigError("path:line:
+    ...")``. A field whose type has no parser fails every load."""
     parsers = {spec.name: _FIELD_PARSERS[spec.type.removesuffix(" | None")] for spec in fields(cls)}
-    values = {}
+    values, set_at = {}, {}
     for where, text in config_lines(path):
         key, sep, value = text.partition(":")
         key = key.strip()
         if not sep or key not in parsers:
             raise ConfigError(f"{where}: unknown {what} key {key!r}")
+        if key in set_at:
+            raise ConfigError(f"{where}: {what} key {key!r} is already set at {set_at[key]}")
+        set_at[key] = where
         try:
             values[key] = parsers[key](value.strip())
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
     return values
+
+
+def read_config(cls, path, what: str, **overrides):
+    """``cls`` built from the fields a config file sets (:func:`read_fields`)
+    and the ``overrides`` that are not None, then validated; an error from
+    ``validate()`` is raised again naming ``path``."""
+    values = read_fields(cls, path, what)
+    values.update({k: v for k, v in overrides.items() if v is not None})
+    config = cls(**values)
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return config

@@ -2,16 +2,28 @@
 
 Scenes are rigid point blobs on linear trajectories above a ground plane
 with box obstacles, observed by an ego sensor moving along a waypoint
-polyline. Coordinates are quantized to float32 at generation time so that a
-scene round-trips bit-exactly through the on-disk scan format; per-scan
-instance centers are recomputed from the quantized points by
-:func:`instance_centers`, so the stored center equals the instance centroid
-by construction, and a written dataset's labels give the same centers
-bit for bit (:class:`DatasetTruth`).
+polyline. :func:`generate` draws the scene layout once: the sensor poses,
+each object's zero-mean template, trajectory and class, and the static
+stuff points. Every scan holds the same rows in the same order (each
+object's template rows, object by object, then the stuff rows), so one
+semantic and one instance column label every scan (:class:`GroundTruth`).
+
+Scan k is built from the layout only when it is read from
+:class:`SceneScans`: each template is moved to its object's trajectory
+point at step k, the stuff rows follow, and all rows are taken into the
+sensor frame of pose k, with a feature column from scan k's own keyed
+stream. No scan is kept, so :func:`write_dataset` holds one scan at a time
+and ``synth``'s memory does not grow with the sequence. Coordinates are
+quantized to float32 as a scan is built, so that a scene round-trips
+bit-exactly through the on-disk scan format; per-point instance centers
+are computed from the quantized points by :func:`instance_centers`, so a
+center equals its instance's centroid by construction, and a written
+dataset's labels give the same centers bit for bit (:class:`DatasetTruth`).
 
 All randomness comes from the counter-based Philox4x64-10 generator keyed
-as ``[seed, (purpose << 32) | index]``; generation order is strictly
-sequential, so a (config, seed) pair yields identical scenes everywhere.
+as ``[seed, (purpose << 32) | index]``; a scan's stream is keyed by its
+index, so a scan is the same whichever scans are built before it, and a
+(config, seed) pair yields identical scenes everywhere.
 Key test vector: ``Philox(key=[42, 0]).random_raw(4)`` ==
 (15129985323320379406, 3490965594592278910, 16005516994917231875,
 7278743398533373529).
@@ -21,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -130,35 +143,27 @@ class SceneConfig:
 
     @classmethod
     def load(cls, path) -> "SceneConfig":
-        config = cls(**sk_formats.read_fields(cls, path, "scene"))
-        config.validate()
-        return config
+        return sk_formats.read_config(cls, path, "scene")
 
 
 @dataclass
 class GroundTruth:
-    """Exact per-point labels, per-point instance centers, and trajectories.
+    """Exact per-point labels and the objects' trajectories.
 
-    ``centers[k]`` holds, per point of scan k in the scan's own sensor
-    frame, the centroid of that point's instance at that time step; for
-    stuff points the row is the point itself, so the oracle offset is zero.
+    Every scan of a generated scene holds the same rows in the same order,
+    so one ``semantic`` and one ``instance`` column label them all.
     """
 
-    semantic: list[np.ndarray]  # per scan (n,) train ids
-    instance: list[np.ndarray]  # per scan (n,) ids, 0 = stuff
-    centers: list[np.ndarray]  # per scan (n, 3) sensor frame
+    semantic: np.ndarray  # (n,) train ids of every scan's rows
+    instance: np.ndarray  # (n,) ids, 0 = stuff
     trajectories: np.ndarray  # (n_objects, n_scans, 3) ideal world centers
     object_classes: np.ndarray  # (n_objects,) train ids
     object_radii: np.ndarray  # (n_objects,)
 
-    @property
-    def n_scans(self) -> int:
-        return len(self.semantic)
-
     def scan_truth(self, scan_index: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Scan k's train ids and per-point instance centers; ``points`` is
-        unused, as generated truth holds its centers."""
-        return self.semantic[scan_index], self.centers[scan_index]
+        """Scan k's train ids and per-point instance centers, the centers
+        taken from ``points`` (scan k's) by :func:`instance_centers`."""
+        return self.semantic, instance_centers(points, self.instance)
 
 
 class DatasetTruth:
@@ -329,8 +334,40 @@ def _quantize(points: np.ndarray) -> np.ndarray:
     return points.astype(np.float32).astype(np.float64)
 
 
-def generate(config: SceneConfig) -> tuple[list[PointCloudScan], list[RigidTransform], GroundTruth]:
-    """Build the scene: scans in sensor frames, lidar poses, ground truth."""
+@dataclass(frozen=True)
+class SceneScans(Sequence):
+    """A scene's scans in their sensor frames, each built from the scene
+    layout when it is asked for; item ``k`` is a new
+    :class:`PointCloudScan`, and no scan is kept. Every scan holds the
+    objects' template rows, object by object, then the static stuff rows."""
+
+    poses: list[RigidTransform]  # lidar poses, one per scan
+    trajectories: np.ndarray  # (n_objects, n_scans, 3) world centers
+    object_sizes: np.ndarray  # (n_objects,) template rows per object
+    object_points: np.ndarray  # (sum of object_sizes, 3) zero-mean templates
+    stuff_points: np.ndarray  # (n_stuff, 3) world frame
+    seed: int
+
+    def __len__(self) -> int:
+        return len(self.poses)
+
+    def __getitem__(self, index: int | slice) -> PointCloudScan | list[PointCloudScan]:
+        scans = range(len(self))[index]
+        if isinstance(scans, range):
+            return [self._build(k) for k in scans]
+        return self._build(scans)
+
+    def _build(self, k: int) -> PointCloudScan:
+        objects = np.repeat(self.trajectories[:, k], self.object_sizes, axis=0) + self.object_points
+        world = np.concatenate((objects, self.stuff_points))
+        sensor = _quantize(self.poses[k].inverse().apply(world))
+        feature = _quantize(keyed_rng(self.seed, _STREAM_FEATURE, k).random(len(world)))
+        return PointCloudScan(points=sensor, feature=feature, scan_index=k)
+
+
+def generate(config: SceneConfig) -> tuple[SceneScans, list[RigidTransform], GroundTruth]:
+    """Lay out the scene: its scans (built one at a time as they are read),
+    lidar poses, and ground truth."""
     config.validate()
     object_centers, velocities, radii = _sample_layout(config)
     templates = [
@@ -342,7 +379,8 @@ def generate(config: SceneConfig) -> tuple[list[PointCloudScan], list[RigidTrans
         else [],
         dtype=np.int64,
     )
-    n_object_points = sum(len(t) for t in templates)
+    sizes = np.array([len(t) for t in templates], dtype=np.int64)
+    n_object_points = int(sizes.sum())
     n_stuff = config.points_per_scan - n_object_points
     if n_stuff < 0:
         raise ConfigError(
@@ -354,34 +392,18 @@ def generate(config: SceneConfig) -> tuple[list[PointCloudScan], list[RigidTrans
     times = np.arange(config.n_scans) * config.scan_period_s
     trajectories = object_centers[:, None, :] + velocities[:, None, :] * times[None, :, None]
 
-    scans: list[PointCloudScan] = []
-    semantic: list[np.ndarray] = []
-    instance: list[np.ndarray] = []
-    centers: list[np.ndarray] = []
-    for k in range(config.n_scans):
-        world_parts = [trajectories[j, k] + templates[j] for j in range(config.n_objects)]
-        world_parts.append(stuff_world)
-        world = np.concatenate(world_parts)
-        sem = np.concatenate(
-            [np.full(len(templates[j]), classes[j], dtype=np.int64) for j in range(config.n_objects)]
-            + [stuff_semantic]
-        )
-        inst = np.concatenate(
-            [np.full(len(templates[j]), j + 1, dtype=np.int64) for j in range(config.n_objects)]
-            + [np.zeros(n_stuff, dtype=np.int64)]
-        )
-        sensor = _quantize(poses[k].inverse().apply(world))
-        feature = _quantize(keyed_rng(config.seed, _STREAM_FEATURE, k).random(len(world)))
-        scans.append(PointCloudScan(points=sensor, feature=feature, scan_index=k))
-
-        semantic.append(sem)
-        instance.append(inst)
-        centers.append(instance_centers(sensor, inst))
-
+    scans = SceneScans(
+        poses=poses,
+        trajectories=trajectories,
+        object_sizes=sizes,
+        object_points=np.concatenate([np.empty((0, 3)), *templates]),
+        stuff_points=stuff_world,
+        seed=config.seed,
+    )
+    object_ids = np.arange(1, config.n_objects + 1)
     gt = GroundTruth(
-        semantic=semantic,
-        instance=instance,
-        centers=centers,
+        semantic=np.concatenate((np.repeat(classes, sizes), stuff_semantic)),
+        instance=np.concatenate((np.repeat(object_ids, sizes), np.zeros(n_stuff, dtype=np.int64))),
         trajectories=trajectories,
         object_classes=classes,
         object_radii=radii,
@@ -390,7 +412,7 @@ def generate(config: SceneConfig) -> tuple[list[PointCloudScan], list[RigidTrans
 
 
 def oracle_offsets(
-    scans: list[PointCloudScan],
+    scans: Sequence[PointCloudScan],
     lidar_poses: list[RigidTransform],
     gt: GroundTruth,
     window: tuple[int, int],
@@ -405,7 +427,8 @@ def oracle_offsets(
     """
     start, count = window
     return rotate_into_window(lidar_poses, start, [
-        gt.scan_truth(k, scans[k].points)[1] - scans[k].points for k in range(start, start + count)
+        gt.scan_truth(k, scan.points)[1] - scan.points
+        for k, scan in enumerate(scans[start: start + count], start)
     ])
 
 
@@ -483,29 +506,39 @@ class OracleProvider(PredictionSource):
 def write_dataset(
     out_root,
     sequence: str,
-    scans: list[PointCloudScan],
+    scans: Sequence[PointCloudScan],
     lidar_poses: list[RigidTransform],
     gt: GroundTruth,
     class_map: ClassMap,
     calib: CalibRecord = DEFAULT_CALIB,
     scene_config: SceneConfig | None = None,
+    emit_offsets: bool = False,
 ) -> Path:
     """Emit the scene in the SemanticKITTI directory layout.
 
     Writes ``velodyne/NNNNNN.bin``, ``labels/NNNNNN.label``, camera-frame
     ``poses.txt`` (Tr . T_lidar . Tr^-1) and ``calib.txt``; optionally a copy
-    of the scene config for provenance.
+    of the scene config for provenance. With ``emit_offsets``, also each
+    scan's sensor-frame oracle offsets as ``oracle_offsets/NNNNNN.offset``
+    (read with source=files; ``labels/`` serves as the semantic input).
+    Scans are read one at a time and each is written whole before the next.
     """
     seq_dir = Path(out_root) / sequence
-    (seq_dir / "velodyne").mkdir(parents=True, exist_ok=True)
-    (seq_dir / "labels").mkdir(parents=True, exist_ok=True)
+    subdirs = ["velodyne", "labels"] + (["oracle_offsets"] if emit_offsets else [])
+    for name in subdirs:
+        (seq_dir / name).mkdir(parents=True, exist_ok=True)
+    # Every scan's label records are the same bytes.
+    record = sk_formats.label_bytes(
+        np.stack([class_map.train_to_raw[gt.semantic], gt.instance], axis=1), seq_dir / "labels"
+    )
     for k, scan in enumerate(scans):
         sk_formats.write_scan(seq_dir / "velodyne" / f"{k:06d}.bin", scan)
-        raw = class_map.train_to_raw[gt.semantic[k]]
-        sk_formats.write_labels(
-            seq_dir / "labels" / f"{k:06d}.label",
-            np.stack([raw, gt.instance[k]], axis=1),
-        )
+        (seq_dir / "labels" / f"{k:06d}.label").write_bytes(record)
+        if emit_offsets:
+            sk_formats.write_offsets(
+                seq_dir / "oracle_offsets" / f"{k:06d}.offset",
+                gt.scan_truth(k, scan.points)[1] - scan.points,
+            )
     tr = RigidTransform(calib.rotation, calib.translation)
     lidar = PoseTable(
         np.stack([pose.rotation for pose in lidar_poses]),

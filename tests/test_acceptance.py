@@ -232,14 +232,14 @@ def test_criterion_6_loss_masking_property(reference_dataset):
     with criterion("6 center-loss masking: appending stuff points changes nothing"):
         scans, poses, gt = reference_dataset.scans, reference_dataset.poses, reference_dataset.gt
         window = (0, 2)
-        cloud = aggregate(scans, poses, gt.semantic, window)
+        cloud = aggregate(scans, poses, [gt.semantic] * len(scans), window)
         offsets = oracle_offsets(scans, poses, gt, window)
         predicted = cloud.positions + offsets
         true_centers = predicted.copy()
         # Perturb predictions so the loss is nonzero and branch-diverse.
         rng = np.random.default_rng(601)
         predicted = predicted + rng.normal(0.0, 0.8, predicted.shape)
-        thing = np.concatenate(gt.instance[window[0]: window[0] + window[1]]) > 0
+        thing = np.tile(gt.instance, window[1]) > 0
         base = huber_center_loss(predicted, true_centers, thing)
         assert base.value > 0.0
 

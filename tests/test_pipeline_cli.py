@@ -131,9 +131,9 @@ class TestConfigValidation:
         assert set(EVERY_FIELD) == {spec.name for spec in fields(PipelineConfig)}
         path = tmp_path / "run.cfg"
         path.write_text("".join(f"{name}: {text}\n" for name, (text, _) in EVERY_FIELD.items()))
-        from_file = PipelineConfig.from_file(path)
         # Both semantic input kinds are set, which validate() refuses.
         monkeypatch.setattr(PipelineConfig, "validate", lambda self: None)
+        from_file = PipelineConfig.from_file(path)
         argv = ["segment"] + [token for text, flag in EVERY_FIELD.values() for token in (flag, text)]
         from_flags = pipeline_cli._config_from_args(pipeline_cli.build_parser().parse_args(argv))
         assert repr(from_flags) == repr(from_file)
@@ -195,6 +195,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             PipelineConfig.from_file(path)
 
+    def test_key_given_twice_names_both_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("window_n: 2\n# the window\nwindow_n: 4\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: config key 'window_n' is already "
+                                              f"set at {re.escape(str(path))}:1$"):
+            PipelineConfig.from_file(path)
+
+    def test_invalid_value_in_config_file_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"window_n: 0\nscene_config: {tmp_path / 's.cfg'}\n")
+        assert main(["segment", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: window_n must be >= 1\n"
+
     def test_env_var_supplies_default_dataset_root(self, monkeypatch, tmp_path):
         monkeypatch.setenv("PANSEG4D_DATA", str(tmp_path / "skitti"))
         config = PipelineConfig()
@@ -233,9 +246,9 @@ class TestSegment:
         predictions = _read_predictions(tmp_path / "out", small_dataset.scans)
         mapping = {}
         for k, pred in enumerate(predictions):
-            raw_expected = class_map.train_to_raw[small_dataset.gt.semantic[k]]
+            raw_expected = class_map.train_to_raw[small_dataset.gt.semantic]
             assert np.array_equal(pred.semantic_raw, raw_expected)
-            gt_ids = small_dataset.gt.instance[k]
+            gt_ids = small_dataset.gt.instance
             assert (pred.instance_id[gt_ids == 0] == 0).all()
             for gt_id in np.unique(gt_ids[gt_ids > 0]):
                 got = set(pred.instance_id[gt_ids == gt_id].tolist())
@@ -363,12 +376,12 @@ class TestSegment:
         sem_dir.mkdir()
         off_dir.mkdir()
         for k, scan in enumerate(small_dataset.scans):
-            raw = class_map.train_to_raw[small_dataset.gt.semantic[k]]
+            raw = class_map.train_to_raw[small_dataset.gt.semantic]
             sk_formats.write_labels(
                 sem_dir / f"{k:06d}.label",
-                np.stack([raw, small_dataset.gt.instance[k]], axis=1),
+                np.stack([raw, small_dataset.gt.instance], axis=1),
             )
-            delta = small_dataset.gt.centers[k] - scan.points
+            delta = instance_centers(scan.points, small_dataset.gt.instance) - scan.points
             sk_formats.write_offsets(off_dir / f"{k:06d}.offset", delta)
         config = PipelineConfig(
             dataset_root=small_dataset.root,
@@ -395,11 +408,11 @@ class TestSegment:
         off_dir.mkdir()
         n_classes = class_map.n_classes
         for k, scan in enumerate(small_dataset.scans):
-            semantic = small_dataset.gt.semantic[k]
+            semantic = small_dataset.gt.semantic
             scores = np.full((len(scan), n_classes), 0.3 / (n_classes - 1), dtype=np.float32)
             scores[np.arange(len(scan)), semantic] = 0.7
             sk_formats.write_confidences(conf_dir / f"{k:06d}.conf", scores)
-            delta = small_dataset.gt.centers[k] - scan.points
+            delta = instance_centers(scan.points, small_dataset.gt.instance) - scan.points
             sk_formats.write_offsets(off_dir / f"{k:06d}.offset", delta)
         common = dict(
             dataset_root=small_dataset.root, sequences=("00",), window_n=2,
@@ -428,13 +441,13 @@ class TestSegment:
         stuff_raw = class_map.train_to_raw[np.flatnonzero(~class_map.thing_mask)[0]]
         written = []
         for k, scan in enumerate(small_dataset.scans):
-            semantic = small_dataset.gt.semantic[k]
+            semantic = small_dataset.gt.semantic
             raw = class_map.train_to_raw[semantic]
             if k in free_scans:
                 raw = np.where(class_map.thing_mask[semantic], stuff_raw, raw)
             written.append(raw)
             sk_formats.write_labels(sem_dir / f"{k:06d}.label", np.stack([raw, np.zeros_like(raw)], axis=1))
-            delta = small_dataset.gt.centers[k] - scan.points
+            delta = instance_centers(scan.points, small_dataset.gt.instance) - scan.points
             sk_formats.write_offsets(off_dir / f"{k:06d}.offset", delta)
         config = PipelineConfig(
             dataset_root=small_dataset.root, out_dir=tmp_path / "out", sequences=("00",), window_n=2,
@@ -947,7 +960,7 @@ class TestProviderInputsChecked:
         off_dir = tmp_path / "off"
         off_dir.mkdir()
         for k, scan in enumerate(small_dataset.scans):
-            delta = small_dataset.gt.centers[k] - scan.points
+            delta = instance_centers(scan.points, small_dataset.gt.instance) - scan.points
             if k == 3:
                 delta[17, 2] = np.nan
             sk_formats.write_offsets(off_dir / f"{k:06d}.offset", delta)
@@ -1017,13 +1030,14 @@ class TestUnlabelledPoints:
         rng = np.random.default_rng(8)
         unlabelled = []
         for k, scan in enumerate(scans):
-            stuff = np.flatnonzero(gt.instance[k] == 0)
+            stuff = np.flatnonzero(gt.instance == 0)
             mask = np.zeros(len(scan), dtype=bool)
             mask[rng.choice(stuff, len(stuff) // 10, replace=False)] = True
             unlabelled.append(mask)
-            raw = np.where(mask, 0, class_map.train_to_raw[gt.semantic[k]])
-            sk_formats.write_labels(sem_dir / f"{k:06d}.label", np.stack([raw, gt.instance[k]], axis=1))
-            sk_formats.write_offsets(off_dir / f"{k:06d}.offset", gt.centers[k] - scan.points)
+            raw = np.where(mask, 0, class_map.train_to_raw[gt.semantic])
+            sk_formats.write_labels(sem_dir / f"{k:06d}.label", np.stack([raw, gt.instance], axis=1))
+            delta = instance_centers(scan.points, gt.instance) - scan.points
+            sk_formats.write_offsets(off_dir / f"{k:06d}.offset", delta)
         config = PipelineConfig(
             dataset_root=tmp_path / "data", out_dir=tmp_path / "out", sequences=("00",), window_n=2,
             source="files", semantic_dir=str(sem_dir), offset_dir=str(off_dir),
@@ -1037,7 +1051,7 @@ class TestUnlabelledPoints:
             assert (labels.semantic_raw[unlabelled[k]] == 0).all()
             assert (labels.instance_id[unlabelled[k]] == 0).all()
             assert np.array_equal(
-                labels.semantic_raw[~unlabelled[k]], class_map.train_to_raw[gt.semantic[k]][~unlabelled[k]]
+                labels.semantic_raw[~unlabelled[k]], class_map.train_to_raw[gt.semantic][~unlabelled[k]]
             )
 
 
@@ -1151,6 +1165,13 @@ class TestAblate:
         assert [float(row[0]) for row in rows] == [0.0, 0.1, 0.3]
         s_cls_column = [float(row[3]) for row in rows]
         assert s_cls_column[0] > s_cls_column[1] > s_cls_column[2]
+
+    def test_bad_grid_value_exits_2_naming_the_flag(self, small_dataset, tmp_path, capsys):
+        argv = ["ablate", "--scene-config", str(small_dataset.scene_path), "--dataset-root",
+                str(small_dataset.root), "--out", str(tmp_path / "ablate"), "--flip-grid", "0.1,x"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --flip-grid: ") and "'x'" in err
 
     def test_empty_grid_emits_header_only(self, small_dataset, tmp_path):
         config = _oracle_config(small_dataset, tmp_path / "ablate3")

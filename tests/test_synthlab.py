@@ -57,16 +57,15 @@ class TestGenerate:
         for a, b in zip(small_scene.poses, again_poses):
             assert np.array_equal(a.rotation, b.rotation)
             assert np.array_equal(a.translation, b.translation)
-        for k in range(len(again_scans)):
-            assert np.array_equal(small_scene.gt.semantic[k], again_gt.semantic[k])
-            assert np.array_equal(small_scene.gt.instance[k], again_gt.instance[k])
-            assert np.array_equal(small_scene.gt.centers[k], again_gt.centers[k])
+        assert len(again_scans) == len(small_scene.scans) == small_scene.config.n_scans
+        assert np.array_equal(small_scene.gt.semantic, again_gt.semantic)
+        assert np.array_equal(small_scene.gt.instance, again_gt.instance)
 
     def test_no_objects_means_all_stuff(self):
         config = SceneConfig(n_scans=2, points_per_scan=500, n_objects=0, seed=1)
         scans, _, gt = generate(config)
+        assert (gt.instance == 0).all()
         for k in range(2):
-            assert (gt.instance[k] == 0).all()
             assert len(scans[k]) == 500
 
     def test_point_budget_is_exact(self, small_scene):
@@ -78,31 +77,30 @@ class TestGenerate:
         scans, _, gt = generate(config)
         for k in range(config.n_scans):
             pts = scans[k].points
-            inst = gt.instance[k]
+            inst = gt.instance
             a, b = pts[inst == 1], pts[inst == 2]
             d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
             assert np.sqrt(d2.min()) > config.min_gap
 
     def test_center_equals_instance_centroid(self, small_scene):
         for k in range(small_scene.config.n_scans):
-            inst = small_scene.gt.instance[k]
+            inst = small_scene.gt.instance
             for object_id in range(1, small_scene.config.n_objects + 1):
                 members = inst == object_id
                 centroid = small_scene.scans[k].points[members].mean(axis=0)
-                stored = small_scene.gt.centers[k][members]
+                stored = small_scene.gt.scan_truth(k, small_scene.scans[k].points)[1][members]
                 assert np.abs(stored - centroid).max() < 1e-9
 
     def test_stuff_center_rows_are_the_points(self, small_scene):
         k = 0
-        stuff = small_scene.gt.instance[k] == 0
-        assert np.array_equal(
-            small_scene.gt.centers[k][stuff], small_scene.scans[k].points[stuff]
-        )
+        stuff = small_scene.gt.instance == 0
+        points = small_scene.scans[k].points
+        assert np.array_equal(small_scene.gt.scan_truth(k, points)[1][stuff], points[stuff])
 
     def test_instance_ids_stable_across_scans(self, small_scene):
-        for k in range(small_scene.config.n_scans):
-            ids = set(np.unique(small_scene.gt.instance[k]).tolist()) - {0}
-            assert ids == set(range(1, small_scene.config.n_objects + 1))
+        # One instance column labels the rows of every scan.
+        ids = set(np.unique(small_scene.gt.instance).tolist()) - {0}
+        assert ids == set(range(1, small_scene.config.n_objects + 1))
 
     def test_object_point_floor(self):
         config = SceneConfig(
@@ -111,7 +109,7 @@ class TestGenerate:
             enforce_separability=False,
         )
         _, _, gt = generate(config)
-        assert int((gt.instance[0] == 1).sum()) >= 30
+        assert int((gt.instance == 1).sum()) >= 30
 
     def test_infeasible_layout_raises(self):
         config = SceneConfig(
@@ -155,6 +153,22 @@ class TestSceneConfigFile:
         path.write_text("n_scans: 2\nwarp_factor: 9\n")
         with pytest.raises(ConfigError):
             SceneConfig.load(path)
+
+    def test_key_given_twice_names_both_lines(self, tmp_path):
+        path = tmp_path / "scene.cfg"
+        path.write_text("seed: 1\nn_scans: 2\nseed: 3\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: scene key 'seed' is already "
+                                              f"set at {re.escape(str(path))}:1$"):
+            SceneConfig.load(path)
+
+    def test_invalid_value_exits_2_naming_the_scene_file(self, tmp_path, capsys):
+        from panseg4d.pipeline_cli import main
+
+        path = tmp_path / "s.cfg"
+        path.write_text("n_scans: 0\n")
+        assert main(["synth", "--scene-config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: n_scans must be >= 1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_save_load_round_trips_every_field(self, tmp_path):
         config = SceneConfig(
@@ -214,16 +228,16 @@ class TestOracleOffsets:
             speed_min=0.0, speed_max=0.0, seed=6,
         )
         scans, poses, gt = generate(config)
-        cloud = aggregate(scans, poses, gt.semantic, (0, 3))
+        cloud = aggregate(scans, poses, [gt.semantic] * len(scans), (0, 3))
         centers = cloud.positions + oracle_offsets(scans, poses, gt, (0, 3))
-        inst = np.concatenate(gt.instance)
+        inst = np.tile(gt.instance, 3)
         for object_id in (1, 2):
             spread = np.ptp(centers[inst == object_id], axis=0)
             assert spread.max() < 1e-5  # float32 scan quantization bound
 
     def test_stuff_offsets_are_zero(self, small_scene):
         offsets = oracle_offsets(small_scene.scans, small_scene.poses, small_scene.gt, (0, 2))
-        inst = np.concatenate(small_scene.gt.instance[:2])
+        inst = np.tile(small_scene.gt.instance, 2)
         assert np.abs(offsets[inst == 0]).max() == 0.0
 
     def test_moving_object_centers_follow_trajectory(self, small_scene):
@@ -234,8 +248,8 @@ class TestOracleOffsets:
             world = gt.trajectories[object_id - 1]
             sensor_centers = []
             for k in range(config.n_scans):
-                members = gt.instance[k] == object_id
-                sensor_centers.append(gt.centers[k][members][0])
+                members = gt.instance == object_id
+                sensor_centers.append(gt.scan_truth(k, small_scene.scans[k].points)[1][members][0])
             recovered = [
                 small_scene.poses[k].apply(sensor_centers[k]) for k in range(config.n_scans)
             ]
@@ -254,19 +268,19 @@ class TestNoisySemantics:
     def test_zero_rate_equals_ground_truth(self, small_scene):
         priors = _noisy_priors(small_scene.scans, small_scene.poses, small_scene.gt, 0.0, seed=9)
         for k, prior in enumerate(priors):
-            assert np.array_equal(argmax_labels(prior.matrix), small_scene.gt.semantic[k])
+            assert np.array_equal(argmax_labels(prior.matrix), small_scene.gt.semantic)
 
     def test_rate_one_flips_everything(self, small_scene):
         priors = _noisy_priors(small_scene.scans, small_scene.poses, small_scene.gt, 1.0, seed=9)
         for k, prior in enumerate(priors):
-            assert (argmax_labels(prior.matrix) != small_scene.gt.semantic[k]).all()
+            assert (argmax_labels(prior.matrix) != small_scene.gt.semantic).all()
 
     def test_empirical_flip_rate(self):
         config = SceneConfig(n_scans=5, points_per_scan=20000, n_objects=0, seed=10)
         scans, poses, gt = generate(config)
         priors = _noisy_priors(scans, poses, gt, 0.3, seed=11)
         flips = sum(
-            int((argmax_labels(p.matrix) != gt.semantic[k]).sum()) for k, p in enumerate(priors)
+            int((argmax_labels(p.matrix) != gt.semantic).sum()) for p in priors
         )
         rate = flips / (5 * 20000)
         assert abs(rate - 0.3) < 0.01
@@ -320,8 +334,9 @@ class TestNoisyOffsets:
 
     def test_noisy_field_raises_center_loss(self, small_scene):
         window = (0, 3)
-        cloud = aggregate(small_scene.scans, small_scene.poses, small_scene.gt.semantic, window)
-        thing = np.concatenate(small_scene.gt.instance[:3]) > 0
+        labels = [small_scene.gt.semantic] * len(small_scene.scans)
+        cloud = aggregate(small_scene.scans, small_scene.poses, labels, window)
+        thing = np.tile(small_scene.gt.instance, 3) > 0
         true_centers = cloud.positions + oracle_offsets(
             small_scene.scans, small_scene.poses, small_scene.gt, window
         )
@@ -342,8 +357,8 @@ class TestDatasetRoundTrip:
             assert np.array_equal(back.points, scan.points)
             assert np.array_equal(back.feature, scan.feature)
             labels = sk_formats.read_labels(seq_dir / "labels" / f"{k:06d}.label", len(scan))
-            assert np.array_equal(labels.instance_id, small_dataset.gt.instance[k])
-            raw = class_map.train_to_raw[small_dataset.gt.semantic[k]]
+            assert np.array_equal(labels.instance_id, small_dataset.gt.instance)
+            raw = class_map.train_to_raw[small_dataset.gt.semantic]
             assert np.array_equal(labels.semantic_raw, raw)
 
     def test_poses_chain_back_to_lidar_frame(self, small_dataset):
@@ -375,7 +390,7 @@ class TestOracleProvider:
     def test_one_hot_prior_matches_ground_truth(self, small_scene):
         provider = self._provider(small_scene)
         prior = provider.semantic_prior(0, small_scene.scans[0].points)
-        assert np.array_equal(argmax_labels(prior.matrix), small_scene.gt.semantic[0])
+        assert np.array_equal(argmax_labels(prior.matrix), small_scene.gt.semantic)
 
     def test_window_offsets_match_module_functions(self, small_scene):
         # Sensor-frame offsets read once and rotated per window are the bits
@@ -393,7 +408,8 @@ class TestOracleProvider:
         provider = self._provider(small_scene, offset_sigma=sigma, noise_seed=21)
         scan_offsets = [provider.scan_inputs(k, scan.points).offsets for k, scan in enumerate(scans)]
         noisy = [
-            gt.centers[k] - scan.points + keyed_rng(21, _STREAM_OFFSET_NOISE, k).normal(0.0, sigma, scan.points.shape)
+            instance_centers(scan.points, gt.instance) - scan.points
+            + keyed_rng(21, _STREAM_OFFSET_NOISE, k).normal(0.0, sigma, scan.points.shape)
             for k, scan in enumerate(scans)
         ]
         for start, n in windows:
@@ -410,7 +426,7 @@ class TestOracleProvider:
             labels = provider.scan_inputs(k, scan.points).labels
             assert labels.dtype == np.int64
             assert np.array_equal(labels, argmax_labels(provider.semantic_prior(k, scan.points).matrix))
-            assert (labels != small_scene.gt.semantic[k]).any() == (flip_prob > 0)
+            assert (labels != small_scene.gt.semantic).any() == (flip_prob > 0)
 
     def test_validation(self, small_scene):
         with pytest.raises(ConfigError):
@@ -449,18 +465,17 @@ class TestInstanceCenters:
     def test_matches_contiguous_slice_loop_bit_for_bit(self, scene):
         scans, _, gt = generate(scene)
         for k, scan in enumerate(scans):
-            want = contiguous_centers(scan.points, gt.instance[k])
-            got = instance_centers(scan.points, gt.instance[k])
-            assert got.tobytes() == want.tobytes()
-            assert gt.centers[k].tobytes() == want.tobytes()
+            want = contiguous_centers(scan.points, gt.instance)
+            assert instance_centers(scan.points, gt.instance).tobytes() == want.tobytes()
+            assert gt.scan_truth(k, scan.points)[1].tobytes() == want.tobytes()
 
     def test_row_shuffled_scan_gives_each_row_its_centroid(self, small_scene):
         rng = np.random.default_rng(31)
         for k, scan in enumerate(small_scene.scans):
             order = rng.permutation(len(scan))
-            points, instance = scan.points[order], small_scene.gt.instance[k][order]
+            points, instance = scan.points[order], small_scene.gt.instance[order]
             got = instance_centers(points, instance)
-            assert np.abs(got - contiguous_centers(scan.points, small_scene.gt.instance[k])[order]).max() < 1e-12
+            assert np.abs(got - contiguous_centers(scan.points, small_scene.gt.instance)[order]).max() < 1e-12
             stuff = instance == 0
             assert np.array_equal(got[stuff], points[stuff])
 
@@ -474,8 +489,8 @@ class TestDatasetTruth:
         truth = DatasetTruth(small_dataset.root / "00", class_map)
         for k, scan in enumerate(small_dataset.scans):
             semantic, centers = truth.scan_truth(k, scan.points)
-            assert np.array_equal(semantic, small_dataset.gt.semantic[k])
-            assert centers.tobytes() == small_dataset.gt.centers[k].tobytes()
+            assert np.array_equal(semantic, small_dataset.gt.semantic)
+            assert centers.tobytes() == small_dataset.gt.scan_truth(k, scan.points)[1].tobytes()
         window = (1, 3)
         assert np.array_equal(
             provider_window_offsets(small_dataset.scans, small_dataset.poses, truth, window, 0.2, seed=4),
