@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from panseg4d.pipeline_cli import PipelineConfig, segment_sequence
+from panseg4d.pipeline_cli import PipelineConfig, evaluate_directories, segment_sequence
 from panseg4d.synthlab import generate, write_dataset
 
 CLEAN = {"flip_prob": 0.0, "offset_sigma": 0.0, "noise_seed": 0}
@@ -72,3 +72,53 @@ def test_reference_scene_poses_file_is_pinned(reference_dataset, reference_scene
     turning = replace(reference_scene, ego_waypoints=TURNING_PATH)
     seq_dir = write_dataset(tmp_path, "00", *generate(turning), class_map)
     assert hashlib.sha256((seq_dir / "poses.txt").read_bytes()).hexdigest() == TURNING_POSES_DIGEST
+
+
+# Evaluate's output on the reference scene: the sha256 of each report file
+# and every GT tube's association term, exact, in tube_terms order.
+# (noise, window_n, {report file: digest}, tube_terms items).
+REPORTS = [
+    (CLEAN, 2, {
+        "report_00.kv": "7933273fd533f342cc5357bec142787c3826143a7facce21142e1347fa171768",
+        "report_00.txt": "d44046acb10f8959e41b00d74545faafefd0301ea852ef82ee8fa14e92ea7e89",
+        "report_overall.kv": "7933273fd533f342cc5357bec142787c3826143a7facce21142e1347fa171768",
+        "report_overall.txt": "d44046acb10f8959e41b00d74545faafefd0301ea852ef82ee8fa14e92ea7e89",
+    }, [(1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0), (5, 1.0), (6, 1.0)]),
+    (NOISY, 2, {
+        "report_00.kv": "6928229baee5c5fc66e4158bc3446e4cc0ca527f89a7ee9022b98e91289f2dd4",
+        "report_00.txt": "82a4e81f94b010477a02c994121e7bfdde97995ccaa9bdd5192fda711b0ca287",
+        "report_overall.kv": "6928229baee5c5fc66e4158bc3446e4cc0ca527f89a7ee9022b98e91289f2dd4",
+        "report_overall.txt": "82a4e81f94b010477a02c994121e7bfdde97995ccaa9bdd5192fda711b0ca287",
+    }, [(1, 0.002279171920601938), (2, 0.013143903591682419), (3, 0.022744569555355077),
+        (4, 0.00481859410430839), (5, 0.0024691358024691358), (6, 0.02240724721261053)]),
+    (NOISY, 4, {
+        "report_00.kv": "fc8a6b4f6a924f134707c242fc2b3bdbde66a6a4b888ec7b6cf2a57c79869f42",
+        "report_00.txt": "7d15d51843bf15fca682ce35abb7129d5d0c84e39bd1bad6ff6091c9e3bd99e0",
+        "report_overall.kv": "fc8a6b4f6a924f134707c242fc2b3bdbde66a6a4b888ec7b6cf2a57c79869f42",
+        "report_overall.txt": "7d15d51843bf15fca682ce35abb7129d5d0c84e39bd1bad6ff6091c9e3bd99e0",
+    }, [(1, 0.0031257214911112295), (2, 0.002592680109220752), (3, 0.026894205174468465),
+        (4, 0.007630385487528344), (5, 0.014938271604938274), (6, 0.016640234525182623)]),
+]
+
+
+@pytest.mark.parametrize(
+    "noise, window_n, digests, tube_terms",
+    REPORTS,
+    ids=[f"{'clean' if noise is CLEAN else 'noisy'}-n{n}" for noise, n, _, _ in REPORTS],
+)
+def test_reference_scene_reports_are_pinned(
+    reference_dataset, class_map, tmp_path, noise, window_n, digests, tube_terms
+):
+    config = PipelineConfig(
+        dataset_root=reference_dataset.root,
+        out_dir=tmp_path,
+        window_n=window_n,
+        source="oracle",
+        scene_config=reference_dataset.scene_path,
+        **noise,
+    )
+    segment_sequence(config, "00")
+    reports, _ = evaluate_directories(tmp_path, reference_dataset.root, ("00",), class_map, tmp_path / "rep")
+    got = {name: hashlib.sha256((tmp_path / "rep" / name).read_bytes()).hexdigest() for name in digests}
+    assert got == digests
+    assert list(reports["00"].tube_terms.items()) == tube_terms
