@@ -53,5 +53,5 @@ from .proposal_engine import (
     huber_center_loss,
 )
 from .window_tracker import TrackState, WindowSegmentation, shared_rows, stitch
-from .lstq_eval import LSTQReport, SequenceEvaluator, s_cls, s_assoc, lstq, evaluate_sequence
+from .lstq_eval import LSTQReport, SequenceEvaluator, s_assoc, lstq
 from .synthlab import SceneConfig, GroundTruth, OracleProvider, generate, oracle_offsets

@@ -20,6 +20,24 @@ happen only at report time, so accumulation is exact and scans may be
 counted in any association-friendly order (per-scan counts are associative
 and commutative).
 
+Every count goes through one core, :meth:`EvalCounts.count_scan`:
+
+* Each point has a ground-truth and a predicted histogram row: its train
+  id, row C for ids folded to IGNORE, row C+1 for raw ids absent from the
+  class map. :class:`SequenceEvaluator` takes a scan's packed ``.label``
+  words and finds the rows through one 65,536-entry table
+  (:func:`class_rows`). One ``bincount`` of gt_row * (C+2) + pred_row gives
+  the confusion counts, and its row and column C+1 give each file's count
+  of unknown raw ids.
+* The scored points that lie in a GT thing tube or carry a predicted id are
+  sorted once by (GT tube id or 0, predicted id). Its runs are the
+  intersections; summed per half, they give the GT and predicted tube
+  sizes. New keys enter the dicts in ascending order within a scan and
+  first-seen order across scans, so per-tube terms sum in a fixed order.
+
+:class:`AssociationAccumulator` and :func:`s_assoc` take train ids and map
+them onto the same rows.
+
 A report over several sequences (``pool_reports``) is pooled from the
 sequences' own reports, so each scan is counted once, into its sequence's
 evaluator. The confusion matrices add up, and S_assoc is the sum of every
@@ -32,17 +50,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import IdOutOfRange, IdOverflow, LengthMismatch
 from .semantic_prior import IGNORE, ClassMap
+from .sk_formats import MAX_ID
 
 
 @dataclass
 class EvalCounts:
-    """Raw confusion and tube totals kept for audit.
+    """Raw confusion and tube totals kept for audit, and the one place they are counted.
 
     ``confusion[g, p]`` counts points with ground-truth class g and
     predicted class p; column C collects predictions that are IGNORE or out
@@ -58,6 +77,77 @@ class EvalCounts:
     @property
     def n_gt_tubes(self) -> int:
         return len(self.gt_tube_sizes)
+
+    def count_scan(self, tube_rows, gt_row, pred_row, gt_inst, pred_inst) -> np.ndarray:
+        """Add one scan; returns its (K, K) histogram of (gt row, pred row).
+
+        Rows 0..C-1 are train ids, row C holds ids the map folds to IGNORE
+        and row C+1 raw ids absent from the map (K = C + 2 =
+        ``len(tube_rows)``); ground-truth rows C and C+1 are not scored.
+        ``tube_rows[r]`` says whether a nonzero ground-truth instance id on
+        row r marks a tube point. Instance ids are unsigned 16-bit (0 = no
+        instance). The confusion matrix is the histogram's scored rows; the
+        tube sizes and intersections come from one sort of the scan's
+        scored points that are in a GT tube or a predicted instance, keyed
+        by (GT tube id or 0, predicted id). New keys enter the dicts in
+        ascending order within the scan.
+        """
+        k = len(tube_rows)
+        c = k - 2
+        hist = np.bincount(gt_row * k + pred_row, minlength=k * k).reshape(k, k)
+        self.confusion[:, :c] += hist[:c, :c]
+        self.confusion[:, c] += hist[:c, c:].sum(axis=1)
+
+        tube = np.take(tube_rows, gt_row) & (gt_inst > 0)
+        keep = tube | ((pred_inst > 0) & (gt_row < c))
+        keys = np.where(tube[keep], gt_inst[keep] << 16, 0) | pred_inst[keep]
+        keys.sort()
+        pairs, shared = _run_totals(keys)
+        gids, pids = pairs >> 16, pairs & 0xFFFF
+        in_tube, claimed = gids > 0, pids > 0
+        tube_ids, tube_sizes = _run_totals(gids[in_tube], shared[in_tube])
+        _add_counts(self.gt_tube_sizes, tube_ids.tolist(), tube_sizes)
+        order = np.argsort(pids[claimed], kind="stable")
+        pred_ids, pred_sizes = _run_totals(pids[claimed][order], shared[claimed][order])
+        _add_counts(self.pred_tube_sizes, pred_ids.tolist(), pred_sizes)
+        both = in_tube & claimed
+        pair_keys = list(zip(gids[both].tolist(), pids[both].tolist()))
+        _add_counts(self.intersections, pair_keys, shared[both])
+        return hist
+
+    def tube_terms(self) -> dict:
+        """Each GT tube's term (1/|t|) sum_s |s and t| IoU(s, t), in first-seen order."""
+        per_tube_sum = {gid: 0.0 for gid in self.gt_tube_sizes}
+        for (gid, pid), shared in self.intersections.items():
+            union = self.gt_tube_sizes[gid] + self.pred_tube_sizes[pid] - shared
+            per_tube_sum[gid] += shared * (shared / union)
+        return {gid: per_tube_sum[gid] / size for gid, size in self.gt_tube_sizes.items()}
+
+
+def _run_totals(values: np.ndarray, weights: np.ndarray | None = None):
+    """Each distinct value of sorted ``values`` and the summed ``weights`` of
+    its run (the run's length without weights)."""
+    if not len(values):
+        return values, np.zeros(0, dtype=np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    if weights is None:
+        totals = np.diff(starts, append=len(values))
+    else:
+        totals = np.add.reduceat(weights, starts)
+    return values[starts], totals
+
+
+def _add_counts(into: dict, keys: list, counts: np.ndarray) -> None:
+    for key, count in zip(keys, counts.tolist()):
+        into[key] = into.get(key, 0) + count
+
+
+def class_rows(class_map: ClassMap) -> np.ndarray:
+    """Histogram row of every 16-bit raw semantic id: its train id, C where
+    the map folds it to IGNORE, C + 1 where the map does not list it."""
+    c = class_map.n_classes
+    rows = np.where(class_map.raw_to_train == IGNORE, c, class_map.raw_to_train)
+    return np.where(class_map.known_raw, rows, c + 1).astype(np.int16)
 
 
 @dataclass(frozen=True)
@@ -89,6 +179,13 @@ class LSTQReport:
             lines.append(f"iou.{name}: {100.0 * self.per_class_iou[index]:.2f}")
         return "\n".join(lines) + "\n"
 
+    def as_tube_lines(self) -> str:
+        """One line per GT tube in ``tube_terms`` order: id, points, term."""
+        lines = ["# gt_tube points term"]
+        for gid, term in self.tube_terms.items():
+            lines.append(f"{gid} {self.counts.gt_tube_sizes[gid]} {term:.6f}")
+        return "\n".join(lines) + "\n"
+
     def as_table(self, names: Sequence[str], thing_mask: np.ndarray) -> str:
         rows = [
             "metric            value",
@@ -118,7 +215,8 @@ def lstq(s_cls_value: float, s_assoc_value: float) -> float:
 
 
 class AssociationAccumulator:
-    """Streaming class-agnostic tube counts for the association score.
+    """Streaming class-agnostic tube counts for the association score, from
+    train ids; counted by :meth:`EvalCounts.count_scan`.
 
     ``thing_mask`` restricts ground-truth tubes to thing classes; with None
     every nonzero ground-truth id forms a tube (the dataset convention is
@@ -126,50 +224,53 @@ class AssociationAccumulator:
     """
 
     def __init__(self, thing_mask: np.ndarray | None = None):
-        self.thing_mask = None if thing_mask is None else np.asarray(thing_mask, dtype=bool)
-        self.gt_tube_sizes: dict[int, int] = {}
-        self.pred_tube_sizes: dict[int, int] = {}
-        self.intersections: dict[tuple[int, int], int] = {}
+        mask = np.ones(1, dtype=bool) if thing_mask is None else np.asarray(thing_mask, dtype=bool)
+        self.every_class_is_thing = thing_mask is None
+        self.tube_rows = np.concatenate([mask, [False, False]])
+        self.counts = EvalCounts(np.zeros((len(mask), len(mask) + 1), dtype=np.int64))
 
     def add_scan(self, pred_inst, gt_inst, gt_sem) -> None:
-        pred_inst = np.asarray(pred_inst, dtype=np.int64).reshape(-1)
-        gt_inst = np.asarray(gt_inst, dtype=np.int64).reshape(-1)
-        gt_sem = np.asarray(gt_sem, dtype=np.int64).reshape(-1)
+        pred_inst, gt_inst, gt_sem = _flat(pred_inst), _flat(gt_inst), _flat(gt_sem)
         if not (len(pred_inst) == len(gt_inst) == len(gt_sem)):
             raise LengthMismatch(
                 f"{len(pred_inst)} pred vs {len(gt_inst)} gt instances vs {len(gt_sem)} gt labels"
             )
-        valid = gt_sem != IGNORE
-        pred_inst, gt_inst, gt_sem = pred_inst[valid], gt_inst[valid], gt_sem[valid]
-
-        gt_tube = gt_inst > 0
-        if self.thing_mask is not None:
-            in_range = (gt_sem >= 0) & (gt_sem < len(self.thing_mask))
-            gt_tube &= in_range & self.thing_mask[np.clip(gt_sem, 0, len(self.thing_mask) - 1)]
-
-        for gid, count in zip(*np.unique(gt_inst[gt_tube], return_counts=True)):
-            self.gt_tube_sizes[int(gid)] = self.gt_tube_sizes.get(int(gid), 0) + int(count)
-        pred_tube = pred_inst > 0
-        for pid, count in zip(*np.unique(pred_inst[pred_tube], return_counts=True)):
-            self.pred_tube_sizes[int(pid)] = self.pred_tube_sizes.get(int(pid), 0) + int(count)
-        both = gt_tube & pred_tube
-        if both.any():
-            keys = gt_inst[both] << np.int64(32) | pred_inst[both]
-            for key, count in zip(*np.unique(keys, return_counts=True)):
-                pair = (int(key >> 32), int(key & 0xFFFFFFFF))
-                self.intersections[pair] = self.intersections.get(pair, 0) + int(count)
+        if self.every_class_is_thing:
+            gt_sem = np.where(gt_sem == IGNORE, IGNORE, 0)
+        gt_row = _gt_rows(gt_sem, len(self.tube_rows) - 2)
+        self.counts.count_scan(
+            self.tube_rows, gt_row, np.zeros_like(gt_row),
+            _instance_ids(gt_inst), _instance_ids(pred_inst),
+        )
 
     def tube_terms(self) -> dict[int, float]:
-        """Each GT tube's term (1/|t|) sum_s |s and t| IoU(s, t), in first-seen order."""
-        per_tube_sum = {gid: 0.0 for gid in self.gt_tube_sizes}
-        for (gid, pid), shared in self.intersections.items():
-            union = self.gt_tube_sizes[gid] + self.pred_tube_sizes[pid] - shared
-            per_tube_sum[gid] += shared * (shared / union)
-        return {gid: per_tube_sum[gid] / size for gid, size in self.gt_tube_sizes.items()}
+        return self.counts.tube_terms()
 
     def score(self) -> tuple[float, bool]:
         """(association score, vacuous flag); 1.0 when there are no GT tubes."""
         return _assoc_score(self.tube_terms())
+
+
+def _flat(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64).reshape(-1)
+
+
+def _gt_rows(train_ids: np.ndarray, n_classes: int) -> np.ndarray:
+    """Histogram rows of ground-truth train ids: IGNORE goes to row C, and
+    any other id outside [0, C) raises ``IdOutOfRange``."""
+    ignored = train_ids == IGNORE
+    bad = ~ignored & ((train_ids < 0) | (train_ids >= n_classes))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise IdOutOfRange(f"gt train id {int(train_ids[i])} at point {i} outside [0, {n_classes})")
+    return np.where(ignored, n_classes, train_ids).astype(np.intp)
+
+
+def _instance_ids(ids: np.ndarray) -> np.ndarray:
+    """Instance ids as the label format's unsigned 16 bits; ids <= 0 mean none."""
+    if ids.size and ids.max() > MAX_ID:
+        raise IdOverflow(f"instance id {int(ids.max())} exceeds 16 bits")
+    return np.maximum(ids, 0).astype(np.uint32)
 
 
 def _assoc_score(tube_terms: dict) -> tuple[float, bool]:
@@ -179,75 +280,70 @@ def _assoc_score(tube_terms: dict) -> tuple[float, bool]:
     return sum(tube_terms.values()) / len(tube_terms), False
 
 
-class IoUAccumulator:
-    """Streaming confusion counts for per-class IoU over a sequence."""
+def class_scores(
+    confusion: np.ndarray, thing_mask: np.ndarray
+) -> tuple[float, np.ndarray, float, float, np.ndarray]:
+    """(s_cls, per-class IoU, IoU over things, IoU over stuff, present mask).
 
-    def __init__(self, n_classes: int):
-        self.n_classes = n_classes
-        self.confusion = np.zeros((n_classes, n_classes + 1), dtype=np.int64)
+    A class enters a mean iff it appears in the ground truth or the
+    prediction (TP + FP + FN > 0); absent classes have undefined IoU and
+    are excluded rather than scored 0 or 1.
+    """
+    n_classes = len(confusion)
+    tp = np.diag(confusion[:, :n_classes]).astype(np.float64)
+    fp = confusion[:, :n_classes].sum(axis=0) - tp
+    fn = confusion.sum(axis=1) - tp
+    denom = tp + fp + fn
+    present = denom > 0
+    iou = np.zeros(n_classes, dtype=np.float64)
+    iou[present] = tp[present] / denom[present]
 
-    def add_scan(self, pred_sem, gt_sem) -> None:
-        pred_sem = np.asarray(pred_sem, dtype=np.int64).reshape(-1)
-        gt_sem = np.asarray(gt_sem, dtype=np.int64).reshape(-1)
-        if len(pred_sem) != len(gt_sem):
-            raise LengthMismatch(f"{len(pred_sem)} pred vs {len(gt_sem)} gt labels")
-        valid = gt_sem != IGNORE
-        gt = gt_sem[valid]
-        pred = pred_sem[valid]
-        pred_col = np.where((pred >= 0) & (pred < self.n_classes), pred, self.n_classes)
-        flat = gt * (self.n_classes + 1) + pred_col
-        counts = np.bincount(flat, minlength=self.n_classes * (self.n_classes + 1))
-        self.confusion += counts.reshape(self.n_classes, self.n_classes + 1)
+    def mean_over(mask: np.ndarray) -> float:
+        chosen = present & mask
+        return float(iou[chosen].mean()) if chosen.any() else 0.0
 
-    def results(self, thing_mask: np.ndarray) -> tuple[float, np.ndarray, float, float, np.ndarray]:
-        """(s_cls, per-class IoU, IoU over things, IoU over stuff, present mask).
-
-        A class enters a mean iff it appears in the ground truth or the
-        prediction (TP + FP + FN > 0); absent classes have undefined IoU and
-        are excluded rather than scored 0 or 1.
-        """
-        tp = np.diag(self.confusion[:, : self.n_classes]).astype(np.float64)
-        fp = self.confusion[:, : self.n_classes].sum(axis=0) - tp
-        fn = self.confusion.sum(axis=1) - tp
-        denom = tp + fp + fn
-        present = denom > 0
-        iou = np.zeros(self.n_classes, dtype=np.float64)
-        iou[present] = tp[present] / denom[present]
-
-        def mean_over(mask: np.ndarray) -> float:
-            chosen = present & mask
-            return float(iou[chosen].mean()) if chosen.any() else 0.0
-
-        all_classes = np.ones(self.n_classes, dtype=bool)
-        return (
-            mean_over(all_classes),
-            iou,
-            mean_over(np.asarray(thing_mask, dtype=bool)),
-            mean_over(~np.asarray(thing_mask, dtype=bool)),
-            present,
-        )
+    all_classes = np.ones(n_classes, dtype=bool)
+    return (
+        mean_over(all_classes),
+        iou,
+        mean_over(np.asarray(thing_mask, dtype=bool)),
+        mean_over(~np.asarray(thing_mask, dtype=bool)),
+        present,
+    )
 
 
 class SequenceEvaluator:
-    """Joint streaming evaluator producing a full report."""
+    """Streaming evaluator of one sequence from packed ``.label`` words.
+
+    Each word's low 16 bits are mapped to a histogram row through one table
+    (:func:`class_rows`), its high 16 bits are the instance id, and the scan
+    is counted once by :meth:`EvalCounts.count_scan`.
+    """
 
     def __init__(self, class_map: ClassMap):
         self.class_map = class_map
-        self.iou = IoUAccumulator(class_map.n_classes)
-        self.assoc = AssociationAccumulator(class_map.thing_mask)
+        self.rows = class_rows(class_map)
+        self.tube_rows = np.concatenate([class_map.thing_mask, [False, False]])
+        c = class_map.n_classes
+        self.counts = EvalCounts(np.zeros((c, c + 1), dtype=np.int64))
 
-    def add_scan(self, pred_sem, pred_inst, gt_sem, gt_inst) -> None:
-        self.iou.add_scan(pred_sem, gt_sem)
-        self.assoc.add_scan(pred_inst, gt_inst, gt_sem)
+    def add_scan(self, pred_words, gt_words) -> tuple[int, int]:
+        """Count one scan of uint32 label words; returns how many (prediction,
+        ground-truth) labels carry a raw id absent from the class map."""
+        if len(pred_words) != len(gt_words):
+            raise LengthMismatch(f"{len(pred_words)} pred vs {len(gt_words)} gt labels")
+        hist = self.counts.count_scan(
+            self.tube_rows,
+            np.take(self.rows, gt_words & 0xFFFF),
+            np.take(self.rows, pred_words & 0xFFFF),
+            gt_words >> 16,
+            pred_words >> 16,
+        )
+        unknown = self.class_map.n_classes + 1
+        return int(hist[:, unknown].sum()), int(hist[unknown].sum())
 
     def report(self) -> LSTQReport:
-        counts = EvalCounts(
-            confusion=self.iou.confusion,
-            gt_tube_sizes=self.assoc.gt_tube_sizes,
-            pred_tube_sizes=self.assoc.pred_tube_sizes,
-            intersections=self.assoc.intersections,
-        )
-        return _build_report(self.iou, self.assoc.tube_terms(), counts, self.class_map)
+        return _build_report(self.counts, self.counts.tube_terms(), self.class_map)
 
 
 def pool_reports(reports: Mapping[str, LSTQReport], class_map: ClassMap) -> LSTQReport:
@@ -260,11 +356,11 @@ def pool_reports(reports: Mapping[str, LSTQReport], class_map: ClassMap) -> LSTQ
     scores are that sequence's own, bit for bit: the same sums in the same
     order.
     """
-    iou = IoUAccumulator(class_map.n_classes)
+    c = class_map.n_classes
     terms: dict[tuple[str, int], float] = {}
-    counts = EvalCounts(confusion=iou.confusion)
+    counts = EvalCounts(confusion=np.zeros((c, c + 1), dtype=np.int64))
     for sequence, report in reports.items():
-        iou.confusion += report.counts.confusion
+        counts.confusion += report.counts.confusion
         terms.update(((sequence, gid), term) for gid, term in report.tube_terms.items())
         for key, size in report.counts.gt_tube_sizes.items():
             counts.gt_tube_sizes[sequence, key] = size
@@ -272,13 +368,13 @@ def pool_reports(reports: Mapping[str, LSTQReport], class_map: ClassMap) -> LSTQ
             counts.pred_tube_sizes[sequence, key] = size
         for (gid, pid), shared in report.counts.intersections.items():
             counts.intersections[(sequence, gid), (sequence, pid)] = shared
-    return _build_report(iou, terms, counts, class_map)
+    return _build_report(counts, terms, class_map)
 
 
-def _build_report(
-    iou: IoUAccumulator, tube_terms: dict, counts: EvalCounts, class_map: ClassMap
-) -> LSTQReport:
-    s_cls_value, per_class, iou_th, iou_st, present = iou.results(class_map.thing_mask)
+def _build_report(counts: EvalCounts, tube_terms: dict, class_map: ClassMap) -> LSTQReport:
+    s_cls_value, per_class, iou_th, iou_st, present = class_scores(
+        counts.confusion, class_map.thing_mask
+    )
     s_assoc_value, vacuous = _assoc_score(tube_terms)
     return LSTQReport(
         s_cls=s_cls_value,
@@ -294,36 +390,14 @@ def _build_report(
     )
 
 
-def _scan_pairs(labels) -> Iterable[tuple[np.ndarray, np.ndarray]]:
-    for sem, inst in labels:
-        yield np.asarray(sem), np.asarray(inst)
-
-
-def s_cls(pred, gt, class_map: ClassMap) -> tuple[float, np.ndarray, float, float]:
-    """Classification score of aligned label sequences.
+def s_assoc(pred, gt, thing_mask: np.ndarray | None = None) -> float:
+    """Association score of aligned label sequences (class-agnostic).
 
     ``pred`` and ``gt`` are sequences of (semantic, instance) per-scan
     array pairs with train ids (IGNORE allowed in gt).
     """
-    acc = IoUAccumulator(class_map.n_classes)
-    for (pred_sem, _), (gt_sem, _) in zip(_scan_pairs(pred), _scan_pairs(gt), strict=True):
-        acc.add_scan(pred_sem, gt_sem)
-    value, iou, iou_th, iou_st, _ = acc.results(class_map.thing_mask)
-    return value, iou, iou_th, iou_st
-
-
-def s_assoc(pred, gt, thing_mask: np.ndarray | None = None) -> float:
-    """Association score of aligned label sequences (class-agnostic)."""
     acc = AssociationAccumulator(thing_mask)
-    for (_, pred_inst), (gt_sem, gt_inst) in zip(_scan_pairs(pred), _scan_pairs(gt), strict=True):
+    for (_, pred_inst), (gt_sem, gt_inst) in zip(pred, gt, strict=True):
         acc.add_scan(pred_inst, gt_inst, gt_sem)
     value, _ = acc.score()
     return value
-
-
-def evaluate_sequence(pred, gt, class_map: ClassMap) -> LSTQReport:
-    """Full report for aligned prediction / ground-truth label sequences."""
-    evaluator = SequenceEvaluator(class_map)
-    for (pred_sem, pred_inst), (gt_sem, gt_inst) in zip(_scan_pairs(pred), _scan_pairs(gt), strict=True):
-        evaluator.add_scan(pred_sem, pred_inst, gt_sem, gt_inst)
-    return evaluator.report()

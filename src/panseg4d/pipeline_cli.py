@@ -34,6 +34,7 @@ import logging
 import os
 import sys
 import time
+import warnings
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
@@ -44,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sk_formats
-from .errors import ConfigError, CountMismatch, PipelineError
+from .errors import ConfigError, CountMismatch, PipelineError, UnknownRawIdWarning
 from .lstq_eval import LSTQReport, SequenceEvaluator, lstq, pool_reports
 from .proposal_engine import (
     DEFAULT_DBSCAN_EPS_M,
@@ -62,7 +63,7 @@ from .proposal_engine import (
     shift_to_centers,
 )
 from .scan_aggregator import aggregate, lidar_poses_from_camera_poses
-from .semantic_prior import IGNORE, ClassMap, FileProvider, check_scan_inputs, remap
+from .semantic_prior import IGNORE, ClassMap, FileProvider, check_scan_inputs
 from .synthlab import DatasetTruth, OracleProvider, SceneConfig, generate, write_dataset
 from .window_tracker import MAX_GLOBAL_ID, TrackState, WindowSegmentation, shared_rows, stitch
 
@@ -431,8 +432,12 @@ def evaluate_directories(
 ) -> tuple[dict[str, LSTQReport], LSTQReport]:
     """Score predictions per sequence, plus a report pooled over the sequences.
 
-    Each scan is read and counted once, into its sequence's evaluator; the
-    overall report is pooled from the sequences' counts (``pool_reports``).
+    Each scan's two label files are read once as packed words and counted
+    once, into its sequence's evaluator; the overall report is pooled from
+    the sequences' counts (``pool_reports``). Each file holding raw ids
+    absent from the class map gets one ``UnknownRawIdWarning`` naming it.
+    Writes ``report_<seq>.kv``/``.txt``/``.tubes`` and
+    ``report_overall.kv``/``.txt`` under ``out_dir``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -450,19 +455,26 @@ def evaluate_directories(
             stem = Path(scan.path).stem
             gt_path = seq_dir / "labels" / f"{stem}.label"
             pred_path = pred_dir / f"{stem}.label"
-            if not pred_path.exists():
-                raise CountMismatch(f"missing prediction file {pred_path}")
-            gt = sk_formats.read_labels(gt_path, len(scan))
-            pred = sk_formats.read_labels(pred_path, len(scan))
-            gt_sem = remap(gt, class_map)
-            pred_sem = remap(pred, class_map)
-            evaluator.add_scan(pred_sem, pred.instance_id, gt_sem, gt.instance_id)
+            try:
+                pred = sk_formats.read_label_words(pred_path, len(scan))
+            except FileNotFoundError:
+                raise CountMismatch(f"missing prediction file {pred_path}") from None
+            gt = sk_formats.read_label_words(gt_path, len(scan))
+            pred_unknown, gt_unknown = evaluator.add_scan(pred, gt)
+            for path, unknown in ((gt_path, gt_unknown), (pred_path, pred_unknown)):
+                if unknown:
+                    warnings.warn(
+                        f"{path}: {unknown} label(s) with raw ids absent from the class map -> IGNORE",
+                        UnknownRawIdWarning,
+                        stacklevel=2,
+                    )
         report = evaluator.report()
         reports[sequence] = report
         (out_dir / f"report_{sequence}.kv").write_text(report.as_keyvalues(class_map.names))
         (out_dir / f"report_{sequence}.txt").write_text(
             report.as_table(class_map.names, class_map.thing_mask)
         )
+        (out_dir / f"report_{sequence}.tubes").write_text(report.as_tube_lines())
     overall_report = pool_reports(reports, class_map)
     (out_dir / "report_overall.kv").write_text(overall_report.as_keyvalues(class_map.names))
     (out_dir / "report_overall.txt").write_text(

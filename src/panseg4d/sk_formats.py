@@ -204,12 +204,10 @@ def write_scan(path, scan: PointCloudScan) -> None:
     Path(path).write_bytes(arr.tobytes())
 
 
-def read_labels(path, expected_count: int) -> LabelArray:
-    """Decode a ``.label`` file of exactly ``expected_count`` records.
-
-    Each record is one little-endian uint32 word ``w`` with
-    ``semantic_raw = w & 0xFFFF`` and ``instance_id = w >> 16``.
-    """
+def read_label_words(path, expected_count: int) -> np.ndarray:
+    """A ``.label`` file of exactly ``expected_count`` records as its packed
+    uint32 words, undecoded (``semantic_raw = w & 0xFFFF``,
+    ``instance_id = w >> 16``)."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) != LABEL_RECORD_BYTES * expected_count:
@@ -217,7 +215,16 @@ def read_labels(path, expected_count: int) -> LabelArray:
             f"{path}: {len(raw)} bytes, expected {LABEL_RECORD_BYTES * expected_count} "
             f"({expected_count} records)"
         )
-    words = np.frombuffer(raw, dtype=_U32LE).astype(np.int64)
+    return np.frombuffer(raw, dtype=_U32LE)
+
+
+def read_labels(path, expected_count: int) -> LabelArray:
+    """Decode a ``.label`` file of exactly ``expected_count`` records.
+
+    Each record is one little-endian uint32 word ``w`` with
+    ``semantic_raw = w & 0xFFFF`` and ``instance_id = w >> 16``.
+    """
+    words = read_label_words(path, expected_count).astype(np.int64)
     return LabelArray(semantic_raw=words & 0xFFFF, instance_id=words >> 16)
 
 

@@ -1,22 +1,25 @@
 """Metric arithmetic, the association score, and its exact-rational oracle."""
 
+import struct
+import tempfile
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from panseg4d.errors import LengthMismatch
+from panseg4d.errors import LengthMismatch, UnknownRawIdWarning
 from panseg4d.lstq_eval import (
     AssociationAccumulator,
     SequenceEvaluator,
-    evaluate_sequence,
     lstq,
     pool_reports,
     s_assoc,
-    s_cls,
 )
+from panseg4d.pipeline_cli import evaluate_directories
 from panseg4d.semantic_prior import IGNORE
 
 
@@ -59,6 +62,26 @@ def one_scan(pred_sem, pred_inst, gt_sem, gt_inst):
         [(np.asarray(pred_sem), np.asarray(pred_inst))],
         [(np.asarray(gt_sem), np.asarray(gt_inst))],
     )
+
+
+def words(train_sem, inst, class_map):
+    """Packed ``.label`` words of train ids (IGNORE as raw id 0) and instance ids."""
+    sem = np.asarray(train_sem, dtype=np.int64)
+    raw = np.where(sem == IGNORE, 0, class_map.train_to_raw[np.clip(sem, 0, None)])
+    return (np.asarray(inst, dtype=np.uint32) << 16) | raw.astype(np.uint32)
+
+
+def evaluate(pred, gt, class_map):
+    """``SequenceEvaluator``'s report over aligned (semantic, instance) train-id scans."""
+    evaluator = SequenceEvaluator(class_map)
+    for (pred_sem, pred_inst), (gt_sem, gt_inst) in zip(pred, gt, strict=True):
+        evaluator.add_scan(words(pred_sem, pred_inst, class_map), words(gt_sem, gt_inst, class_map))
+    return evaluator.report()
+
+
+def s_cls(pred, gt, class_map):
+    report = evaluate(pred, gt, class_map)
+    return report.s_cls, report.per_class_iou, report.iou_th, report.iou_st
 
 
 class TestSCls:
@@ -121,9 +144,8 @@ class TestSCls:
         assert np.array_equal(iou_a, iou_b)
 
     def test_length_mismatch(self, class_map):
-        pred, gt = one_scan(np.zeros(3), np.zeros(3), np.zeros(2), np.zeros(2))
         with pytest.raises(LengthMismatch):
-            s_cls(pred, gt, class_map)
+            SequenceEvaluator(class_map).add_scan(np.zeros(3, np.uint32), np.zeros(2, np.uint32))
 
 
 class TestSAssoc:
@@ -243,7 +265,7 @@ class TestEvaluateSequence:
             ids = np.where(class_map.thing_mask[sem], rng.integers(1, 4, 30), 0)
             pred.append((sem, ids))
             gt.append((sem, ids))
-        report = evaluate_sequence(pred, gt, class_map)
+        report = evaluate(pred, gt, class_map)
         assert report.lstq == 1.0
         assert report.s_cls == 1.0 and report.s_assoc == 1.0
 
@@ -257,7 +279,7 @@ class TestEvaluateSequence:
             pred_ids = rng.integers(0, 4, 50)
             pred.append((pred_sem, pred_ids))
             gt.append((gt_sem, gt_ids))
-        report = evaluate_sequence(pred, gt, class_map)
+        report = evaluate(pred, gt, class_map)
         assert abs(report.lstq - np.sqrt(report.s_cls * report.s_assoc)) < 1e-12
         assert 0.0 <= report.s_cls <= 1.0
         assert 0.0 <= report.s_assoc <= 1.0
@@ -265,7 +287,7 @@ class TestEvaluateSequence:
     def test_report_keyvalue_format(self, class_map):
         sem = np.array([0, 8])
         pred, gt = one_scan(sem, np.array([1, 0]), sem, np.array([1, 0]))
-        report = evaluate_sequence(pred, gt, class_map)
+        report = evaluate(pred, gt, class_map)
         text = report.as_keyvalues(class_map.names)
         assert "lstq: 100.00" in text
         assert "s_assoc: 100.00" in text
@@ -273,6 +295,8 @@ class TestEvaluateSequence:
         assert "iou.road: 100.00" in text
 
     def test_streaming_matches_batch(self, class_map):
+        # Counts are associative: four scans added one at a time count the
+        # same as their points added as one scan.
         rng = np.random.default_rng(5)
         scans = []
         for _ in range(4):
@@ -285,15 +309,16 @@ class TestEvaluateSequence:
                     np.where(class_map.thing_mask[gt_sem], rng.integers(0, 3, 25), 0),
                 )
             )
-        streaming = SequenceEvaluator(class_map)
-        for pred_sem, pred_inst, gt_sem, gt_inst in scans:
-            streaming.add_scan(pred_sem, pred_inst, gt_sem, gt_inst)
-        batch = evaluate_sequence(
-            [(s[0], s[1]) for s in scans], [(s[2], s[3]) for s in scans], class_map
+        streaming = evaluate([(s[0], s[1]) for s in scans], [(s[2], s[3]) for s in scans], class_map)
+        batch = evaluate(
+            [(np.concatenate([s[0] for s in scans]), np.concatenate([s[1] for s in scans]))],
+            [(np.concatenate([s[2] for s in scans]), np.concatenate([s[3] for s in scans]))],
+            class_map,
         )
-        got = streaming.report()
-        assert got.lstq == batch.lstq
-        assert np.array_equal(got.counts.confusion, batch.counts.confusion)
+        assert streaming.lstq == pytest.approx(batch.lstq, abs=1e-15)
+        assert np.array_equal(streaming.counts.confusion, batch.counts.confusion)
+        for name in ("gt_tube_sizes", "pred_tube_sizes", "intersections"):
+            assert getattr(streaming.counts, name) == getattr(batch.counts, name)
 
 
 class TestPoolReports:
@@ -311,7 +336,7 @@ class TestPoolReports:
     def test_pool_keeps_tubes_per_sequence_and_sums_confusion(self, class_map):
         rng = np.random.default_rng(11)
         sequences = {name: self._random_sequence(rng, class_map) for name in ("00", "01", "02")}
-        reports = {name: evaluate_sequence(pred, gt, class_map) for name, (pred, gt) in sequences.items()}
+        reports = {name: evaluate(pred, gt, class_map) for name, (pred, gt) in sequences.items()}
         pooled = pool_reports(reports, class_map)
         # Oracle: the sequences' ids shifted apart, so equal ids never meet.
         scans = [
@@ -322,7 +347,7 @@ class TestPoolReports:
         assert pooled.s_assoc == pytest.approx(float(assoc_rational_oracle(scans, class_map.thing_mask)), abs=1e-12)
         assert pooled.counts.n_gt_tubes == sum(r.counts.n_gt_tubes for r in reports.values())
         assert np.array_equal(pooled.counts.confusion, sum(r.counts.confusion for r in reports.values()))
-        everything = evaluate_sequence(
+        everything = evaluate(
             [scan for pred, _ in sequences.values() for scan in pred],
             [scan for _, gt in sequences.values() for scan in gt],
             class_map,
@@ -333,3 +358,135 @@ class TestPoolReports:
         pooled = pool_reports({}, class_map)
         assert pooled.assoc_vacuous and pooled.s_assoc == 1.0
         assert not pooled.class_present.any()
+
+
+# Raw ids the generated label files draw from: unlabelled (0) and another
+# id the map folds to IGNORE (52), thing ids (10 car, 30 person, 252 moving
+# car), stuff ids (40 road, 70 vegetation), and ids the map does not list.
+RAW_IDS = (0, 52, 10, 30, 252, 40, 70, 2, 1000, 65535)
+INSTANCE_IDS = (0, 1, 2, 65535)
+
+
+def label_points(n):
+    record = st.tuples(
+        st.sampled_from(RAW_IDS), st.sampled_from(INSTANCE_IDS),
+        st.sampled_from(RAW_IDS), st.sampled_from(INSTANCE_IDS),
+    )
+    return st.lists(record, min_size=n, max_size=n)
+
+
+# Per sequence, per scan: (gt raw, gt instance, pred raw, pred instance) per point.
+dataset_strategy = st.lists(
+    st.lists(st.integers(1, 12).flatmap(label_points), min_size=1, max_size=3),
+    min_size=2, max_size=2,
+)
+
+
+def write_label_file(path, pairs):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(struct.pack(f"<{len(pairs)}I", *((inst << 16) | raw for raw, inst in pairs)))
+
+
+def brute_force_counts(gt_path, pred_path, class_map, totals):
+    """Add one scan's two label files to ``totals`` point by point; returns
+    each file's count of raw ids absent from the class map."""
+    n_classes = class_map.n_classes
+    gt_words = struct.unpack(f"<{gt_path.stat().st_size // 4}I", gt_path.read_bytes())
+    pred_words = struct.unpack(f"<{pred_path.stat().st_size // 4}I", pred_path.read_bytes())
+    gt_unknown = pred_unknown = 0
+    scan_gt, scan_pred, scan_shared = {}, {}, {}
+    for gt_word, pred_word in zip(gt_words, pred_words, strict=True):
+        gt_raw, gt_inst = gt_word & 0xFFFF, gt_word >> 16
+        pred_raw, pred_inst = pred_word & 0xFFFF, pred_word >> 16
+        gt_unknown += not class_map.known_raw[gt_raw]
+        pred_unknown += not class_map.known_raw[pred_raw]
+        gt_class = int(class_map.raw_to_train[gt_raw]) if class_map.known_raw[gt_raw] else IGNORE
+        pred_class = int(class_map.raw_to_train[pred_raw]) if class_map.known_raw[pred_raw] else IGNORE
+        if gt_class == IGNORE:
+            continue
+        totals["confusion"][gt_class][pred_class if pred_class != IGNORE else n_classes] += 1
+        in_tube = gt_inst > 0 and class_map.thing_mask[gt_class]
+        if in_tube:
+            scan_gt[gt_inst] = scan_gt.get(gt_inst, 0) + 1
+        if pred_inst > 0:
+            scan_pred[pred_inst] = scan_pred.get(pred_inst, 0) + 1
+        if in_tube and pred_inst > 0:
+            scan_shared[gt_inst, pred_inst] = scan_shared.get((gt_inst, pred_inst), 0) + 1
+    # Within a scan keys enter in ascending order; across scans, first seen first.
+    for name, scan in (("gt", scan_gt), ("pred", scan_pred), ("shared", scan_shared)):
+        for key in sorted(scan):
+            totals[name][key] = totals[name].get(key, 0) + scan[key]
+    return gt_unknown, pred_unknown
+
+
+def brute_force_terms(totals):
+    per_tube = {gid: 0.0 for gid in totals["gt"]}
+    for (gid, pid), shared in totals["shared"].items():
+        per_tube[gid] += shared * (shared / (totals["gt"][gid] + totals["pred"][pid] - shared))
+    return {gid: per_tube[gid] / size for gid, size in totals["gt"].items()}
+
+
+class TestCountingCore:
+    """evaluate's counts from written label files against a per-point loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dataset_strategy)
+    @example([
+        # Sequence 00: a car tube (id 1) split over two predicted ids, a
+        # road point and an unlabelled point carrying instance ids, and an
+        # unlisted raw id in each file.
+        [[(10, 1, 10, 1), (10, 1, 10, 3), (40, 1, 40, 3), (0, 2, 10, 65535), (1000, 0, 2, 0)],
+         [(252, 65535, 10, 1), (30, 1, 70, 65535)]],
+        # Sequence 01: the same ids again; they must not merge with 00's.
+        [[(10, 1, 10, 1), (52, 0, 30, 2), (65535, 1, 40, 1)]],
+    ])
+    def test_counts_match_a_per_point_loop_over_the_label_files(self, class_map, dataset):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for k, scans in enumerate(dataset):
+                seq = root / "data" / f"{k:02d}"
+                for index, points in enumerate(scans):
+                    name = f"{index:06d}"
+                    (seq / "velodyne").mkdir(parents=True, exist_ok=True)
+                    (seq / "velodyne" / f"{name}.bin").write_bytes(bytes(16 * len(points)))
+                    write_label_file(seq / "labels" / f"{name}.label", [(g, gi) for g, gi, _, _ in points])
+                    write_label_file(
+                        root / "pred" / seq.name / "predictions" / f"{name}.label",
+                        [(p, pi) for _, _, p, pi in points],
+                    )
+            sequences = tuple(f"{k:02d}" for k in range(len(dataset)))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                reports, overall = evaluate_directories(
+                    root / "pred", root / "data", sequences, class_map, root / "rep"
+                )
+            warned = {}
+            for warning in caught:
+                assert issubclass(warning.category, UnknownRawIdWarning)
+                path, count = str(warning.message).split(": ")[:2]
+                warned[path] = int(count.split()[0])
+
+            expected_warnings = {}
+            pooled_terms = []
+            confusion = np.zeros((class_map.n_classes, class_map.n_classes + 1), dtype=np.int64)
+            for sequence, scans in zip(sequences, dataset):
+                totals = {"confusion": np.zeros_like(confusion), "gt": {}, "pred": {}, "shared": {}}
+                for index in range(len(scans)):
+                    gt_path = root / "data" / sequence / "labels" / f"{index:06d}.label"
+                    pred_path = root / "pred" / sequence / "predictions" / f"{index:06d}.label"
+                    unknown = brute_force_counts(gt_path, pred_path, class_map, totals)
+                    for path, count in zip((gt_path, pred_path), unknown):
+                        if count:
+                            expected_warnings[str(path)] = count
+                counts = reports[sequence].counts
+                assert np.array_equal(counts.confusion, totals["confusion"])
+                assert list(counts.gt_tube_sizes.items()) == list(totals["gt"].items())
+                assert list(counts.pred_tube_sizes.items()) == list(totals["pred"].items())
+                assert list(counts.intersections.items()) == list(totals["shared"].items())
+                terms = brute_force_terms(totals)
+                assert list(reports[sequence].tube_terms.items()) == list(terms.items())
+                pooled_terms += [((sequence, gid), term) for gid, term in terms.items()]
+                confusion += totals["confusion"]
+            assert warned == expected_warnings
+            assert list(overall.tube_terms.items()) == pooled_terms
+            assert np.array_equal(overall.counts.confusion, confusion)

@@ -1079,6 +1079,52 @@ class TestEvaluate:
             evaluate_directories(tmp_path / "pred", small_dataset.root, ("00",), class_map, tmp_path / "rep")
 
     @staticmethod
+    def _evaluate_cli(pred_root, dataset_root, out):
+        return main([
+            "evaluate", "--pred-root", str(pred_root), "--dataset-root", str(dataset_root),
+            "--sequences", "00", "--out", str(out),
+        ])
+
+    def test_missing_prediction_file_fails_the_cli_naming_it(self, small_dataset, tmp_path, capsys):
+        pred = tmp_path / "pred" / "00" / "predictions"
+        shutil.copytree(small_dataset.root / "00" / "labels", pred)
+        (pred / "000003.label").unlink()
+        assert self._evaluate_cli(tmp_path / "pred", small_dataset.root, tmp_path / "rep") == 1
+        assert f"error: missing prediction file {pred / '000003.label'}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["missing", "short"])
+    def test_bad_ground_truth_file_fails_the_cli_naming_it(self, small_dataset, tmp_path, capsys, damage):
+        data = tmp_path / "data"
+        shutil.copytree(small_dataset.root / "00", data / "00")
+        gt = data / "00" / "labels" / "000001.label"
+        if damage == "missing":
+            gt.unlink()
+        else:
+            gt.write_bytes(gt.read_bytes()[:-4])
+        assert self._evaluate_cli(small_dataset.root, data, tmp_path / "rep") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(gt) in err
+        if damage == "short":
+            assert "(3000 records)" in err
+
+    def test_tube_breakdown_lists_every_gt_tube(self, reference_dataset, class_map, tmp_path):
+        config = _oracle_config(reference_dataset, tmp_path / "out", offset_sigma=0.3, flip_prob=0.1, noise_seed=7)
+        segment_sequence(config, "00")
+        reports, _ = evaluate_directories(
+            config.out_dir, reference_dataset.root, ("00",), class_map, tmp_path / "rep"
+        )
+        report = reports["00"]
+        lines = (tmp_path / "rep" / "report_00.tubes").read_text().splitlines()
+        assert lines[0] == "# gt_tube points term"
+        rows = [line.split() for line in lines[1:]]
+        assert [int(gid) for gid, _, _ in rows] == list(report.tube_terms) == list(range(1, 7))
+        for gid, points, term in rows:
+            assert int(points) == report.counts.gt_tube_sizes[int(gid)]
+            assert term == f"{report.tube_terms[int(gid)]:.6f}"
+        assert sum(float(term) for _, _, term in rows) / len(rows) == pytest.approx(report.s_assoc, abs=1e-6)
+        assert not (tmp_path / "rep" / "report_overall.tubes").exists()
+
+    @staticmethod
     def _one_scan_sequence(dataset_root, pred_root, sequence, pred_car_id):
         # Two car points of GT instance 1 and two road points; the prediction
         # is right up to the car's instance id.
