@@ -74,6 +74,10 @@ class EvalCounts:
     pred_tube_sizes: dict = field(default_factory=dict)
     intersections: dict = field(default_factory=dict)  # (gt tube, pred tube) -> points
 
+    @classmethod
+    def empty(cls, n_classes: int) -> "EvalCounts":
+        return cls(np.zeros((n_classes, n_classes + 1), dtype=np.int64))
+
     @property
     def n_gt_tubes(self) -> int:
         return len(self.gt_tube_sizes)
@@ -227,7 +231,7 @@ class AssociationAccumulator:
         mask = np.ones(1, dtype=bool) if thing_mask is None else np.asarray(thing_mask, dtype=bool)
         self.every_class_is_thing = thing_mask is None
         self.tube_rows = np.concatenate([mask, [False, False]])
-        self.counts = EvalCounts(np.zeros((len(mask), len(mask) + 1), dtype=np.int64))
+        self.counts = EvalCounts.empty(len(mask))
 
     def add_scan(self, pred_inst, gt_inst, gt_sem) -> None:
         pred_inst, gt_inst, gt_sem = _flat(pred_inst), _flat(gt_inst), _flat(gt_sem)
@@ -243,12 +247,9 @@ class AssociationAccumulator:
             _instance_ids(gt_inst), _instance_ids(pred_inst),
         )
 
-    def tube_terms(self) -> dict[int, float]:
-        return self.counts.tube_terms()
-
     def score(self) -> tuple[float, bool]:
         """(association score, vacuous flag); 1.0 when there are no GT tubes."""
-        return _assoc_score(self.tube_terms())
+        return _assoc_score(self.counts.tube_terms())
 
 
 def _flat(values) -> np.ndarray:
@@ -324,8 +325,7 @@ class SequenceEvaluator:
         self.class_map = class_map
         self.rows = class_rows(class_map)
         self.tube_rows = np.concatenate([class_map.thing_mask, [False, False]])
-        c = class_map.n_classes
-        self.counts = EvalCounts(np.zeros((c, c + 1), dtype=np.int64))
+        self.counts = EvalCounts.empty(class_map.n_classes)
 
     def add_scan(self, pred_words, gt_words) -> tuple[int, int]:
         """Count one scan of uint32 label words; returns how many (prediction,
@@ -356,9 +356,8 @@ def pool_reports(reports: Mapping[str, LSTQReport], class_map: ClassMap) -> LSTQ
     scores are that sequence's own, bit for bit: the same sums in the same
     order.
     """
-    c = class_map.n_classes
     terms: dict[tuple[str, int], float] = {}
-    counts = EvalCounts(confusion=np.zeros((c, c + 1), dtype=np.int64))
+    counts = EvalCounts.empty(class_map.n_classes)
     for sequence, report in reports.items():
         counts.confusion += report.counts.confusion
         terms.update(((sequence, gid), term) for gid, term in report.tube_terms.items())

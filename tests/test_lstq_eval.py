@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from panseg4d.errors import LengthMismatch, UnknownRawIdWarning
+from panseg4d.errors import IdOutOfRange, IdOverflow, LengthMismatch, UnknownRawIdWarning
 from panseg4d.lstq_eval import (
     AssociationAccumulator,
     SequenceEvaluator,
@@ -180,6 +180,16 @@ class TestSAssoc:
         acc.add_scan(pred[0][1], gt[0][1], gt[0][0])
         value, vacuous = acc.score()
         assert value == 1.0 and vacuous
+
+    def test_rejects_ids_the_label_format_cannot_hold(self, class_map):
+        # Tubes are keyed by two 16-bit ids, as in a .label word; a wider id
+        # or a train id outside the class map is refused, not folded.
+        acc = AssociationAccumulator(class_map.thing_mask)
+        with pytest.raises(IdOverflow, match="70000"):
+            acc.add_scan([70000], [1], [0])
+        with pytest.raises(IdOutOfRange, match="gt train id 19"):
+            acc.add_scan([1], [1], [19])
+        assert acc.counts.n_gt_tubes == 0
 
     def test_invariant_under_pred_id_bijection(self):
         rng = np.random.default_rng(0)
