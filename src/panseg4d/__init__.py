@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .errors import PipelineError
 from .sk_formats import (
     PointCloudScan,
-    LabelRecord,
     LabelArray,
     CalibRecord,
     read_scan,
@@ -26,7 +25,6 @@ from .scan_aggregator import (
     RigidTransform,
     Aggregated4DCloud,
     lidar_poses_from_camera_poses,
-    transform_points,
     aggregate,
 )
 from .semantic_prior import (
@@ -53,5 +51,5 @@ from .proposal_engine import (
     huber_center_loss,
 )
 from .window_tracker import TrackState, WindowSegmentation, shared_rows, stitch
-from .lstq_eval import LSTQReport, SequenceEvaluator, s_assoc, lstq
+from .lstq_eval import LSTQReport, SequenceEvaluator, lstq
 from .synthlab import SceneConfig, GroundTruth, OracleProvider, generate, oracle_offsets

@@ -35,9 +35,6 @@ Every count goes through one core, :meth:`EvalCounts.count_scan`:
   sizes. New keys enter the dicts in ascending order within a scan and
   first-seen order across scans, so per-tube terms sum in a fixed order.
 
-:class:`AssociationAccumulator` and :func:`s_assoc` take train ids and map
-them onto the same rows.
-
 A report over several sequences (``pool_reports``) is pooled from the
 sequences' own reports, so each scan is counted once, into its sequence's
 evaluator. The confusion matrices add up, and S_assoc is the sum of every
@@ -54,9 +51,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import IdOutOfRange, IdOverflow, LengthMismatch
+from .errors import LengthMismatch
 from .semantic_prior import IGNORE, ClassMap
-from .sk_formats import MAX_ID
 
 
 @dataclass
@@ -218,62 +214,6 @@ def lstq(s_cls_value: float, s_assoc_value: float) -> float:
     return math.sqrt(s_cls_value * s_assoc_value)
 
 
-class AssociationAccumulator:
-    """Streaming class-agnostic tube counts for the association score, from
-    train ids; counted by :meth:`EvalCounts.count_scan`.
-
-    ``thing_mask`` restricts ground-truth tubes to thing classes; with None
-    every nonzero ground-truth id forms a tube (the dataset convention is
-    that only thing points carry ids).
-    """
-
-    def __init__(self, thing_mask: np.ndarray | None = None):
-        mask = np.ones(1, dtype=bool) if thing_mask is None else np.asarray(thing_mask, dtype=bool)
-        self.every_class_is_thing = thing_mask is None
-        self.tube_rows = np.concatenate([mask, [False, False]])
-        self.counts = EvalCounts.empty(len(mask))
-
-    def add_scan(self, pred_inst, gt_inst, gt_sem) -> None:
-        pred_inst, gt_inst, gt_sem = _flat(pred_inst), _flat(gt_inst), _flat(gt_sem)
-        if not (len(pred_inst) == len(gt_inst) == len(gt_sem)):
-            raise LengthMismatch(
-                f"{len(pred_inst)} pred vs {len(gt_inst)} gt instances vs {len(gt_sem)} gt labels"
-            )
-        if self.every_class_is_thing:
-            gt_sem = np.where(gt_sem == IGNORE, IGNORE, 0)
-        gt_row = _gt_rows(gt_sem, len(self.tube_rows) - 2)
-        self.counts.count_scan(
-            self.tube_rows, gt_row, np.zeros_like(gt_row),
-            _instance_ids(gt_inst), _instance_ids(pred_inst),
-        )
-
-    def score(self) -> tuple[float, bool]:
-        """(association score, vacuous flag); 1.0 when there are no GT tubes."""
-        return _assoc_score(self.counts.tube_terms())
-
-
-def _flat(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.int64).reshape(-1)
-
-
-def _gt_rows(train_ids: np.ndarray, n_classes: int) -> np.ndarray:
-    """Histogram rows of ground-truth train ids: IGNORE goes to row C, and
-    any other id outside [0, C) raises ``IdOutOfRange``."""
-    ignored = train_ids == IGNORE
-    bad = ~ignored & ((train_ids < 0) | (train_ids >= n_classes))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise IdOutOfRange(f"gt train id {int(train_ids[i])} at point {i} outside [0, {n_classes})")
-    return np.where(ignored, n_classes, train_ids).astype(np.intp)
-
-
-def _instance_ids(ids: np.ndarray) -> np.ndarray:
-    """Instance ids as the label format's unsigned 16 bits; ids <= 0 mean none."""
-    if ids.size and ids.max() > MAX_ID:
-        raise IdOverflow(f"instance id {int(ids.max())} exceeds 16 bits")
-    return np.maximum(ids, 0).astype(np.uint32)
-
-
 def _assoc_score(tube_terms: dict) -> tuple[float, bool]:
     """Mean of the per-tube terms, summed in key order; (1.0, True) for none."""
     if not tube_terms:
@@ -387,16 +327,3 @@ def _build_report(counts: EvalCounts, tube_terms: dict, class_map: ClassMap) -> 
         assoc_vacuous=vacuous,
         tube_terms=tube_terms,
     )
-
-
-def s_assoc(pred, gt, thing_mask: np.ndarray | None = None) -> float:
-    """Association score of aligned label sequences (class-agnostic).
-
-    ``pred`` and ``gt`` are sequences of (semantic, instance) per-scan
-    array pairs with train ids (IGNORE allowed in gt).
-    """
-    acc = AssociationAccumulator(thing_mask)
-    for (_, pred_inst), (gt_sem, gt_inst) in zip(pred, gt, strict=True):
-        acc.add_scan(pred_inst, gt_inst, gt_sem)
-    value, _ = acc.score()
-    return value

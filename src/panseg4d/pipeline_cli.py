@@ -683,7 +683,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--semantic-dir")
     parser.add_argument("--confidence-dir")
     parser.add_argument("--offset-dir")
-    # Read by nothing: goes once the benchmark contract (ROADMAP item 5) stops passing it.
+    # Read by nothing: goes once the benchmark contract (ROADMAP item 4) stops passing it.
     parser.add_argument("--offset-frame", choices=["sensor"])
     parser.add_argument("--flip-prob", type=float)
     parser.add_argument("--offset-sigma", type=float)

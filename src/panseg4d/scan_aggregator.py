@@ -59,17 +59,6 @@ class RigidTransform:
             return self.rotation @ pts + self.translation
         return pts @ self.rotation.T + self.translation
 
-    def as_matrix(self) -> np.ndarray:
-        mat = np.eye(4)
-        mat[:3, :3] = self.rotation
-        mat[:3, 3] = self.translation
-        return mat
-
-    @classmethod
-    def from_matrix(cls, mat) -> "RigidTransform":
-        mat = np.asarray(mat, dtype=np.float64)
-        return cls(rotation=mat[:3, :3], translation=mat[:3, 3])
-
 
 @dataclass(frozen=True)
 class PoseTable(Sequence):
@@ -169,11 +158,6 @@ class Aggregated4DCloud:
         origin[:, 0] = self.window[0] + offset
         origin[:, 1] = np.arange(len(self)) - self.scan_starts[offset]
         return origin
-
-
-def transform_points(points, transform: RigidTransform) -> np.ndarray:
-    """Apply p' = R @ p + t to every point; length is preserved."""
-    return transform.apply(points)
 
 
 def lidar_poses_from_camera_poses(

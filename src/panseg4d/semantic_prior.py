@@ -74,12 +74,25 @@ class ClassMap:
 
     @classmethod
     def load(cls, path) -> "ClassMap":
-        """Parse the plain-text key-value class map format."""
+        """Parse the plain-text key-value class map format.
+
+        A thing, name or remap train id outside [0, classes) and a raw id
+        outside 16 bits raise ``ConfigError`` naming ``path:line``.
+        """
         n_classes = None
         things: list[int] = []
         names: dict[int, str] = {}
         remap_pairs: dict[int, int] = {}
         canonical: dict[int, int] = {}
+        # (path:line, what, id) of every train id, checked once the class count is known.
+        train_ids: list[tuple[str, str, int]] = []
+
+        def raw_id(where: str, text: str) -> int:
+            raw = int(text)
+            if not 0 <= raw < _RAW_ID_SPACE:
+                raise ConfigError(f"{where}: raw id {raw} outside 16 bits")
+            return raw
+
         for where, line in sk_formats.config_lines(path):
             key, _, value = line.partition(":")
             key_parts = key.split()
@@ -89,29 +102,34 @@ class ClassMap:
                     n_classes = int(value)
                 elif key_parts[0] == "things":
                     things = [int(t) for t in value.split()]
+                    train_ids += [(where, "thing", t) for t in things]
                 elif key_parts[0] == "name":
-                    names[int(key_parts[1])] = value
+                    train = int(key_parts[1])
+                    names[train] = value
+                    train_ids.append((where, "name", train))
                 elif key_parts[0] == "remap":
-                    raw = int(key_parts[1])
-                    remap_pairs[raw] = IGNORE if value == "ignore" else int(value)
+                    raw = raw_id(where, key_parts[1])
+                    train = IGNORE if value == "ignore" else int(value)
+                    remap_pairs[raw] = train
+                    if train != IGNORE:
+                        train_ids.append((where, f"remap of raw id {raw} to train", train))
                 elif key_parts[0] == "canonical":
-                    canonical[int(key_parts[1])] = int(value)
+                    canonical[int(key_parts[1])] = raw_id(where, value)
                 else:
                     raise ConfigError(f"{where}: unknown key {key_parts[0]!r}")
             except (ValueError, IndexError) as exc:
                 raise ConfigError(f"{where}: {exc}") from None
         if n_classes is None:
             raise ConfigError(f"{path}: missing 'classes:' line")
+        for where, what, train in train_ids:
+            if not 0 <= train < n_classes:
+                raise ConfigError(f"{where}: {what} id {train} outside [0, {n_classes})")
         if sorted(canonical) != list(range(n_classes)):
             raise ConfigError(f"{path}: canonical ids must cover 0..{n_classes - 1}")
 
         raw_to_train = np.full(_RAW_ID_SPACE, IGNORE, dtype=np.int32)
         known = np.zeros(_RAW_ID_SPACE, dtype=bool)
         for raw, train in remap_pairs.items():
-            if not 0 <= raw < _RAW_ID_SPACE:
-                raise ConfigError(f"{path}: raw id {raw} out of 16-bit range")
-            if train != IGNORE and not 0 <= train < n_classes:
-                raise ConfigError(f"{path}: train id {train} out of range for raw {raw}")
             raw_to_train[raw] = train
             known[raw] = True
         thing_mask = np.zeros(n_classes, dtype=bool)

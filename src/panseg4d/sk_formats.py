@@ -34,7 +34,6 @@ import warnings
 from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -89,24 +88,9 @@ class PointCloudScan:
         return len(self.points)
 
 
-class LabelRecord(NamedTuple):
-    """One point's label: raw semantic id and per-sequence instance id."""
-
-    semantic_raw: int
-    instance_id: int
-
-    @property
-    def packed(self) -> int:
-        return (self.instance_id << 16) | self.semantic_raw
-
-    @classmethod
-    def from_packed(cls, word: int) -> "LabelRecord":
-        return cls(semantic_raw=word & 0xFFFF, instance_id=word >> 16)
-
-
 @dataclass(frozen=True)
 class LabelArray:
-    """Column view of a label file; indexable as a sequence of LabelRecord."""
+    """A label file's two columns: raw semantic ids and instance ids."""
 
     semantic_raw: np.ndarray  # (n,) int64
     instance_id: np.ndarray  # (n,) int64
@@ -121,13 +105,6 @@ class LabelArray:
 
     def __len__(self) -> int:
         return len(self.semantic_raw)
-
-    def __getitem__(self, i: int) -> LabelRecord:
-        return LabelRecord(int(self.semantic_raw[i]), int(self.instance_id[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 @dataclass(frozen=True)
@@ -228,24 +205,14 @@ def read_labels(path, expected_count: int) -> LabelArray:
     return LabelArray(semantic_raw=words & 0xFFFF, instance_id=words >> 16)
 
 
-def _label_columns(labels) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(labels, LabelArray):
-        return labels.semantic_raw, labels.instance_id
-    arr = np.asarray(list(labels) if not isinstance(labels, np.ndarray) else labels, dtype=np.int64)
-    if arr.size == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    arr = arr.reshape(-1, 2)
-    return arr[:, 0], arr[:, 1]
-
-
 def label_bytes(labels, where) -> bytes:
-    """(semantic_raw, instance_id) pairs packed as ``.label`` records.
+    """(n, 2) (semantic_raw, instance_id) pairs packed as ``.label`` records.
 
-    Byte-exact inverse of :func:`read_labels`. ``labels`` may be a
-    :class:`LabelArray`, an (n, 2) array, or an iterable of pairs. An id
-    outside 16 bits raises ``IdOverflow`` naming ``where``.
+    Byte-exact inverse of :func:`read_labels`. An id outside 16 bits raises
+    ``IdOverflow`` naming ``where``.
     """
-    sem, inst = _label_columns(labels)
+    pairs = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
+    sem, inst = pairs[:, 0], pairs[:, 1]
     if sem.size and (sem.min() < 0 or sem.max() > MAX_ID):
         bad = int(np.argmax((sem < 0) | (sem > MAX_ID)))
         raise IdOverflow(f"{where}: semantic id {int(sem[bad])} at record {bad} exceeds 16 bits")
@@ -259,10 +226,6 @@ def write_predictions(path, labels) -> None:
     """Write (semantic_raw, instance_id) pairs in the ``.label`` packing
     (:func:`label_bytes`)."""
     Path(path).write_bytes(label_bytes(labels, path))
-
-
-# Predictions and ground-truth labels share one packing.
-write_labels = write_predictions
 
 
 def _parse_rows_3x4(rows: list[tuple[int, list[str]]], path) -> np.ndarray:

@@ -217,8 +217,9 @@ def instance_centers(points, instance_ids) -> np.ndarray:
     return centers
 
 
-def _ego_poses(config: SceneConfig) -> list[RigidTransform]:
-    """Sensor poses along the waypoint polyline, yaw following the heading."""
+def _ego_poses(config: SceneConfig) -> PoseTable:
+    """Sensor poses along the waypoint polyline, yaw following the heading to
+    the next pose (the last pose keeps the heading that reached it)."""
     waypoints = np.asarray(config.ego_waypoints, dtype=np.float64)
     if len(waypoints) == 1 or config.n_scans == 1:
         positions = np.repeat(waypoints[:1], config.n_scans, axis=0)
@@ -230,22 +231,17 @@ def _ego_poses(config: SceneConfig) -> list[RigidTransform]:
         positions = np.empty((config.n_scans, 3))
         for axis in range(3):
             positions[:, axis] = np.interp(stations, cumulative, waypoints[:, axis])
-    poses = []
-    for k in range(config.n_scans):
-        if config.n_scans > 1 and k + 1 < config.n_scans:
-            heading = positions[min(k + 1, config.n_scans - 1)] - positions[k]
-        elif config.n_scans > 1:
-            heading = positions[k] - positions[k - 1]
-        else:
-            heading = np.zeros(3)
-        norm = float(np.hypot(heading[0], heading[1]))
-        yaw = float(np.arctan2(heading[1], heading[0])) if norm > 1e-12 else 0.0
-        cos_yaw, sin_yaw = np.cos(yaw), np.sin(yaw)
-        rotation = np.array(
-            [[cos_yaw, -sin_yaw, 0.0], [sin_yaw, cos_yaw, 0.0], [0.0, 0.0, 1.0]]
-        )
-        poses.append(RigidTransform(rotation=rotation, translation=positions[k]))
-    return poses
+    headings = np.diff(positions, axis=0)
+    headings = np.concatenate([headings, headings[-1:]]) if len(headings) else np.zeros((1, 3))
+    moving = np.hypot(headings[:, 0], headings[:, 1]) > 1e-12
+    yaw = np.where(moving, np.arctan2(headings[:, 1], headings[:, 0]), 0.0)
+    cos_yaw, sin_yaw = np.cos(yaw), np.sin(yaw)
+    rotations = np.zeros((config.n_scans, 3, 3))
+    rotations[:, 0, 0] = rotations[:, 1, 1] = cos_yaw
+    rotations[:, 0, 1] = -sin_yaw
+    rotations[:, 1, 0] = sin_yaw
+    rotations[:, 2, 2] = 1.0
+    return PoseTable(rotations, positions)
 
 
 def _sample_layout(config: SceneConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -341,7 +337,7 @@ class SceneScans(Sequence):
     :class:`PointCloudScan`, and no scan is kept. Every scan holds the
     objects' template rows, object by object, then the static stuff rows."""
 
-    poses: list[RigidTransform]  # lidar poses, one per scan
+    poses: PoseTable  # lidar poses, one per scan
     trajectories: np.ndarray  # (n_objects, n_scans, 3) world centers
     object_sizes: np.ndarray  # (n_objects,) template rows per object
     object_points: np.ndarray  # (sum of object_sizes, 3) zero-mean templates
@@ -365,7 +361,7 @@ class SceneScans(Sequence):
         return PointCloudScan(points=sensor, feature=feature, scan_index=k)
 
 
-def generate(config: SceneConfig) -> tuple[SceneScans, list[RigidTransform], GroundTruth]:
+def generate(config: SceneConfig) -> tuple[SceneScans, PoseTable, GroundTruth]:
     """Lay out the scene: its scans (built one at a time as they are read),
     lidar poses, and ground truth."""
     config.validate()
@@ -413,7 +409,7 @@ def generate(config: SceneConfig) -> tuple[SceneScans, list[RigidTransform], Gro
 
 def oracle_offsets(
     scans: Sequence[PointCloudScan],
-    lidar_poses: list[RigidTransform],
+    lidar_poses: Sequence[RigidTransform],
     gt: GroundTruth,
     window: tuple[int, int],
 ) -> np.ndarray:
@@ -470,7 +466,7 @@ class OracleProvider(PredictionSource):
 
     def __init__(
         self,
-        lidar_poses: list[RigidTransform],
+        lidar_poses: Sequence[RigidTransform],
         gt: GroundTruth | DatasetTruth,
         class_map: ClassMap,
         flip_prob: float = 0.0,
@@ -507,7 +503,7 @@ def write_dataset(
     out_root,
     sequence: str,
     scans: Sequence[PointCloudScan],
-    lidar_poses: list[RigidTransform],
+    lidar_poses: PoseTable,
     gt: GroundTruth,
     class_map: ClassMap,
     calib: CalibRecord = DEFAULT_CALIB,
@@ -540,11 +536,7 @@ def write_dataset(
                 gt.scan_truth(k, scan.points)[1] - scan.points,
             )
     tr = RigidTransform(calib.rotation, calib.translation)
-    lidar = PoseTable(
-        np.stack([pose.rotation for pose in lidar_poses]),
-        np.stack([pose.translation for pose in lidar_poses]),
-    )
-    camera = lidar.chained(tr, tr.inverse())
+    camera = lidar_poses.chained(tr, tr.inverse())
     sk_formats.write_poses(seq_dir / "poses.txt", camera.rotations, camera.translations)
     sk_formats.write_calib(seq_dir / "calib.txt", calib)
     if scene_config is not None:

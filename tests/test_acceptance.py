@@ -15,7 +15,6 @@ import pytest
 from conftest import random_rigid
 from panseg4d import sk_formats
 from panseg4d.errors import PerformanceWarning
-from panseg4d.lstq_eval import s_assoc
 from panseg4d.pipeline_cli import (
     PipelineConfig,
     bundled_path,
@@ -28,12 +27,12 @@ from panseg4d.proposal_engine import (
     farthest_point_sample,
     huber_center_loss,
 )
-from panseg4d.scan_aggregator import aggregate, transform_points
+from panseg4d.scan_aggregator import aggregate
 from panseg4d.semantic_prior import argmax_label, majority_label
 from panseg4d.sk_formats import PointCloudScan
 from panseg4d.synthlab import oracle_offsets
 
-from test_lstq_eval import assoc_rational_oracle
+from test_lstq_eval import assoc_rational_oracle, evaluate
 from test_proposal_engine import dbscan_oracle, fps_oracle, partitions_equal
 
 
@@ -143,7 +142,7 @@ def test_criterion_3_oracle_equivalence_suites(class_map):
                 gt_seq.append((gt_sem, gt_inst))
                 if total_budget <= 1:
                     break
-            got = s_assoc(pred_seq, gt_seq, thing_mask=class_map.thing_mask)
+            got = evaluate(pred_seq, gt_seq, class_map).s_assoc
             want = assoc_rational_oracle(scans, thing_mask=class_map.thing_mask)
             assert abs(got - float(want)) <= 1e-12
 
@@ -173,7 +172,7 @@ def test_criterion_4_geometry():
         for _ in range(200):
             rigid = random_rigid(rng, translation_scale=50.0)
             pts = rng.uniform(-80.0, 80.0, (20, 3))
-            back = transform_points(transform_points(pts, rigid), rigid.inverse())
+            back = rigid.inverse().apply(rigid.apply(pts))
             assert np.abs(back - pts).max() < 1e-6
 
         world = rng.uniform(-40.0, 40.0, (50, 3))
@@ -187,7 +186,7 @@ def test_criterion_4_geometry():
         stacked = cloud.positions.reshape(4, 50, 3)
         assert np.linalg.norm(stacked - stacked[0], axis=-1).max() < 1e-6
 
-        moved = transform_points(cloud.positions, random_rigid(rng))
+        moved = random_rigid(rng).apply(cloud.positions)
         sample = rng.integers(0, len(moved), 60)
         d_a = np.linalg.norm(cloud.positions[sample][:, None] - cloud.positions[sample][None], axis=-1)
         d_b = np.linalg.norm(moved[sample][:, None] - moved[sample][None], axis=-1)

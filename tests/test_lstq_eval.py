@@ -11,14 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from panseg4d.errors import IdOutOfRange, IdOverflow, LengthMismatch, UnknownRawIdWarning
-from panseg4d.lstq_eval import (
-    AssociationAccumulator,
-    SequenceEvaluator,
-    lstq,
-    pool_reports,
-    s_assoc,
-)
+from panseg4d.errors import LengthMismatch, UnknownRawIdWarning
+from panseg4d.lstq_eval import SequenceEvaluator, lstq, pool_reports
 from panseg4d.pipeline_cli import evaluate_directories
 from panseg4d.semantic_prior import IGNORE
 
@@ -82,6 +76,10 @@ def evaluate(pred, gt, class_map):
 def s_cls(pred, gt, class_map):
     report = evaluate(pred, gt, class_map)
     return report.s_cls, report.per_class_iou, report.iou_th, report.iou_st
+
+
+def s_assoc(pred, gt, class_map):
+    return evaluate(pred, gt, class_map).s_assoc
 
 
 class TestSCls:
@@ -149,49 +147,37 @@ class TestSCls:
 
 
 class TestSAssoc:
-    def test_perfect_ids(self):
+    def test_perfect_ids(self, class_map):
         sem = np.zeros(6, dtype=int)
         ids = np.array([1, 1, 2, 2, 0, 0])
         pred, gt = one_scan(sem, ids, sem, ids)
-        assert s_assoc(pred, gt) == 1.0
+        assert s_assoc(pred, gt, class_map) == 1.0
 
-    def test_split_instance_scores_half(self):
+    def test_split_instance_scores_half(self, class_map):
         # One GT instance of 2n points split into two predictions of n each.
         n = 5
         gt_ids = np.ones(2 * n, dtype=int)
         pred_ids = np.concatenate([np.full(n, 1), np.full(n, 2)])
         sem = np.zeros(2 * n, dtype=int)
         pred, gt = one_scan(sem, pred_ids, sem, gt_ids)
-        assert s_assoc(pred, gt) == pytest.approx(0.5)
+        assert s_assoc(pred, gt, class_map) == pytest.approx(0.5)
 
-    def test_merged_instances_score_half(self):
+    def test_merged_instances_score_half(self, class_map):
         # Two equal GT instances predicted as one id.
         m = 7
         gt_ids = np.concatenate([np.full(m, 1), np.full(m, 2)])
         pred_ids = np.ones(2 * m, dtype=int)
         sem = np.zeros(2 * m, dtype=int)
         pred, gt = one_scan(sem, pred_ids, sem, gt_ids)
-        assert s_assoc(pred, gt) == pytest.approx(0.5)
+        assert s_assoc(pred, gt, class_map) == pytest.approx(0.5)
 
-    def test_no_gt_instances_is_vacuous_one(self):
+    def test_no_gt_instances_is_vacuous_one(self, class_map):
         sem = np.full(4, 8)
         pred, gt = one_scan(sem, np.array([1, 1, 0, 0]), sem, np.zeros(4))
-        acc = AssociationAccumulator()
-        acc.add_scan(pred[0][1], gt[0][1], gt[0][0])
-        value, vacuous = acc.score()
-        assert value == 1.0 and vacuous
+        report = evaluate(pred, gt, class_map)
+        assert report.s_assoc == 1.0 and report.assoc_vacuous
 
-    def test_rejects_ids_the_label_format_cannot_hold(self, class_map):
-        # Tubes are keyed by two 16-bit ids, as in a .label word; a wider id
-        # or a train id outside the class map is refused, not folded.
-        acc = AssociationAccumulator(class_map.thing_mask)
-        with pytest.raises(IdOverflow, match="70000"):
-            acc.add_scan([70000], [1], [0])
-        with pytest.raises(IdOutOfRange, match="gt train id 19"):
-            acc.add_scan([1], [1], [19])
-        assert acc.counts.n_gt_tubes == 0
-
-    def test_invariant_under_pred_id_bijection(self):
+    def test_invariant_under_pred_id_bijection(self, class_map):
         rng = np.random.default_rng(0)
         sem = np.zeros(60, dtype=int)
         gt_ids = rng.integers(0, 4, 60)
@@ -199,16 +185,16 @@ class TestSAssoc:
         relabel = np.array([0, 17, 3, 99, 42])
         pred_a, gt = one_scan(sem, pred_ids, sem, gt_ids)
         pred_b, _ = one_scan(sem, relabel[pred_ids], sem, gt_ids)
-        assert s_assoc(pred_a, gt) == pytest.approx(s_assoc(pred_b, gt), abs=1e-15)
+        assert s_assoc(pred_a, gt, class_map) == pytest.approx(s_assoc(pred_b, gt, class_map), abs=1e-15)
 
-    def test_independent_of_predicted_semantics(self):
+    def test_independent_of_predicted_semantics(self, class_map):
         rng = np.random.default_rng(1)
         gt_sem = np.zeros(40, dtype=int)
         gt_ids = rng.integers(0, 3, 40)
         pred_ids = rng.integers(0, 3, 40)
         pred_a, gt = one_scan(np.zeros(40), pred_ids, gt_sem, gt_ids)
         pred_b, _ = one_scan(rng.integers(0, 19, 40), pred_ids, gt_sem, gt_ids)
-        assert s_assoc(pred_a, gt) == s_assoc(pred_b, gt)
+        assert s_assoc(pred_a, gt, class_map) == s_assoc(pred_b, gt, class_map)
 
     def test_random_small_cases_match_rational_oracle(self, class_map):
         rng = np.random.default_rng(2)
@@ -224,7 +210,7 @@ class TestSAssoc:
                 scans.append((pred_inst, gt_inst, gt_sem))
                 pred_seq.append((np.zeros(n, dtype=int), pred_inst))
                 gt_seq.append((gt_sem, gt_inst))
-            got = s_assoc(pred_seq, gt_seq, thing_mask=class_map.thing_mask)
+            got = s_assoc(pred_seq, gt_seq, class_map)
             want = assoc_rational_oracle(scans, thing_mask=class_map.thing_mask)
             assert abs(got - float(want)) <= 1e-12
 

@@ -377,7 +377,7 @@ class TestSegment:
         off_dir.mkdir()
         for k, scan in enumerate(small_dataset.scans):
             raw = class_map.train_to_raw[small_dataset.gt.semantic]
-            sk_formats.write_labels(
+            sk_formats.write_predictions(
                 sem_dir / f"{k:06d}.label",
                 np.stack([raw, small_dataset.gt.instance], axis=1),
             )
@@ -446,7 +446,7 @@ class TestSegment:
             if k in free_scans:
                 raw = np.where(class_map.thing_mask[semantic], stuff_raw, raw)
             written.append(raw)
-            sk_formats.write_labels(sem_dir / f"{k:06d}.label", np.stack([raw, np.zeros_like(raw)], axis=1))
+            sk_formats.write_predictions(sem_dir / f"{k:06d}.label", np.stack([raw, np.zeros_like(raw)], axis=1))
             delta = instance_centers(scan.points, small_dataset.gt.instance) - scan.points
             sk_formats.write_offsets(off_dir / f"{k:06d}.offset", delta)
         config = PipelineConfig(
@@ -485,7 +485,7 @@ class TestSegment:
         sem_dir.mkdir()
         off_dir.mkdir()
         for k, scan in enumerate(small_dataset.scans):
-            sk_formats.write_labels(
+            sk_formats.write_predictions(
                 sem_dir / f"{k:06d}.label",
                 np.stack([np.full(len(scan), 40), np.zeros(len(scan), dtype=int)], axis=1),
             )
@@ -1035,7 +1035,7 @@ class TestUnlabelledPoints:
             mask[rng.choice(stuff, len(stuff) // 10, replace=False)] = True
             unlabelled.append(mask)
             raw = np.where(mask, 0, class_map.train_to_raw[gt.semantic])
-            sk_formats.write_labels(sem_dir / f"{k:06d}.label", np.stack([raw, gt.instance], axis=1))
+            sk_formats.write_predictions(sem_dir / f"{k:06d}.label", np.stack([raw, gt.instance], axis=1))
             delta = instance_centers(scan.points, gt.instance) - scan.points
             sk_formats.write_offsets(off_dir / f"{k:06d}.offset", delta)
         config = PipelineConfig(
@@ -1135,7 +1135,7 @@ class TestEvaluate:
         sk_formats.write_scan(
             seq / "velodyne" / "000000.bin", sk_formats.PointCloudScan(points, np.zeros(4))
         )
-        sk_formats.write_labels(seq / "labels" / "000000.label", [(10, 1), (10, 1), (40, 0), (40, 0)])
+        sk_formats.write_predictions(seq / "labels" / "000000.label", [(10, 1), (10, 1), (40, 0), (40, 0)])
         pred_dir = pred_root / sequence / "predictions"
         pred_dir.mkdir(parents=True)
         sk_formats.write_predictions(

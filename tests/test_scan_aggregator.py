@@ -13,7 +13,6 @@ from panseg4d.scan_aggregator import (
     RigidTransform,
     aggregate,
     lidar_poses_from_camera_poses,
-    transform_points,
     window_relative_transform,
 )
 from panseg4d.sk_formats import CalibRecord, PointCloudScan
@@ -26,12 +25,10 @@ def _labels(n, fill=0):
 class TestRigidTransform:
     def test_identity_leaves_points_unchanged(self):
         pts = np.array([[1.0, 2.0, 3.0], [-4.0, 0.0, 2.5]])
-        assert np.array_equal(transform_points(pts, RigidTransform.identity()), pts)
+        assert np.array_equal(RigidTransform.identity().apply(pts), pts)
 
     def test_pure_translation(self):
-        moved = transform_points(
-            np.zeros((1, 3)), RigidTransform(np.eye(3), np.array([1.0, 2.0, 3.0]))
-        )
+        moved = RigidTransform(np.eye(3), np.array([1.0, 2.0, 3.0])).apply(np.zeros((1, 3)))
         assert moved.tolist() == [[1.0, 2.0, 3.0]]
 
     def test_compose_with_inverse_is_identity(self):
@@ -46,7 +43,7 @@ class TestRigidTransform:
         # Rigid motions preserve the full distance matrix.
         rng = np.random.default_rng(1)
         pts = rng.uniform(-20, 20, (60, 3))
-        moved = transform_points(pts, random_rigid(rng))
+        moved = random_rigid(rng).apply(pts)
         before = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         after = np.linalg.norm(moved[:, None] - moved[None, :], axis=-1)
         assert np.abs(before - after).max() < 1e-9
@@ -56,15 +53,8 @@ class TestRigidTransform:
         pts = rng.uniform(-50, 50, (100, 3))
         for _ in range(20):
             rigid = random_rigid(rng, translation_scale=100.0)
-            back = transform_points(transform_points(pts, rigid), rigid.inverse())
+            back = rigid.inverse().apply(rigid.apply(pts))
             assert np.abs(back - pts).max() < 1e-6
-
-    def test_matrix_round_trip(self):
-        rng = np.random.default_rng(3)
-        rigid = random_rigid(rng)
-        again = RigidTransform.from_matrix(rigid.as_matrix())
-        assert np.array_equal(again.rotation, rigid.rotation)
-        assert np.array_equal(again.translation, rigid.translation)
 
 
 class TestPoseTable:
@@ -79,7 +69,8 @@ class TestPoseTable:
         for reference, scan in [(0, 3), (2, 6), (5, 1)]:
             got = window_relative_transform(table, reference, scan)
             want = window_relative_transform(poses, reference, scan)
-            assert got.as_matrix().tobytes() == want.as_matrix().tobytes()
+            assert got.rotation.tobytes() == want.rotation.tobytes()
+            assert got.translation.tobytes() == want.translation.tobytes()
 
 
 def _one_pose(rotation, translation):
@@ -91,7 +82,8 @@ class TestLidarPoseFromCameraPose:
         calib = CalibRecord(np.eye(3), np.zeros(3))
         lidar = lidar_poses_from_camera_poses(*_one_pose(np.eye(3), np.zeros(3)), calib)
         assert isinstance(lidar, PoseTable) and len(lidar) == 1
-        assert np.abs(lidar[0].as_matrix() - np.eye(4)).max() < 1e-12
+        assert np.abs(lidar.rotations[0] - np.eye(3)).max() < 1e-12
+        assert np.abs(lidar.translations[0]).max() < 1e-12
 
     def test_pure_camera_translation_identity_calib(self):
         calib = CalibRecord(np.eye(3), np.zeros(3))
@@ -117,7 +109,8 @@ class TestLidarPoseFromCameraPose:
         expected = np.linalg.inv(tr) @ cam @ tr
 
         lidar = lidar_poses_from_camera_poses(*_one_pose(cam_rotation, cam_translation), calib)
-        assert np.abs(lidar[0].as_matrix() - expected).max() < 1e-9
+        assert np.abs(lidar.rotations[0] - expected[:3, :3]).max() < 1e-9
+        assert np.abs(lidar.translations[0] - expected[:3, 3]).max() < 1e-9
 
     def test_stack_matches_the_per_pose_chain_bit_for_bit(self):
         rng = np.random.default_rng(19)

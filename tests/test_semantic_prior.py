@@ -1,6 +1,7 @@
 """Class map, prior encodings, label voting, and the file-backed provider."""
 
 import collections
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panseg4d import sk_formats
+from panseg4d.pipeline_cli import bundled_path
 from panseg4d.errors import (
     AllZeroRow,
     ConfigError,
@@ -65,6 +67,27 @@ class TestClassMap:
         path = tmp_path / "bad.txt"
         path.write_text("classes: 2\nthings: 0\nremap 10: 0\nremap 11: 1\ncanonical 0: 11\ncanonical 1: 10\n")
         with pytest.raises(ConfigError):
+            ClassMap.load(path)
+
+    @pytest.mark.parametrize(
+        "old, new, line, message",
+        [
+            ("things: 0 1 2 3 4 5 6 7", "things: 0 1 2 3 4 5 6 -1", 7, "thing id -1 outside [0, 19)"),
+            ("things: 0 1 2 3 4 5 6 7", "things: 0 1 2 3 4 5 6 7 19", 7, "thing id 19 outside [0, 19)"),
+            ("name 18: traffic-sign", "name 25: x", 26, "name id 25 outside [0, 19)"),
+            ("canonical 0: 10", "canonical 0: 70000", 61, "raw id 70000 outside 16 bits"),
+            ("canonical 0: 10", "canonical 0: -1", 61, "raw id -1 outside 16 bits"),
+            ("remap 10: 0", "remap 70000: 0", 29, "raw id 70000 outside 16 bits"),
+            ("remap 10: 0", "remap 10: 19", 29, "remap of raw id 10 to train id 19 outside [0, 19)"),
+        ],
+    )
+    def test_load_rejects_ids_outside_their_range_naming_the_line(self, tmp_path, old, new, line, message):
+        lines = bundled_path("semantic_kitti_classes.txt").read_text().splitlines()
+        assert lines[line - 1] == old
+        lines[line - 1] = new
+        path = tmp_path / "classes.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:{line}: {message}")):
             ClassMap.load(path)
 
 
@@ -242,7 +265,7 @@ def _identity_poses(n):
 
 class TestFileProvider:
     def _write_labels(self, path, raw, inst):
-        sk_formats.write_labels(path, np.stack([raw, inst], axis=1))
+        sk_formats.write_predictions(path, np.stack([raw, inst], axis=1))
 
     def _offset_provider(self, tmp_path, class_map, sizes, lidar_poses=None):
         """Label and offset files for ``sizes`` scans, offsets random."""

@@ -81,24 +81,19 @@ class TestLabels:
         path = tmp_path / "a.label"
         path.write_bytes(struct.pack("<I", 0x0001000A))
         labels = sk_formats.read_labels(path, 1)
-        assert labels[0] == (10, 1)
+        assert (labels.semantic_raw.tolist(), labels.instance_id.tolist()) == ([10], [1])
 
     def test_zero_word(self, tmp_path):
         path = tmp_path / "z.label"
         path.write_bytes(struct.pack("<I", 0))
         labels = sk_formats.read_labels(path, 1)
-        assert labels[0] == (0, 0)
+        assert (labels.semantic_raw.tolist(), labels.instance_id.tolist()) == ([0], [0])
 
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "c.label"
         path.write_bytes(b"\x00" * 8)
         with pytest.raises(CountMismatch):
             sk_formats.read_labels(path, 3)
-
-    def test_record_packing_round_trip(self):
-        record = sk_formats.LabelRecord(semantic_raw=10, instance_id=1)
-        assert record.packed == 0x0001000A
-        assert sk_formats.LabelRecord.from_packed(record.packed) == record
 
 
 class TestWritePredictions:
@@ -129,7 +124,7 @@ class TestWritePredictions:
         path = tmp_path_factory.mktemp("rt") / "p.label"
         sk_formats.write_predictions(path, pairs)
         back = sk_formats.read_labels(path, len(pairs))
-        assert [tuple(rec) for rec in back] == pairs
+        assert list(zip(back.semantic_raw.tolist(), back.instance_id.tolist())) == pairs
 
 
 class TestPoses:

@@ -12,6 +12,8 @@ from panseg4d.pipeline_cli import plan_windows
 from panseg4d.proposal_engine import InstanceSegmentation
 from panseg4d.window_tracker import TrackState, WindowSegmentation, shared_rows, stitch
 
+from test_lstq_eval import evaluate
+
 
 def make_window(start, scan_sizes, instance_rows, semantic_value=0):
     """Window over scans [start, start+len(scan_sizes)) with given ids per scan."""
@@ -200,13 +202,11 @@ class TestStitch:
 
 
 class TestStitchingDrivesAssociation:
-    def test_persistent_object_keeps_one_global_id_and_scores_one(self):
+    def test_persistent_object_keeps_one_global_id_and_scores_one(self, class_map):
         # Three overlapping windows over four scans, one object present in
         # every scan with a perfect per-window segmentation; after stitching,
         # the whole sequence carries a single global id and the association
         # score is exactly 1.0.
-        from panseg4d.lstq_eval import s_assoc
-
         scan_size = 6
         object_rows = [1, 3, 4]  # same rows in every scan belong to the object
 
@@ -242,7 +242,7 @@ class TestStitchingDrivesAssociation:
         gt_ids[object_rows] = 3
         pred = [(np.zeros(scan_size, dtype=int), per_scan_pred[k]) for k in sorted(per_scan_pred)]
         gt = [(np.zeros(scan_size, dtype=int), gt_ids) for _ in per_scan_pred]
-        assert s_assoc(pred, gt) == 1.0
+        assert evaluate(pred, gt, class_map).s_assoc == 1.0
 
 
 class TestWindowSegmentation:
